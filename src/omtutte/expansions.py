@@ -1,23 +1,22 @@
 """Generating functions over all reorientations, counting identities, derivatives.
 
-The central sweep visits every subset A of the ground set, computes the four
-activity counts (the dual pair taken in M', the primal pair in M), and sums
-the monomials x^|dual_out| u^|dual_in| y^|active_out| v^|active_in|.  The
-reference polynomial is always the closed rank formula shifted by x -> x+u,
-y -> y+v, never the sweep itself, so the identity check has genuinely
-independent sides.
-
-Circuits and cocircuits are pre-packed into bitmasks once; the per-subset
-work is pure integer arithmetic.
+One sweep over every subset A records the activity bitmasks of -_A M and
+-_A M'; the histogram of their four activity counts is the 4-variable
+generating function, and every other quantity here is a coefficient
+operation on it.  The reference side of the main identity is the closed rank
+formula shifted by x -> x+u, y -> y+v, never the sweep itself.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 from .matroid import MatroidError, OrientedRealization, check_guard
 from .oriented import (
@@ -34,27 +33,19 @@ class IdentityError(AssertionError):
     """An exact identity that must hold for valid input failed; signals a bug."""
 
 
-# -- packed sweep machinery ---------------------------------------------------
+# -- the sweep ------------------------------------------------------------------
 
 def _pack_family(family: Sequence[SignedSubset], index: dict[int, int]) -> list[tuple[int, int, int]]:
-    """One (positive mask, negative mask, min-element bit) triple per +/- pair."""
-    packed = []
-    seen = set()
+    """One (positive mask, negative mask, min-element bit) triple per +/- pair.
+
+    Each support carries exactly one opposite pair, so one entry per support.
+    """
+    packed: dict[int, tuple[int, int, int]] = {}
     for s in family:
-        sup = s.support
-        canon = (sup, s.positive) if tuple(sorted(s.positive)) <= tuple(sorted(s.negative)) else (sup, s.negative)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        pos = 0
-        for e in s.positive:
-            pos |= 1 << index[e]
-        neg = 0
-        for e in s.negative:
-            neg |= 1 << index[e]
-        min_bit = 1 << index[min(sup)]
-        packed.append((pos, neg, min_bit))
-    return packed
+        pos = sum(1 << index[e] for e in s.positive)
+        neg = sum(1 << index[e] for e in s.negative)
+        packed.setdefault(pos | neg, (pos, neg, 1 << index[min(s.support)]))
+    return list(packed.values())
 
 
 def _active_min_mask(packed: Sequence[tuple[int, int, int]], a_mask: int) -> int:
@@ -70,79 +61,90 @@ def _active_min_mask(packed: Sequence[tuple[int, int, int]], a_mask: int) -> int
     return out
 
 
-def _mask_to_set(mask: int, ground: Sequence[int]) -> frozenset[int]:
-    return frozenset(ground[i] for i in range(len(ground)) if mask >> i & 1)
+def _key(a_mask: int, active: int, dual: int) -> tuple[int, int, int, int]:
+    """(dual_out, dual_in, active_out, active_in) sizes of one reorientation A."""
+    return ((dual & ~a_mask).bit_count(), (dual & a_mask).bit_count(),
+            (active & ~a_mask).bit_count(), (active & a_mask).bit_count())
 
 
-class _Sweeper:
-    """Packed circuit/cocircuit tables for one perspective."""
-
-    def __init__(self, p: Perspective):
-        self.ground = p.ground
-        index = {e: i for i, e in enumerate(self.ground)}
-        self.circuits_m = _pack_family(p.m.circuits, index) if self.ground else []
-        self.cocircuits_mp = _pack_family(p.mprime.cocircuits, index) if self.ground else []
-
-    def record(self, a_mask: int) -> ActivityRecord:
-        active_mask = _active_min_mask(self.circuits_m, a_mask)
-        dual_mask = _active_min_mask(self.cocircuits_mp, a_mask)
-        return ActivityRecord.build(
-            _mask_to_set(a_mask, self.ground),
-            _mask_to_set(active_mask, self.ground),
-            _mask_to_set(dual_mask, self.ground),
-        )
-
-    def counts(self, a_mask: int) -> tuple[int, int, int, int]:
-        """(dual_out, dual_in, active_out, active_in) sizes for one reorientation."""
-        active = _active_min_mask(self.circuits_m, a_mask)
-        dual = _active_min_mask(self.cocircuits_mp, a_mask)
-        return ((dual & ~a_mask).bit_count(), (dual & a_mask).bit_count(),
-                (active & ~a_mask).bit_count(), (active & a_mask).bit_count())
+_COLUMNS = ("A", "dual_active", "active", "dual_out", "dual_in",
+            "active_out", "active_in", "monomial")
 
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    """Full reorientation sweep: one row per subset, in binary counting order."""
+    """One reorientation sweep of a perspective, in binary counting order.
 
-    rows: tuple[ActivityRecord, ...]
-    total: Polynomial
-    reference: Polynomial
-    passed: bool
+    ``active[A]`` and ``dual[A]`` are the bitmasks (bit i is ground[i]) of the
+    active set of -_A M and the dual-active set of -_A M'.  ``histogram``
+    counts the A per (dual_out, dual_in, active_out, active_in): the expansion
+    with exponents (x, u, y, v).  Everything else is derived when read.
+    """
+
+    perspective: Perspective
+    active: Sequence[int]
+    dual: Sequence[int]
+    histogram: Counter
+
+    @property
+    def rows(self) -> Sequence[ActivityRecord]:
+        return _Rows(self)
+
+    @cached_property
+    def total(self) -> Polynomial:
+        return Polynomial({Monomial(key + (0,)): count
+                           for key, count in self.histogram.items()})
+
+    @cached_property
+    def reference(self) -> Polynomial:
+        # the sweep has already passed the enumeration guard
+        return tutte3_closed(self.perspective, force=True).substitute({"z": 1}).substitute(
+            {"x": X + U, "y": Y + V})
+
+    @property
+    def passed(self) -> bool:
+        return self.total == self.reference
+
+    def _texts(self) -> Iterator[list[str]]:
+        """The rendered columns of every row, read straight off the masks."""
+        ground = self.perspective.ground
+        labels = [(1 << i, str(ground[i]))
+                  for i in sorted(range(len(ground)), key=ground.__getitem__)]
+
+        def text(mask: int) -> str:
+            return "".join(label for bit, label in labels if mask & bit) or "-"
+
+        for a, (act, dual) in enumerate(zip(self.active, self.dual)):
+            yield [text(a), text(dual), text(act), text(dual & ~a), text(dual & a),
+                   text(act & ~a), text(act & a), str(Monomial(_key(a, act, dual) + (0,)))]
 
     def to_tsv(self) -> str:
-        header = "A\tdual_active\tactive\tdual_out\tdual_in\tactive_out\tactive_in\tmonomial"
-        lines = [header]
-        for row in self.rows:
-            lines.append("\t".join([
-                _set_text(row.A), _set_text(row.dual_active), _set_text(row.active),
-                _set_text(row.dual_out), _set_text(row.dual_in),
-                _set_text(row.active_out), _set_text(row.active_in),
-                str(row.monomial),
-            ]))
+        lines = ["\t".join(_COLUMNS)]
+        lines += ["\t".join(texts) for texts in self._texts()]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "sum": str(self.total),
-            "reference": str(self.reference),
-            "rows": [{
-                "A": _set_text(row.A),
-                "dual_active": _set_text(row.dual_active),
-                "active": _set_text(row.active),
-                "dual_out": _set_text(row.dual_out),
-                "dual_in": _set_text(row.dual_in),
-                "active_out": _set_text(row.active_out),
-                "active_in": _set_text(row.active_in),
-                "monomial": str(row.monomial),
-            } for row in self.rows],
-        }
+        return {"pass": self.passed, "sum": str(self.total), "reference": str(self.reference),
+                "rows": [dict(zip(_COLUMNS, texts)) for texts in self._texts()]}
 
 
-def _set_text(labels: frozenset[int]) -> str:
-    if not labels:
-        return "-"
-    return "".join(str(e) for e in sorted(labels))
+class _Rows(Sequence):
+    """The ActivityRecords of a report, built from its masks when indexed."""
+
+    def __init__(self, report: ExpansionReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.active)
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return [self[a] for a in picked]
+        report, ground = self._report, self._report.perspective.ground
+        masks = (picked, report.active[picked], report.dual[picked])
+        return ActivityRecord.build(*(frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
+                                      for mask in masks))
 
 
 def monomial_of(p: Perspective, A: Iterable[int]) -> ActivityRecord:
@@ -153,59 +155,50 @@ def monomial_of(p: Perspective, A: Iterable[int]) -> ActivityRecord:
     return ActivityRecord.build(a, active, dual_active)
 
 
-def _sweep_rows(p: Perspective, force: bool, threads: int = 1) -> tuple[ActivityRecord, ...]:
+def expansion_sum(p: Perspective, force: bool = False) -> ExpansionReport:
+    """The 4-variable activity generating function: the one 2^|E| sweep.
+
+    The report's reference is the closed-formula t(x+u, y+v, 1); passed is
+    exact polynomial equality.
+    """
     n = len(p.ground)
     check_guard(n, force)
-    sweeper = _Sweeper(p)
-    total = 1 << n
-    if threads <= 1 or total < 1024:
-        return tuple(sweeper.record(a) for a in range(total))
-    chunk = (total + threads - 1) // threads
-    spans = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda span: [sweeper.record(a) for a in range(*span)], spans)
-        rows: list[ActivityRecord] = []
-        for part in parts:
-            rows.extend(part)
-    return tuple(rows)
+    index = {e: i for i, e in enumerate(p.ground)}
+    circuits = _pack_family(p.m.circuits, index)
+    cocircuits = _pack_family(p.mprime.cocircuits, index)
+    active, dual = array("Q"), array("Q")
+    histogram: Counter = Counter()
+    for a_mask in range(1 << n):
+        act = _active_min_mask(circuits, a_mask)
+        co = _active_min_mask(cocircuits, a_mask)
+        active.append(act)
+        dual.append(co)
+        histogram[_key(a_mask, act, co)] += 1
+    return ExpansionReport(p, active, dual, histogram)
 
 
-def expansion_sum(p: Perspective, force: bool = False, threads: int = 1) -> ExpansionReport:
-    """The 4-variable activity generating function, checked against the shift.
-
-    The reference side substitutes x -> x+u, y -> y+v into the closed-formula
-    Tutte polynomial at z = 1; passed is exact polynomial equality.
-    """
-    rows = _sweep_rows(p, force, threads)
-    terms: dict[Monomial, int] = {}
-    for row in rows:
-        terms[row.monomial] = terms.get(row.monomial, 0) + 1
-    total = Polynomial(terms)
-    reference = tutte3_closed(p, force=force).substitute({"z": 1}).substitute(
-        {"x": X + U, "y": Y + V})
-    return ExpansionReport(rows, total, reference, total == reference)
+def _collect(histogram: Counter, pick: Callable[..., tuple[int, int] | None]) -> Polynomial:
+    """Sum of count * x^i * y^j over the keys that ``pick`` maps to (i, j)."""
+    terms: Counter = Counter()
+    for key, count in histogram.items():
+        exps = pick(*key)
+        if exps is not None:
+            terms[Monomial((exps[0], 0, exps[1], 0, 0))] += count
+    return Polynomial(terms)
 
 
 def doubling_expansion(p: Perspective, force: bool = False) -> Polynomial:
-    """Two-variable activity sum over all A; equals the Tutte polynomial at (2x, 2y, 1).
+    """The expansion at (x, x, y, y); equals the Tutte polynomial at (2x, 2y, 1).
 
-    Each reorientation contributes x to the dual activity count times y to
-    the primal activity count.
+    Each A contributes x^|dual-active set| * y^|active set|.
     """
-    n = len(p.ground)
-    check_guard(n, force)
-    sweeper = _Sweeper(p)
-    terms: dict[Monomial, int] = {}
-    for a_mask in range(1 << n):
-        d_out, d_in, a_out, a_in = sweeper.counts(a_mask)
-        mono = Monomial.from_exponents({"x": d_out + d_in, "y": a_out + a_in})
-        terms[mono] = terms.get(mono, 0) + 1
-    return Polynomial(terms)
+    return _collect(expansion_sum(p, force=force).histogram,
+                    lambda d_out, d_in, a_out, a_in: (d_out + d_in, a_out + a_in))
 
 
 @dataclass(frozen=True)
 class SpecializationReport:
-    """Two-variable consequences recomputed from the stored sweep rows."""
+    """Two-variable consequences read off the sweep's histogram."""
 
     tutte: Polynomial
     interpolation: Polynomial
@@ -229,113 +222,57 @@ def specialization_suite(p: Perspective, report: ExpansionReport | None = None,
                          force: bool = False) -> SpecializationReport:
     """Check the 2-variable specializations of the 4-variable expansion.
 
-    (a) the (x-1)/(y-1) interpolation over all rows equals t(x,y,1);
-    (b) the restriction to rows whose inside-A activities vanish equals
-        t(x,y,1), and so does its complement-swapped twin;
-    (c) the two doubling counts (2 to the remaining activity, over rows with
-        the other three activities zero) both equal t(2,0,1).
+    (a) the expansion at (x-1, 1, y-1, 1), (b) its u^0 v^0 part and (c) its
+    x^0 y^0 part with u, v renamed x, y all equal t(x,y,1); (d) both doubling
+    counts (2 to the one nonzero activity) equal t(2,0,1).
     """
     if report is None:
         report = expansion_sum(p, force=force)
+    hist = report.histogram
     tutte = tutte3_closed(p, force=force).substitute({"z": 1})
-    xm1 = X - ONE
-    ym1 = Y - ONE
-    interpolation = Polynomial.zero()
-    restricted = Polynomial.zero()
-    restricted_swap = Polynomial.zero()
-    doubling_out = 0
-    doubling_in = 0
-    for row in report.rows:
-        d_out, d_in = len(row.dual_out), len(row.dual_in)
-        a_out, a_in = len(row.active_out), len(row.active_in)
-        interpolation = interpolation + xm1 ** d_out * ym1 ** a_out
-        if d_in == 0 and a_in == 0:
-            restricted = restricted + X ** d_out * Y ** a_out
-        if d_out == 0 and a_out == 0:
-            restricted_swap = restricted_swap + X ** d_in * Y ** a_in
-        if d_in == 0 and a_out == 0 and a_in == 0:
-            doubling_out += 2 ** d_out
-        if d_out == 0 and a_out == 0 and a_in == 0:
-            doubling_in += 2 ** d_in
-    two_zero = tutte.evaluate({"x": 2, "y": 0})
-    if two_zero.denominator != 1:
-        raise IdentityError("t(2,0,1) is not an integer")
-    two_zero = int(two_zero)
+    interpolation = _collect(hist, lambda d_out, d_in, a_out, a_in: (d_out, a_out)
+                             ).substitute({"x": X - ONE, "y": Y - ONE})
+    restricted = _collect(hist, lambda d_out, d_in, a_out, a_in:
+                          None if d_in or a_in else (d_out, a_out))
+    restricted_swap = _collect(hist, lambda d_out, d_in, a_out, a_in:
+                               None if d_out or a_out else (d_in, a_in))
+    doubling_out = sum(count * 2 ** d_out for (d_out, d_in, a_out, a_in), count
+                       in hist.items() if not (d_in or a_out or a_in))
+    doubling_in = sum(count * 2 ** d_in for (d_out, d_in, a_out, a_in), count
+                      in hist.items() if not (d_out or a_out or a_in))
+    two_zero = int(tutte.evaluate({"x": 2, "y": 0}))  # integer coefficients
     return SpecializationReport(
-        tutte=tutte,
-        interpolation=interpolation,
-        restricted=restricted,
-        restricted_swap=restricted_swap,
-        doubling_out=doubling_out,
-        doubling_in=doubling_in,
-        two_zero=two_zero,
-        interpolation_ok=interpolation == tutte,
-        restricted_ok=restricted == tutte,
-        restricted_swap_ok=restricted_swap == tutte,
-        doubling_ok=doubling_out == two_zero and doubling_in == two_zero,
-    )
+        tutte, interpolation, restricted, restricted_swap, doubling_out, doubling_in,
+        two_zero, interpolation == tutte, restricted == tutte, restricted_swap == tutte,
+        doubling_out == two_zero == doubling_in)
 
 
 # -- counting identities -------------------------------------------------------
 
 def count_acyclic(m: OrientedRealization | OrientedMatroid, force: bool = False) -> int:
-    """Number of reorientation subsets A with no positive circuit in -_A M."""
-    om = m if isinstance(m, OrientedMatroid) else OrientedMatroid.from_realization(m, force=force)
-    n = len(om.ground)
-    check_guard(n, force)
-    index = {e: i for i, e in enumerate(om.ground)}
-    circuits = _pack_family(om.circuits, index) if om.ground else []
-    count = 0
-    for a_mask in range(1 << n):
-        if not _active_min_mask(circuits, a_mask):
-            count += 1
-    return count
+    """Number of A with no positive circuit in -_A M: the terms with no y and no v."""
+    hist = expansion_sum(identity_perspective(m, force=force), force=force).histogram
+    return sum(count for (_, _, a_out, a_in), count in hist.items() if not (a_out or a_in))
 
 
 def count_bounded(p: Perspective, force: bool = False) -> int:
-    """Number of A with -_A M acyclic and -_A M' totally cyclic."""
-    n = len(p.ground)
-    check_guard(n, force)
-    index = {e: i for i, e in enumerate(p.ground)}
-    circuits_m = _pack_family(p.m.circuits, index) if p.ground else []
-    circuits_mp = _pack_family(p.mprime.circuits, index) if p.ground else []
-    supports = [(pos | neg, pos, neg) for pos, neg, _ in circuits_mp]
-    full = (1 << n) - 1
-    count = 0
-    for a_mask in range(1 << n):
-        if _active_min_mask(circuits_m, a_mask):
-            continue
-        covered = 0
-        for sup, pos, neg in supports:
-            if (neg & a_mask) == neg and not (pos & a_mask):
-                covered |= sup
-            elif (pos & a_mask) == pos and not (neg & a_mask):
-                covered |= sup
-            if covered == full:
-                break
-        if covered == full:
-            count += 1
-    return count
+    """Number of A with -_A M acyclic and -_A M' totally cyclic: the constant term.
+
+    (Totally cyclic means no positive cocircuit.)
+    """
+    return expansion_sum(p, force=force).histogram[(0, 0, 0, 0)]
 
 
 def signed_sum(p: Perspective, force: bool = False) -> int:
-    """Alternating activity sum over all A, with its three sign variants.
+    """Alternating activity sum over all A, signed on the two outside-A counts.
 
-    The principal variant puts the signs on the two outside-A counts; all
-    four variants must agree (they are the +-1 evaluations of the same
-    4-variable expansion), and disagreement raises, since it would mean the
-    expansion itself is broken.
+    All four sign variants are +-1 evaluations of the expansion; this raises
+    if they disagree, since then the expansion itself is broken.
     """
-    n = len(p.ground)
-    check_guard(n, force)
-    sweeper = _Sweeper(p)
-    sums = [0, 0, 0, 0]
-    for a_mask in range(1 << n):
-        d_out, d_in, a_out, a_in = sweeper.counts(a_mask)
-        sums[0] += (-1) ** (d_out + a_out)
-        sums[1] += (-1) ** (d_in + a_in)
-        sums[2] += (-1) ** (d_out + a_in)
-        sums[3] += (-1) ** (d_in + a_out)
+    hist = expansion_sum(p, force=force).histogram
+    # key positions: 0 dual_out, 1 dual_in, 2 active_out, 3 active_in
+    sums = [sum(count * (-1) ** (key[i] + key[j]) for key, count in hist.items())
+            for i, j in ((0, 2), (1, 3), (0, 3), (1, 2))]
     if len(set(sums)) != 1:
         raise IdentityError(f"sign-variant alternating sums disagree: {sums}")
     return sums[0]
@@ -343,22 +280,13 @@ def signed_sum(p: Perspective, force: bool = False) -> int:
 
 def count_basic_orientations(m: OrientedRealization | OrientedMatroid,
                              force: bool = False) -> tuple[int, int]:
-    """Counts of A with both outside-A resp. both inside-A activities zero.
+    """Counts of the terms with no x and no y, resp. no u and no v.
 
     Each equals the number of bases, i.e. the Tutte polynomial at (1, 1).
     """
-    p = identity_perspective(m, force=force)
-    n = len(p.ground)
-    check_guard(n, force)
-    sweeper = _Sweeper(p)
-    out_free = 0
-    in_free = 0
-    for a_mask in range(1 << n):
-        d_out, d_in, a_out, a_in = sweeper.counts(a_mask)
-        if d_out == 0 and a_out == 0:
-            out_free += 1
-        if d_in == 0 and a_in == 0:
-            in_free += 1
+    hist = expansion_sum(identity_perspective(m, force=force), force=force).histogram
+    out_free = sum(count for (d_out, _, a_out, _), count in hist.items() if not (d_out or a_out))
+    in_free = sum(count for (_, d_in, _, a_in), count in hist.items() if not (d_in or a_in))
     return out_free, in_free
 
 
@@ -367,7 +295,7 @@ def count_basic_orientations(m: OrientedRealization | OrientedMatroid,
 def derivative_expansion(p: Perspective, dp: int, dq: int,
                          report: ExpansionReport | None = None,
                          force: bool = False) -> Polynomial:
-    """p! q! times the x/y activity sum over rows with inside-A counts (p, q).
+    """p! q! times the coefficient of u^p v^q in the expansion.
 
     Equals the formal (p, q) partial derivative of t(x, y, 1).
     """
@@ -375,28 +303,21 @@ def derivative_expansion(p: Perspective, dp: int, dq: int,
         raise ValueError("derivative orders must be non-negative")
     if report is None:
         report = expansion_sum(p, force=force)
-    total = Polynomial.zero()
-    for row in report.rows:
-        if len(row.dual_in) == dp and len(row.active_in) == dq:
-            total = total + X ** len(row.dual_out) * Y ** len(row.active_out)
+    total = _collect(report.histogram, lambda d_out, d_in, a_out, a_in:
+                     (d_out, a_out) if (d_in, a_in) == (dp, dq) else None)
     return math.factorial(dp) * math.factorial(dq) * total
 
 
 def derivative_diag(p: Perspective, dp: int,
                     report: ExpansionReport | None = None,
                     force: bool = False) -> Polynomial:
-    """p! times the x-power sum over rows whose inside-A counts total p.
-
-    Equals the p-th formal derivative of t(x, x, 1).
-    """
+    """p! times the x-power sum over keys whose inside-A counts total p: (d/dx)^p t(x, x, 1)."""
     if dp < 0:
         raise ValueError("derivative order must be non-negative")
     if report is None:
         report = expansion_sum(p, force=force)
-    total = Polynomial.zero()
-    for row in report.rows:
-        if len(row.dual_in) + len(row.active_in) == dp:
-            total = total + X ** (len(row.dual_out) + len(row.active_out))
+    total = _collect(report.histogram, lambda d_out, d_in, a_out, a_in:
+                     (d_out + a_out, 0) if d_in + a_in == dp else None)
     return math.factorial(dp) * total
 
 
@@ -468,12 +389,10 @@ def deletion_contraction_check(p: Perspective, force: bool = False) -> bool:
         return expansion_sum(p, force=force).total == ONE
     e = max(p.ground)
     full = expansion_sum(p, force=force).total
-    if p.mprime.realization.is_isthmus(e):
-        minor = expansion_sum(p.minor_delete(e, force=force), force=force).total
-        return full == (X + U) * minor
-    if p.m.realization.is_loop(e):
-        minor = expansion_sum(p.minor_delete(e, force=force), force=force).total
-        return full == (Y + V) * minor
     deleted = expansion_sum(p.minor_delete(e, force=force), force=force).total
+    if p.mprime.realization.is_isthmus(e):
+        return full == (X + U) * deleted
+    if p.m.realization.is_loop(e):
+        return full == (Y + V) * deleted
     contracted = expansion_sum(p.minor_contract(e, force=force), force=force).total
     return full == deleted + contracted

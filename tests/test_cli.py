@@ -1,17 +1,16 @@
 """Command line behaviour: outputs, formats, exit codes, determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from omtutte import cli
 from omtutte.expansions import ExpansionReport
-from omtutte.poly import Polynomial
 
 TRIANGLE = "1 a b\n2 b c\n3 c a\n"
 DOUBLED = "1 a b\n2 a b\n3 c b\n4 c a\n"
 MAJOR = "major: digraph\n1 a b\n2 b c\n3 c a\ncontract: 3\n"
-CHAIN_10 = "".join(f"{i} n{i} n{i + 1}\n" for i in range(1, 11))
 
 
 def run_cli(capsys, *argv):
@@ -118,14 +117,6 @@ def test_derivative_prints_both_sides(tmp_path, capsys):
     assert out == "activity side: 2*x + y + 1\nformal derivative: 2*x + y + 1\n"
 
 
-def test_threads_do_not_change_output(tmp_path, capsys):
-    path = tmp_path / "chain.dg"
-    path.write_text(CHAIN_10)
-    _, out1, _ = run_cli(capsys, "activities", "--input", str(path))
-    _, out3, _ = run_cli(capsys, "activities", "--input", str(path), "--threads", "3")
-    assert out1 == out3
-
-
 def test_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.dg"
     path.write_text("1 a\n")
@@ -164,10 +155,11 @@ def test_identity_failure_exits_one(tmp_path, capsys, monkeypatch):
 
     real = cli.expansion_sum
 
-    def falsified(p, force=False, threads=1):
-        report = real(p, force=force, threads=threads)
-        return ExpansionReport(report.rows, report.total,
-                               report.reference + Polynomial.one(), False)
+    def falsified(p, force=False):
+        # one extra A on the constant term: the sum no longer matches the reference
+        report = real(p, force=force)
+        return ExpansionReport(report.perspective, report.active, report.dual,
+                               report.histogram + Counter({(0, 0, 0, 0): 1}))
 
     monkeypatch.setattr(cli, "expansion_sum", falsified)
     code, out, _ = run_cli(capsys, "verify", "--input", str(path))
@@ -175,3 +167,25 @@ def test_identity_failure_exits_one(tmp_path, capsys, monkeypatch):
     diff = json.loads(out)
     assert diff["check"] == "expansion identity"
     assert diff["expected"] != diff["actual"]
+
+
+@pytest.mark.parametrize("kind, source, fmt, patched", [
+    ("acyclic", TRIANGLE, "digraph", "count_acyclic"),
+    ("bounded", MAJOR, "perspective", "signed_sum"),
+    ("bases", DOUBLED, "digraph", "count_basic_orientations"),
+])
+def test_count_disagreement_exits_one(tmp_path, capsys, monkeypatch, kind, source, fmt, patched):
+    path = tmp_path / "input"
+    path.write_text(source)
+    code, out, _ = run_cli(capsys, "count", kind, "--input", str(path), "--format", fmt)
+    assert code == 0
+    real = getattr(cli, patched)
+
+    def off_by_one(*args, **kwargs):
+        value = real(*args, **kwargs)
+        return (value[0] + 1, value[1]) if isinstance(value, tuple) else value + 1
+
+    monkeypatch.setattr(cli, patched, off_by_one)
+    code, skewed, _ = run_cli(capsys, "count", kind, "--input", str(path), "--format", fmt)
+    assert code == 1
+    assert skewed != out

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from omtutte.expansions import (
     signed_sum,
     specialization_suite,
 )
+from omtutte.oriented import is_acyclic, is_totally_cyclic
 from omtutte.perspective import (
     bounded_perspective,
     from_major,
@@ -135,13 +137,30 @@ def test_expansion_row_count_and_order():
     assert [sorted(r.A) for r in report.rows[:4]] == [[], [1], [2], [1, 2]]
 
 
-def test_expansion_threads_do_not_change_rows():
-    g = Digraph.from_arcs([(i, f"n{i}", f"n{i + 1}") for i in range(1, 11)])
-    p = identity_of(g)
-    seq = expansion_sum(p)
-    par = expansion_sum(p, threads=3)
-    assert seq.rows == par.rows
-    assert seq.total == par.total
+def test_sweep_matches_per_subset_oracles():
+    # every row of the sweep against the slow reorient-and-scan route, the
+    # histogram against the oracle's monomials, and the bounded count against
+    # acyclicity of -_A M and total cyclicity of -_A M'
+    rng = random.Random(97)
+    perspectives = []
+    while len(perspectives) < 8:
+        n = random_realization(rng, max_rows=4, max_cols=8)
+        c = frozenset(e for e in n.ground if rng.random() < 0.3)
+        if c and c != set(n.ground):
+            p = from_major(n, c)
+            if p.rank_drop():
+                perspectives.append(p)
+    perspectives += [identity_perspective(from_digraph(
+        random_digraph(rng, max_vertices=5, max_arcs=7))) for _ in range(6)]
+    for p in perspectives:
+        report = expansion_sum(p)
+        assert len(report.rows) == 1 << len(p.ground)
+        oracle = [monomial_of(p, row.A) for row in report.rows]
+        assert list(report.rows) == oracle
+        assert report.histogram == Counter(rec.monomial.exps[:4] for rec in oracle)
+        bounded = sum(is_acyclic(p.m.reorient(rec.A))
+                      and is_totally_cyclic(p.mprime.reorient(rec.A)) for rec in oracle)
+        assert count_bounded(p) == bounded
 
 
 def test_expansion_symmetric_under_complement_swap():
