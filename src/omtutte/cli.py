@@ -127,7 +127,7 @@ def run(args) -> int:
             return 1
         case = dichotomy_case(perspective, force=args.force) if perspective.ground \
             else DichotomyCase.BOTH
-        dc_ok = deletion_contraction_check(perspective, force=args.force)
+        dc_ok = deletion_contraction_check(perspective, report=report, force=args.force)
         if not dc_ok:
             print(json.dumps({"check": "deletion/contraction recursion",
                               "expected": "minor sums to match",
@@ -152,7 +152,7 @@ def run(args) -> int:
         if args.kind == "acyclic":
             if realization is None:
                 raise MatroidError("count acyclic needs a digraph or matrix input")
-            value = count_acyclic(realization, force=args.force)
+            value = count_acyclic(perspective.m, force=args.force)
             t20 = tutte_closed(realization, force=args.force).evaluate({"x": 2, "y": 0})
             print(f"{value} (t(2,0)={_fraction_text(t20)})")
             agree = value == t20
@@ -167,7 +167,7 @@ def run(args) -> int:
             if realization is None:
                 raise MatroidError("count bases needs a digraph or matrix input")
             nbases = len(bases(realization, force=args.force))
-            out_free, in_free = count_basic_orientations(realization, force=args.force)
+            out_free, in_free = count_basic_orientations(perspective.m, force=args.force)
             t11 = tutte_closed(realization, force=args.force).evaluate({"x": 1, "y": 1})
             print(f"{nbases} (t(1,1)={_fraction_text(t11)}, basic orientations={out_free},{in_free})")
             agree = nbases == t11 == out_free == in_free

@@ -96,10 +96,14 @@ class ExpansionReport:
                            for key, count in self.histogram.items()})
 
     @cached_property
-    def reference(self) -> Polynomial:
+    def tutte(self) -> Polynomial:
+        """t(x, y, 1) by the closed rank formula, never by this sweep."""
         # the sweep has already passed the enumeration guard
-        return tutte3_closed(self.perspective, force=True).substitute({"z": 1}).substitute(
-            {"x": X + U, "y": Y + V})
+        return tutte3_closed(self.perspective, force=True).substitute({"z": 1})
+
+    @cached_property
+    def reference(self) -> Polynomial:
+        return self.tutte.substitute({"x": X + U, "y": Y + V})
 
     @property
     def passed(self) -> bool:
@@ -229,7 +233,7 @@ def specialization_suite(p: Perspective, report: ExpansionReport | None = None,
     if report is None:
         report = expansion_sum(p, force=force)
     hist = report.histogram
-    tutte = tutte3_closed(p, force=force).substitute({"z": 1})
+    tutte = report.tutte
     interpolation = _collect(hist, lambda d_out, d_in, a_out, a_in: (d_out, a_out)
                              ).substitute({"x": X - ONE, "y": Y - ONE})
     restricted = _collect(hist, lambda d_out, d_in, a_out, a_in:
@@ -378,17 +382,20 @@ def dichotomy_case(p: Perspective, force: bool = False) -> DichotomyCase:
         f"dual(M'/e)={sorted(dual_mp_con)}, dual(-eM')={sorted(dual_mp_flip)}")
 
 
-def deletion_contraction_check(p: Perspective, force: bool = False) -> bool:
+def deletion_contraction_check(p: Perspective, report: ExpansionReport | None = None,
+                               force: bool = False) -> bool:
     """One step of the minor recursion for the 4-variable expansion.
 
     Greatest element an isthmus of M': multiply the deleted minor's sum by
     (x+u); a loop of M: by (y+v); otherwise the deleted and contracted
     minors' sums add up.  The empty perspective sums to 1.
     """
+    if report is None:
+        report = expansion_sum(p, force=force)
+    full = report.total
     if not p.ground:
-        return expansion_sum(p, force=force).total == ONE
+        return full == ONE
     e = max(p.ground)
-    full = expansion_sum(p, force=force).total
     deleted = expansion_sum(p.minor_delete(e, force=force), force=force).total
     if p.mprime.realization.is_isthmus(e):
         return full == (X + U) * deleted

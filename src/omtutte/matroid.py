@@ -3,15 +3,20 @@
 A matroid is always given by a realization: a matrix of exact rationals with
 one column per ground element, in ground order.  Digraphs are ingested via
 their signed vertex-arc incidence matrices, so graphic instances get signed
-circuits for free.  Rank is column rank computed by exact elimination.
+circuits for free.  Each realization holds one exact rank table, r(S) for
+every subset S as a bitmask (bit i = ground[i]); every rank question, and the
+tables of its minors and its dual, are read off it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .poly import Polynomial, X, Y, ONE
 
@@ -38,59 +43,127 @@ def check_guard(n: int, force: bool) -> None:
         )
 
 
-# -- exact linear algebra -----------------------------------------------------
+# -- exact integer elimination and the rank table --------------------------------
 
 Vector = tuple[Fraction, ...]
+IntVector = Sequence[int]
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def _cleared(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """``values`` times the lcm of their denominators."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
+def _pivot(v: IntVector) -> int:
+    """Index of the first nonzero entry, -1 for the zero vector."""
+    return next((i for i, x in enumerate(v) if x), -1)
+
+
+def _eliminate(w: IntVector, v: IntVector, p: int) -> list[int]:
+    """v[p] * w - w[p] * v (zero at p), divided by its content."""
+    a, c = v[p], w[p]
+    out = [a * x - c * y for x, y in zip(w, v)]
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _rank_table(columns: Sequence[IntVector]) -> bytearray:
+    """r(S) for every mask S (bit i = column i), by one DFS over the subset tree.
+
+    A node S carries the columns after max(S), each already reduced against the
+    echelon basis of S and paired with its pivot, so adding column j costs one
+    elimination per later column; a column reduced to zero lies in the span.
+    Once a node reaches full rank, all its supersets are filled in one slice.
+    """
+    n = len(columns)
+    size = 1 << n
+    full = n - len(_integer_kernel(list(zip(*columns)), n))
+    table = bytearray(size)
+
+    def visit(mask: int, start: int, rank: int, pending: list[tuple[IntVector, int]]) -> None:
+        for offset, (v, p) in enumerate(pending):
+            j = start + offset
+            child = mask | 1 << j
+            if p < 0:
+                table[child] = rank
+                visit(child, j + 1, rank, pending[offset + 1:])
+            elif rank + 1 == full:
+                step = 1 << (j + 1)
+                table[child::step] = bytes((full,)) * len(range(child, size, step))
+            else:
+                table[child] = rank + 1
+                reduced = []
+                for w, q in pending[offset + 1:]:
+                    if w[p]:
+                        w = _eliminate(w, v, p)
+                        q = _pivot(w)
+                    reduced.append((w, q))
+                visit(child, j + 1, rank + 1, reduced)
+
+    if full:
+        visit(0, 0, 0, [(v, _pivot(v)) for v in columns])
+    return table
+
+
+def _shifted(k: int) -> bytes:
+    """Translation table adding k (mod 256) to every byte."""
+    return bytes((v + k) & 255 for v in range(256))
+
+
+def popcounts(n: int) -> bytearray:
+    """|S| for every mask S of an n-element ground set."""
+    sizes = bytearray(1)
+    for _ in range(n):
+        sizes += sizes.translate(_shifted(1))
+    return sizes
+
+
+def _dual_table(table: bytes) -> bytearray:
+    """r*(S) = |S| - r(E) + r(E minus S); the mask of E minus S is the mirrored index."""
+    n = len(table).bit_length() - 1
+    summed = bytearray(map(operator.add, popcounts(n), reversed(table)))
+    return summed.translate(_shifted(-table[-1]))
+
+
+def _minor_table(table: bytes, i: int, contract: bool) -> bytearray:
+    """The table with ground index i removed: r(S) deleted, r(S+e) - r(e) contracted."""
+    low = 1 << i
+    start = low if contract else 0
+    out = bytearray().join(table[k:k + low] for k in range(start, len(table), 2 * low))
+    return out.translate(_shifted(-1)) if contract and table[low] else out
+
+
+def _integer_kernel(rows: Sequence[IntVector], ncols: int) -> list[list[int]]:
+    """Integer basis of the right kernel, one vector per non-pivot column.
+
+    Fraction-free Gauss-Jordan leaves pivot row r reading
+    p_r x_c + sum over free f of a_rf x_f = 0; the vector of free column f
+    sets x_f to the lcm of the pivots and solves each x_c exactly.
+    """
     rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
+    unused = list(range(len(rows)))
+    pivots: list[tuple[int, int]] = []
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
+        r = next((r for r in unused if rows[r][c]), None)
+        if r is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _column_rank(cols: Sequence[Vector]) -> int:
-    if not cols:
-        return 0
-    nrows = len(cols[0])
-    if nrows == 0:
-        return 0
-    rows = [[col[i] for col in cols] for i in range(nrows)]
-    _, pivots = _rref(rows)
-    return len(pivots)
-
-
-def _kernel_basis(rows: Sequence[Vector], ncols: int) -> list[Vector]:
-    """Basis of the right kernel of the matrix given by ``rows``."""
-    reduced, pivots = _rref([list(r) for r in rows])
-    free = [c for c in range(ncols) if c not in pivots]
+        unused.remove(r)
+        pivot = rows[r]
+        for o, row in enumerate(rows):
+            if o != r and row[c]:
+                rows[o] = _eliminate(row, pivot, c)
+        pivots.append((r, c))
+    scale = math.lcm(*(rows[r][c] for r, c in pivots))
+    pivot_columns = {c for _, c in pivots}
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][f]
-        basis.append(tuple(vec))
+    for f in range(ncols):
+        if f not in pivot_columns:
+            vec = [0] * ncols
+            vec[f] = scale
+            for r, c in pivots:
+                vec[c] = -rows[r][f] * scale // rows[r][c]
+            basis.append(vec)
     return basis
 
 
@@ -147,7 +220,7 @@ class Digraph:
 class OrientedRealization:
     """Rational matrix whose columns realize the matroid, in ground order."""
 
-    __slots__ = ("ground", "matrix", "_index", "_rank_cache")
+    __slots__ = ("ground", "matrix", "integer_columns", "_index", "_table", "_derive")
 
     def __init__(self, ground: Sequence[int], matrix: Sequence[Sequence[Fraction]]):
         ground = tuple(int(g) for g in ground)
@@ -160,8 +233,11 @@ class OrientedRealization:
                     f"matrix row has {len(row)} entries for {len(ground)} ground elements")
         self.ground = ground
         self.matrix = rows
+        self.integer_columns = tuple(_cleared(col) for col in zip(*rows)) if rows \
+            else ((),) * len(ground)
         self._index = {e: i for i, e in enumerate(ground)}
-        self._rank_cache: dict[frozenset, int] = {}
+        self._table: bytearray | None = None
+        self._derive: Callable[[], bytearray] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -174,6 +250,12 @@ class OrientedRealization:
         except KeyError:
             raise MatroidError(f"unknown ground element {label}") from None
 
+    def mask_of(self, labels: Iterable[int]) -> int:
+        mask = 0
+        for e in labels:
+            mask |= 1 << self.index_of(e)
+        return mask
+
     def column(self, label: int) -> Vector:
         i = self.index_of(label)
         return tuple(row[i] for row in self.matrix)
@@ -181,16 +263,20 @@ class OrientedRealization:
     def columns(self, labels: Iterable[int]) -> list[Vector]:
         return [self.column(e) for e in labels]
 
+    def rank_table(self) -> bytearray:
+        """r(S) for every mask S (bit i = ground[i]); built on first use, never mutated.
+
+        2^|E| bytes.  Minors and duals derive theirs from this one.
+        """
+        if self._table is None:
+            self._table = self._derive() if self._derive else _rank_table(self.integer_columns)
+            self._derive = None
+        return self._table
+
     def rank(self, subset: Iterable[int] | None = None) -> int:
         """Rank of the column submatrix indexed by ``subset`` (default: all of E)."""
-        labels = frozenset(self.ground if subset is None else subset)
-        for e in labels:
-            self.index_of(e)
-        cached = self._rank_cache.get(labels)
-        if cached is None:
-            cached = _column_rank(self.columns(sorted(labels)))
-            self._rank_cache[labels] = cached
-        return cached
+        table = self.rank_table()
+        return table[-1] if subset is None else table[self.mask_of(subset)]
 
     def is_loop(self, e: int) -> bool:
         return self.rank({e}) == 0
@@ -202,11 +288,17 @@ class OrientedRealization:
 
     # -- minors, duality, reorientation -------------------------------------
 
+    def _derived(self, ground: Sequence[int], matrix, derive) -> "OrientedRealization":
+        """A realization whose rank table ``derive`` reads off this one's."""
+        out = OrientedRealization(ground, matrix)
+        out._derive = lambda: derive(self.rank_table())
+        return out
+
     def delete(self, e: int) -> "OrientedRealization":
         i = self.index_of(e)
         ground = self.ground[:i] + self.ground[i + 1:]
         matrix = [row[:i] + row[i + 1:] for row in self.matrix]
-        return OrientedRealization(ground, matrix)
+        return self._derived(ground, matrix, lambda t: _minor_table(t, i, contract=False))
 
     def contract(self, e: int) -> "OrientedRealization":
         """Quotient of the column space by column e; a loop contracts as a delete."""
@@ -225,7 +317,7 @@ class OrientedRealization:
             new_row = [row[j] - pivot_vals[j] / pivot * col[r]
                        for j in range(len(row)) if j != i]
             new_rows.append(tuple(new_row))
-        return OrientedRealization(ground, new_rows)
+        return self._derived(ground, new_rows, lambda t: _minor_table(t, i, contract=True))
 
     def delete_many(self, labels: Iterable[int]) -> "OrientedRealization":
         m = self
@@ -241,14 +333,14 @@ class OrientedRealization:
 
     def dual(self) -> "OrientedRealization":
         """Realization whose row space is the orthogonal complement of this one's."""
-        basis = _kernel_basis(self.matrix, len(self.ground))
-        return OrientedRealization(self.ground, basis)
+        basis = _integer_kernel([_cleared(row) for row in self.matrix], len(self.ground))
+        return self._derived(self.ground, basis, _dual_table)
 
     def negate_columns(self, labels: Iterable[int]) -> "OrientedRealization":
         idx = {self.index_of(e) for e in labels}
         matrix = [tuple(-v if j in idx else v for j, v in enumerate(row))
                   for row in self.matrix]
-        return OrientedRealization(self.ground, matrix)
+        return self._derived(self.ground, matrix, lambda t: t)
 
     def __repr__(self) -> str:
         return f"OrientedRealization(ground={self.ground}, rank={self.rank()})"
@@ -303,12 +395,10 @@ def tutte_closed(m: OrientedRealization, force: bool = False) -> Polynomial:
     """Tutte polynomial as the corank-nullity sum over all subsets of E."""
     n = len(m.ground)
     check_guard(n, force)
-    r = m.rank()
-    counts: dict[tuple[int, int], int] = {}
-    for _, subset in subsets_in_order(m.ground):
-        ra = m.rank(subset)
-        key = (r - ra, len(subset) - ra)
-        counts[key] = counts.get(key, 0) + 1
+    table = m.rank_table()
+    r = table[-1]
+    counts = {(r - ra, size - ra): count
+              for (size, ra), count in Counter(zip(popcounts(n), table)).items()}
     xm1 = X - ONE
     ym1 = Y - ONE
     total = Polynomial.zero()
@@ -321,12 +411,11 @@ def bases(m: OrientedRealization, force: bool = False) -> list[frozenset[int]]:
     """All maximal independent sets, in ascending canonical order."""
     n = len(m.ground)
     check_guard(n, force)
-    r = m.rank()
-    out = []
-    for combo in itertools.combinations(m.ground, r):
-        if m.rank(combo) == r:
-            out.append(frozenset(combo))
-    return out
+    table = m.rank_table()
+    r = table[-1]
+    return [frozenset(m.ground[i] for i in combo)
+            for combo in itertools.combinations(range(n), r)
+            if table[sum(1 << i for i in combo)] == r]
 
 
 @dataclass(frozen=True)
@@ -351,27 +440,17 @@ def basis_activities(m: OrientedRealization, b: Iterable[int]) -> BasisActivity:
     smallest in its fundamental circuit.
     """
     b = frozenset(b)
-    r = m.rank()
-    if len(b) != r or m.rank(b) != r:
+    b_mask = m.mask_of(b)
+    table = m.rank_table()
+    r = table[-1]
+    if len(b) != r or table[b_mask] != r:
         raise MatroidError(f"{sorted(b)} is not a basis")
-    ground = set(m.ground)
-    internal = set()
-    for e in b:
-        cocircuit = {e}
-        rest = b - {e}
-        for f in ground - b:
-            if m.rank(rest | {f}) == r:
-                cocircuit.add(f)
-        if e == min(cocircuit):
-            internal.add(e)
-    external = set()
-    for e in ground - b:
-        circuit = {e}
-        for f in b:
-            if m.rank((b - {f}) | {e}) == r:
-                circuit.add(f)
-        if e == min(circuit):
-            external.add(e)
+    inside = [(e, 1 << m.index_of(e)) for e in b]
+    outside = [(e, 1 << i) for i, e in enumerate(m.ground) if not b_mask >> i & 1]
+    internal = {e for e, bit in inside
+                if all(f > e for f, other in outside if table[b_mask ^ bit | other] == r)}
+    external = {e for e, bit in outside
+                if all(f > e for f, other in inside if table[b_mask ^ other | bit] == r)}
     return BasisActivity(frozenset(internal), frozenset(external))
 
 

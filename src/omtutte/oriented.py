@@ -1,24 +1,26 @@
 """Signed circuits and cocircuits, reorientation, and orientation activities.
 
-Circuits are enumerated once per realization (subsets of size at most rank+1
-scanned for minimal dependence, signs read off the one-dimensional kernel of
-the support columns); reorientation afterwards only flips stored signs and
-negates realization columns, so the 2^|E| reorientation sweep never re-runs
-linear algebra.  "Smallest" always refers to the ascending label order.
+Circuits are enumerated once per realization: their supports are read off the
+rank table (rank |S|-1, every maximal proper subset independent), and each
+support's signs come from one small integer kernel of its columns.
+Cocircuits are the circuits of the dual, whose table is derived from the
+primal one.  Reorientation afterwards only flips stored signs and negates
+realization columns, so the 2^|E| reorientation sweep never re-runs linear
+algebra.  "Smallest" always refers to the ascending label order.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .matroid import (
     MatroidError,
     OrientedRealization,
-    _column_rank,
-    _kernel_basis,
+    _integer_kernel,
     check_guard,
+    popcounts,
 )
 from .poly import Monomial
 
@@ -72,44 +74,39 @@ def _sorted_family(family: Iterable[SignedSubset]) -> tuple[SignedSubset, ...]:
     return tuple(sorted(family, key=SignedSubset.sort_key))
 
 
+def _circuit_supports(table: bytes) -> list[int]:
+    """Masks of rank |S|-1 whose maximal proper subsets are all independent."""
+    n = len(table).bit_length() - 1
+    nullity = bytes(map(operator.sub, popcounts(n), table))
+    out = []
+    for s, k in enumerate(nullity):
+        if k != 1:
+            continue
+        rest = s
+        while rest and not nullity[s ^ (rest & -rest)]:
+            rest &= rest - 1
+        if not rest:
+            out.append(s)
+    return out
+
+
 def signed_circuits(m: OrientedRealization, force: bool = False) -> tuple[SignedSubset, ...]:
     """All signed circuits of the realization, closed under negation.
 
-    A support is a circuit when it is dependent and contains no smaller
-    circuit; the sign pattern is the kernel vector of its columns.
+    Supports come off the rank table; the sign pattern is the kernel vector
+    of the support's columns.
     """
     check_guard(len(m.ground), force)
+    ground, columns = m.ground, m.integer_columns
     family: list[SignedSubset] = []
-    supports: list[frozenset[int]] = []
-    loops = [e for e in m.ground if m.is_loop(e)]
-    for e in loops:
-        circuit = SignedSubset.make({e})
+    for support in _circuit_supports(m.rank_table()):
+        idx = [i for i in range(len(ground)) if support >> i & 1]
+        (kernel,) = _integer_kernel(list(zip(*(columns[i] for i in idx))), len(idx))
+        circuit = SignedSubset(frozenset(ground[i] for i, x in zip(idx, kernel) if x > 0),
+                               frozenset(ground[i] for i, x in zip(idx, kernel) if x < 0))
+        if len(circuit.support) != len(idx):
+            raise MatroidError("internal error: zero coefficient on a circuit support")
         family += [circuit, circuit.negate()]
-        supports.append(circuit.support)
-    nonloops = [e for e in m.ground if not m.is_loop(e)]
-    r = m.rank()
-    for size in range(2, min(r + 1, len(nonloops)) + 1):
-        for combo in itertools.combinations(nonloops, size):
-            support = frozenset(combo)
-            if any(s <= support for s in supports):
-                continue
-            cols = m.columns(combo)
-            if _column_rank(cols) == size:
-                continue
-            nrows = len(cols[0]) if cols else 0
-            rows = [[col[i] for col in cols] for i in range(nrows)]
-            kernel = _kernel_basis(rows, size)
-            if len(kernel) != 1:
-                raise MatroidError("internal error: circuit kernel is not one-dimensional")
-            coeffs = kernel[0]
-            circuit = SignedSubset(
-                frozenset(e for e, c in zip(combo, coeffs) if c > 0),
-                frozenset(e for e, c in zip(combo, coeffs) if c < 0),
-            )
-            if len(circuit.support) != size:
-                raise MatroidError("internal error: zero coefficient on a circuit support")
-            family += [circuit, circuit.negate()]
-            supports.append(support)
     return _sorted_family(family)
 
 
@@ -123,10 +120,11 @@ class OrientedMatroid:
 
     Values are immutable; ``reorient`` returns a new instance with signs
     flipped and the realization's columns negated accordingly, keeping the
-    two views consistent.
+    two views consistent.  Values derived from it (its minors, its identity
+    perspective) are built once and kept.
     """
 
-    __slots__ = ("realization", "circuits", "cocircuits", "reorientation")
+    __slots__ = ("realization", "circuits", "cocircuits", "reorientation", "_memo")
 
     def __init__(self, realization: OrientedRealization,
                  circuits: tuple[SignedSubset, ...],
@@ -136,6 +134,7 @@ class OrientedMatroid:
         self.circuits = circuits
         self.cocircuits = cocircuits
         self.reorientation = reorientation
+        self._memo: dict = {}
 
     @classmethod
     def from_realization(cls, m: OrientedRealization, force: bool = False) -> "OrientedMatroid":
@@ -144,6 +143,12 @@ class OrientedMatroid:
     @property
     def ground(self) -> tuple[int, ...]:
         return self.realization.ground
+
+    def memo(self, key, build: Callable[[], object]):
+        """The value kept under ``key``, built by ``build`` on first request."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def reorient(self, labels: Iterable[int]) -> "OrientedMatroid":
         a = frozenset(labels)
@@ -163,10 +168,14 @@ class OrientedMatroid:
                                self.circuits, self.reorientation)
 
     def minor_delete(self, e: int, force: bool = False) -> "OrientedMatroid":
-        return OrientedMatroid.from_realization(self.realization.delete(e), force=force)
+        check_guard(len(self.ground) - 1, force)
+        return self.memo(("delete", e), lambda: OrientedMatroid.from_realization(
+            self.realization.delete(e), force=force))
 
     def minor_contract(self, e: int, force: bool = False) -> "OrientedMatroid":
-        return OrientedMatroid.from_realization(self.realization.contract(e), force=force)
+        check_guard(len(self.ground) - 1, force)
+        return self.memo(("contract", e), lambda: OrientedMatroid.from_realization(
+            self.realization.contract(e), force=force))
 
     def __repr__(self) -> str:
         return (f"OrientedMatroid(|E|={len(self.ground)}, "

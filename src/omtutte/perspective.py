@@ -9,6 +9,7 @@ shares a nonempty all-equal-sign intersection with a signed cocircuit of M'
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -20,7 +21,7 @@ from .matroid import (
     OrientedRealization,
     check_guard,
     from_digraph,
-    subsets_in_order,
+    popcounts,
 )
 from .oriented import OrientedMatroid, SignedSubset
 from .poly import Polynomial, X, Y, Z, ONE
@@ -101,12 +102,16 @@ class Perspective:
         return self.m.realization.rank() - self.mprime.realization.rank()
 
     def minor_delete(self, e: int, force: bool = False) -> "Perspective":
-        return Perspective(self.m.minor_delete(e, force=force),
-                           self.mprime.minor_delete(e, force=force))
+        m = self.m.minor_delete(e, force=force)
+        if self.is_identity():
+            return identity_perspective(m)
+        return Perspective(m, self.mprime.minor_delete(e, force=force))
 
     def minor_contract(self, e: int, force: bool = False) -> "Perspective":
-        return Perspective(self.m.minor_contract(e, force=force),
-                           self.mprime.minor_contract(e, force=force))
+        m = self.m.minor_contract(e, force=force)
+        if self.is_identity():
+            return identity_perspective(m)
+        return Perspective(m, self.mprime.minor_contract(e, force=force))
 
     def __repr__(self) -> str:
         return f"Perspective(|E|={len(self.ground)}, rank_drop={self.rank_drop()})"
@@ -114,9 +119,9 @@ class Perspective:
 
 def identity_perspective(m: OrientedRealization | OrientedMatroid,
                          force: bool = False) -> Perspective:
-    """The perspective M -> M."""
+    """The perspective M -> M, built once per oriented matroid."""
     om = m if isinstance(m, OrientedMatroid) else OrientedMatroid.from_realization(m, force=force)
-    return Perspective(om, om)
+    return om.memo("identity", lambda: Perspective(om, om))
 
 
 def from_major(n: OrientedRealization, c: Iterable[int], force: bool = False) -> Perspective:
@@ -135,22 +140,20 @@ def from_major(n: OrientedRealization, c: Iterable[int], force: bool = False) ->
 def tutte3_closed(p: Perspective, force: bool = False) -> Polynomial:
     """3-variable Tutte polynomial of the perspective via the closed subset sum."""
     m = p.m.realization
-    mp = p.mprime.realization
-    check_guard(len(m.ground), force)
-    r_m = m.rank()
-    r_mp = mp.rank()
-    drop = r_m - r_mp
+    n = len(m.ground)
+    check_guard(n, force)
+    table_m, table_mp = m.rank_table(), p.mprime.realization.rank_table()
+    r_mp = table_mp[-1]
+    drop = table_m[-1] - r_mp
     counts: dict[tuple[int, int, int], int] = {}
-    for _, subset in subsets_in_order(m.ground):
-        ra = m.rank(subset)
-        rpa = mp.rank(subset)
+    for (size, ra, rpa), count in Counter(zip(popcounts(n), table_m, table_mp)).items():
         zexp = drop - (ra - rpa)
         if zexp < 0:
+            first = next(s for s in range(1 << n) if table_m[s] - table_mp[s] > drop)
             raise PerspectiveError(
-                f"negative z exponent at subset {sorted(subset)}; "
+                f"negative z exponent at subset {sorted(m.ground[i] for i in range(n) if first >> i & 1)}; "
                 "the pair violates the strong-map rank axiom")
-        key = (r_mp - rpa, len(subset) - ra, zexp)
-        counts[key] = counts.get(key, 0) + 1
+        counts[r_mp - rpa, size - ra, zexp] = count
     xm1 = X - ONE
     ym1 = Y - ONE
     total = Polynomial.zero()

@@ -1,8 +1,9 @@
 """Shared test utilities: independent oracles and seeded instance generators.
 
 The oracles here deliberately avoid the library's elimination and circuit
-machinery: rank comes from brute-force minors, cycle questions from graph
-search, so cross-checks against the library are genuinely two-sided.
+machinery: rank comes from brute-force minors, circuit signs from cofactors,
+cycle questions from graph search, so cross-checks against the library are
+genuinely two-sided.
 """
 
 from __future__ import annotations
@@ -42,6 +43,38 @@ def oracle_rank(cols: list[tuple[Fraction, ...]]) -> int:
                 if determinant(minor) != 0:
                     return k
     return 0
+
+
+def oracle_signed_circuits(m: OrientedRealization) -> set[tuple[frozenset, frozenset]]:
+    """(positive, negative) pairs of every signed circuit, both signs of each.
+
+    Subset scan in size order: a support is a circuit when its minor rank is
+    below its size and it contains no smaller circuit.  Signs are the
+    cofactor vector of k-1 rows of full rank, x_i = (-1)^i det(rows minus
+    column i), which spans the kernel of the k support columns.
+    """
+    nrows = len(m.matrix)
+    found: list[frozenset] = []
+    family = set()
+    for size in range(1, len(m.ground) + 1):
+        for combo in itertools.combinations(m.ground, size):
+            if any(s <= set(combo) for s in found):
+                continue
+            cols = m.columns(combo)
+            if oracle_rank(cols) == size:
+                continue
+            found.append(frozenset(combo))
+            for rows in itertools.combinations(range(nrows), size - 1):
+                coeffs = [(-1) ** i * determinant([[cols[c][r] for c in range(size) if c != i]
+                                                   for r in rows])
+                          for i in range(size)]
+                if any(coeffs):
+                    break
+            positive = frozenset(e for e, c in zip(combo, coeffs) if c > 0)
+            negative = frozenset(e for e, c in zip(combo, coeffs) if c < 0)
+            assert positive | negative == set(combo), "zero coefficient on a circuit"
+            family |= {(positive, negative), (negative, positive)}
+    return family
 
 
 def arcs_with_flips(g: Digraph, flipped: frozenset[int]) -> list[tuple[int, object, object]]:

@@ -1,0 +1,71 @@
+"""The rank table and the families read off it, against slow independent oracles."""
+
+import random
+
+from omtutte.matroid import OrientedRealization, from_digraph
+from omtutte.oriented import signed_circuits, signed_cocircuits
+
+from helpers import oracle_rank, oracle_signed_circuits, random_digraph, random_realization
+
+
+def family_set(family):
+    return {(s.positive, s.negative) for s in family}
+
+
+def seeded_instances(seed):
+    """Random realizations up to 4x9 and random digraphs, as realizations.
+
+    Half of each kind has at least 6 elements, so that ranks 2-4 with many
+    circuits are covered, not only the tiny shapes.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < 12:
+        m = random_realization(rng, max_rows=4, max_cols=9)
+        if len(out) < 6 or len(m.ground) >= 6 and len(m.matrix) >= 2:
+            out.append(m)
+    while len(out) < 24:
+        g = random_digraph(rng, max_vertices=5, max_arcs=9)
+        if len(out) < 18 or len(g.arcs) >= 6:
+            out.append(from_digraph(g))
+    return rng, out
+
+
+def labels_of(m, mask):
+    return [e for i, e in enumerate(m.ground) if mask >> i & 1]
+
+
+def fresh(m):
+    """The same realization, with a table built from its own matrix."""
+    return OrientedRealization(m.ground, m.matrix)
+
+
+def test_signed_families_match_subset_scan_oracle():
+    _, instances = seeded_instances(9001)
+    for m in instances:
+        assert family_set(signed_circuits(m)) == oracle_signed_circuits(m)
+        assert family_set(signed_cocircuits(m)) == oracle_signed_circuits(m.dual())
+
+
+def test_rank_table_matches_minor_oracle():
+    rng, instances = seeded_instances(9002)
+    for m in instances:
+        table = m.rank_table()
+        assert len(table) == 1 << len(m.ground)
+        masks = range(len(table))
+        if len(m.ground) > 8:
+            masks = rng.sample(masks, 64)
+        for mask in masks:
+            assert table[mask] == oracle_rank(m.columns(labels_of(m, mask)))
+
+
+def test_minor_and_dual_tables_match_fresh_builds():
+    _, instances = seeded_instances(9003)
+    for m in instances:
+        m.rank_table()
+        for e in m.ground:
+            for minor in (m.delete(e), m.contract(e)):
+                assert minor.rank_table() == fresh(minor).rank_table()
+        dual = m.dual()
+        assert dual.rank_table() == fresh(dual).rank_table()
+        assert m.negate_columns(m.ground[:1]).rank_table() == m.rank_table()
