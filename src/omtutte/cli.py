@@ -69,16 +69,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple[OrientedRealization | None, Perspective]:
-    """Read the input file; matroid inputs also yield their identity perspective."""
+def _load(args) -> tuple[OrientedRealization | None, Perspective | None]:
+    """Read the input file: a realization for matroid inputs, else a perspective."""
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     if args.format == "digraph":
-        realization = from_digraph(Digraph.parse(text))
-        return realization, identity_perspective(realization, force=args.force)
+        return from_digraph(Digraph.parse(text)), None
     if args.format == "matrix":
-        realization = OrientedRealization.parse_matrix(text)
-        return realization, identity_perspective(realization, force=args.force)
+        return OrientedRealization.parse_matrix(text), None
     return None, parse_perspective(text, force=args.force)
 
 
@@ -95,6 +93,10 @@ def run(args) -> int:
                                "use tutte3 for perspectives")
         print(tutte_closed(realization, force=args.force))
         return 0
+
+    # every other command reads a validated perspective; a matroid input is M -> M
+    if perspective is None:
+        perspective = identity_perspective(realization, force=args.force)
 
     if args.command == "tutte3":
         print(tutte3_closed(perspective, force=args.force))

@@ -22,7 +22,6 @@ from .matroid import MatroidError, OrientedRealization, check_guard
 from .oriented import (
     ActivityRecord,
     OrientedMatroid,
-    SignedSubset,
     orientation_active_sets,
 )
 from .perspective import Perspective, identity_perspective, tutte3_closed
@@ -35,16 +34,18 @@ class IdentityError(AssertionError):
 
 # -- the sweep ------------------------------------------------------------------
 
-def _pack_family(family: Sequence[SignedSubset], index: dict[int, int]) -> list[tuple[int, int, int]]:
+def _pack_family(masks: Sequence[tuple[int, int]],
+                 ground: Sequence[int]) -> list[tuple[int, int, int]]:
     """One (positive mask, negative mask, min-element bit) triple per +/- pair.
 
-    Each support carries exactly one opposite pair, so one entry per support.
+    ``masks`` are a family's (positive, support) pairs; each support carries
+    exactly one opposite pair, so one entry per support.
     """
+    by_label = sorted(range(len(ground)), key=ground.__getitem__)
     packed: dict[int, tuple[int, int, int]] = {}
-    for s in family:
-        pos = sum(1 << index[e] for e in s.positive)
-        neg = sum(1 << index[e] for e in s.negative)
-        packed.setdefault(pos | neg, (pos, neg, 1 << index[min(s.support)]))
+    for pos, sup in masks:
+        if sup not in packed:
+            packed[sup] = (pos, sup ^ pos, next(1 << i for i in by_label if sup >> i & 1))
     return list(packed.values())
 
 
@@ -167,9 +168,8 @@ def expansion_sum(p: Perspective, force: bool = False) -> ExpansionReport:
     """
     n = len(p.ground)
     check_guard(n, force)
-    index = {e: i for i, e in enumerate(p.ground)}
-    circuits = _pack_family(p.m.circuits, index)
-    cocircuits = _pack_family(p.mprime.cocircuits, index)
+    circuits = _pack_family(p.m.masks("circuits"), p.ground)
+    cocircuits = _pack_family(p.mprime.masks("cocircuits"), p.ground)
     active, dual = array("Q"), array("Q")
     histogram: Counter = Counter()
     for a_mask in range(1 << n):

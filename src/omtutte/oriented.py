@@ -150,6 +150,18 @@ class OrientedMatroid:
             self._memo[key] = build()
         return self._memo[key]
 
+    def masks(self, family: str) -> tuple[tuple[int, int], ...]:
+        """(positive, support) bitmasks of ``circuits`` or ``cocircuits``, in family order.
+
+        Bit i is ground[i].  Built on first read and kept; the validation scan
+        and the sweep both read them.
+        """
+        def build():
+            bit = {e: 1 << i for i, e in enumerate(self.ground)}
+            return tuple((sum(bit[e] for e in s.positive), sum(bit[e] for e in s.support))
+                         for s in getattr(self, family))
+        return self.memo(("masks", family), build)
+
     def reorient(self, labels: Iterable[int]) -> "OrientedMatroid":
         a = frozenset(labels)
         for e in a:

@@ -44,33 +44,33 @@ class ValidationReport:
 
 
 def validate(m: OrientedMatroid, mprime: OrientedMatroid) -> ValidationReport:
-    """Pairwise strong-map checks; witnesses are the first failing pairs."""
+    """Pairwise strong-map checks; witnesses are the first failing pairs.
+
+    One scan over every (circuit of M, cocircuit of M') pair in family order,
+    on their (positive, support) bitmasks.  Both checks read only the shared
+    support, so each witness is the first pair failing its own check.
+    """
     if m.ground != mprime.ground:
         raise PerspectiveError("the two matroids must share the same ordered ground set")
-    weak = True
-    weak_witness = None
-    for circ in m.circuits:
-        for cocirc in mprime.cocircuits:
-            if len(circ.support & cocirc.support) == 1:
-                weak = False
-                weak_witness = (circ, cocirc)
-                break
-        if not weak:
-            break
-    oriented = True
-    oriented_witness = None
-    for circ in m.circuits:
-        for cocirc in mprime.cocircuits:
-            shared = circ.support & cocirc.support
+    circuits, cocircuits = m.masks("circuits"), mprime.masks("cocircuits")
+    weak_at = oriented_at = None
+    for i, (c_pos, c_sup) in enumerate(circuits):
+        for j, (d_pos, d_sup) in enumerate(cocircuits):
+            shared = c_sup & d_sup
             if not shared:
                 continue
-            if (circ.positive & shared) == (cocirc.positive & shared):
-                oriented = False
-                oriented_witness = (circ, cocirc)
-                break
-        if not oriented:
+            if weak_at is None and not shared & (shared - 1):
+                weak_at = (i, j)
+            if oriented_at is None and not (c_pos ^ d_pos) & shared:
+                oriented_at = (i, j)
+        if weak_at is not None and oriented_at is not None:
             break
-    return ValidationReport(weak, oriented, weak_witness, oriented_witness)
+
+    def witness(at):
+        return None if at is None else (m.circuits[at[0]], mprime.cocircuits[at[1]])
+
+    return ValidationReport(weak_at is None, oriented_at is None,
+                            witness(weak_at), witness(oriented_at))
 
 
 class Perspective:

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from omtutte.matroid import Digraph, OrientedRealization, from_digraph
+from omtutte.perspective import ValidationReport
 
 
 def determinant(rows: list[list[Fraction]]) -> Fraction:
@@ -75,6 +76,39 @@ def oracle_signed_circuits(m: OrientedRealization) -> set[tuple[frozenset, froze
             assert positive | negative == set(combo), "zero coefficient on a circuit"
             family |= {(positive, negative), (negative, positive)}
     return family
+
+
+def oracle_validate(m, mprime) -> ValidationReport:
+    """The strong-map checks as two pairwise scans over frozenset supports.
+
+    Weak: no circuit of M meets a cocircuit of M' in exactly one element.
+    Oriented: no circuit and cocircuit have the same signs on a nonempty
+    shared support.  Each witness is the first failing pair in family order.
+    """
+    weak = True
+    weak_witness = None
+    for circ in m.circuits:
+        for cocirc in mprime.cocircuits:
+            if len(circ.support & cocirc.support) == 1:
+                weak = False
+                weak_witness = (circ, cocirc)
+                break
+        if not weak:
+            break
+    oriented = True
+    oriented_witness = None
+    for circ in m.circuits:
+        for cocirc in mprime.cocircuits:
+            shared = circ.support & cocirc.support
+            if not shared:
+                continue
+            if (circ.positive & shared) == (cocirc.positive & shared):
+                oriented = False
+                oriented_witness = (circ, cocirc)
+                break
+        if not oriented:
+            break
+    return ValidationReport(weak, oriented, weak_witness, oriented_witness)
 
 
 def arcs_with_flips(g: Digraph, flipped: frozenset[int]) -> list[tuple[int, object, object]]:

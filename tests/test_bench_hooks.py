@@ -38,7 +38,8 @@ def test_tracer_hooks_exist_and_fire(tmp_path, capsys):
     path.write_text("1 a b\n2 a b\n3 c b\n4 c a\n", encoding="utf-8")
     try:
         traced_job.install(tracer, spans, leaves)
-        code = cli.main(["tutte", "--input", str(path)])
+        # count bases reads the signed circuits, so the circuit hook must fire
+        code = cli.main(["count", "bases", "--input", str(path)])
     finally:
         for owner, attribute, original in saved_attributes:
             setattr(owner, attribute, original)
@@ -46,6 +47,6 @@ def test_tracer_hooks_exist_and_fire(tmp_path, capsys):
             for key, value in namespace.items():
                 setattr(module, key, value)
     assert code == 0
-    assert capsys.readouterr().out == "x^2 + x*y + y^2 + x + y\n"
+    assert capsys.readouterr().out == "5 (t(1,1)=5, basic orientations=5,5)\n"
     assert tracer.counts["oriented.circuits.calls"] > 0
     assert tracer.counts["cli.calls"] == 1

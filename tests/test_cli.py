@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from omtutte import cli
+from omtutte import cli, oriented, perspective
 from omtutte.expansions import ExpansionReport
 
 TRIANGLE = "1 a b\n2 b c\n3 c a\n"
@@ -140,13 +140,45 @@ def test_invalid_pair_exits_two(tmp_path, capsys):
     assert "witness" in err
 
 
-def test_guard_exits_two_without_force(tmp_path, capsys):
+def _forbid_signed_families(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tutte must read only the rank table")
+
+    monkeypatch.setattr(oriented, "signed_circuits", forbidden)
+    monkeypatch.setattr(perspective, "validate", forbidden)
+
+
+def test_guard_exits_two_without_force(tmp_path, capsys, monkeypatch):
     wide = "".join(f"{i} h{i} t{i}\n" for i in range(1, 22))
     path = tmp_path / "wide.dg"
     path.write_text(wide)
+    _forbid_signed_families(monkeypatch)
     code, _, err = run_cli(capsys, "tutte", "--input", str(path))
     assert code == 2
     assert "--force" in err
+    assert "ground set has 21 elements; full enumeration is guarded at 20" in err
+
+
+@pytest.mark.parametrize("text, fmt, expected", [
+    (DOUBLED, "digraph", "x^2 + x*y + y^2 + x + y\n"),
+    ("2 4\n1 0 1 2\n0 1 1 -1\n", "matrix", "x^2 + y^2 + 2*x + 2*y\n"),
+])
+def test_tutte_builds_no_signed_families(tmp_path, capsys, monkeypatch, text, fmt, expected):
+    path = tmp_path / "input"
+    path.write_text(text)
+    _forbid_signed_families(monkeypatch)
+    code, out, _ = run_cli(capsys, "tutte", "--input", str(path), "--format", fmt)
+    assert code == 0
+    assert out == expected
+
+
+def test_tutte_rejects_perspective_input(tmp_path, capsys):
+    path = tmp_path / "p.persp"
+    path.write_text(MAJOR)
+    code, out, err = run_cli(capsys, "tutte", "--input", str(path), "--format", "perspective")
+    assert code == 2
+    assert out == ""
+    assert "tutte needs a digraph or matrix input" in err
 
 
 def test_identity_failure_exits_one(tmp_path, capsys, monkeypatch):

@@ -21,7 +21,7 @@ from omtutte.perspective import (
 from omtutte.poly import Polynomial, X, Y, Z, ONE
 from omtutte import gallery
 
-from helpers import random_digraph, random_realization
+from helpers import oracle_validate, random_digraph, random_realization
 
 
 def triangle():
@@ -261,6 +261,34 @@ def test_pairwise_checks_agree_with_union_criteria():
         assert report.oriented == _oriented_by_conformal_unions(m, mp)
         if len(m.ground) <= 6:
             assert report.weak == _rank_interval_everywhere(m, mp)
+
+
+def _validation_cases(seed):
+    """Valid from_major pairs, each also against a reoriented M', the random
+    pairs of _small_pairs, and identity perspectives of random digraphs."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        n = random_realization(rng, max_rows=4, max_cols=8)
+        c = frozenset(e for e in n.ground[1:] if rng.random() < 0.3)
+        m, mp = om(n.delete_many(c)), om(n.contract_many(c))
+        yield m, mp
+        yield m, mp.reorient(rng.sample(mp.ground, rng.randint(1, len(mp.ground))))
+    yield from _small_pairs(43, 24)
+    for _ in range(8):
+        o = om(from_digraph(random_digraph(rng, max_vertices=5, max_arcs=8)))
+        yield o, o
+
+
+def test_validate_matches_frozenset_oracle():
+    reports = []
+    for m, mp in _validation_cases(61):
+        report = validate(m, mp)
+        assert report == oracle_validate(m, mp)
+        reports.append(report)
+    # every outcome occurs, so both flags and both witnesses are compared
+    assert any(r.passed for r in reports)
+    assert any(not r.weak for r in reports)
+    assert any(r.weak and not r.oriented for r in reports)
 
 
 # -- perspective file format -------------------------------------------------------
