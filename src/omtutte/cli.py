@@ -12,15 +12,14 @@ import json
 import sys
 
 from .matroid import (
-    Digraph,
     MatroidError,
     OrientedRealization,
     bases,
-    from_digraph,
     tutte_closed,
 )
 from .perspective import (
     Perspective,
+    _parse_payload,
     identity_perspective,
     parse_perspective,
     tutte3_closed,
@@ -70,14 +69,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[OrientedRealization | None, Perspective | None]:
-    """Read the input file: a realization for matroid inputs, else a perspective."""
+    """Read the input file: a realization for matroid inputs, else a perspective.
+
+    Its root rank table is admitted here, the only place that reads ``--force``.
+    """
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if args.format == "digraph":
-        return from_digraph(Digraph.parse(text)), None
-    if args.format == "matrix":
-        return OrientedRealization.parse_matrix(text), None
-    return None, parse_perspective(text, force=args.force)
+    if args.format == "perspective":
+        return None, parse_perspective(text, force=args.force)
+    realization = _parse_payload(args.format, text)
+    realization.rank_table(force=args.force)
+    return realization, None
 
 
 def _fraction_text(value) -> str:
@@ -91,19 +93,19 @@ def run(args) -> int:
         if realization is None:
             raise MatroidError("tutte needs a digraph or matrix input; "
                                "use tutte3 for perspectives")
-        print(tutte_closed(realization, force=args.force))
+        print(tutte_closed(realization))
         return 0
 
     # every other command reads a validated perspective; a matroid input is M -> M
     if perspective is None:
-        perspective = identity_perspective(realization, force=args.force)
+        perspective = identity_perspective(realization)
 
     if args.command == "tutte3":
-        print(tutte3_closed(perspective, force=args.force))
+        print(tutte3_closed(perspective))
         return 0
 
     if args.command == "activities":
-        report = expansion_sum(perspective, force=args.force)
+        report = expansion_sum(perspective)
         if args.json:
             print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
         else:
@@ -111,7 +113,7 @@ def run(args) -> int:
         return 0
 
     if args.command == "verify":
-        report = expansion_sum(perspective, force=args.force)
+        report = expansion_sum(perspective)
         if not report.passed:
             print(json.dumps({
                 "check": "expansion identity",
@@ -119,7 +121,7 @@ def run(args) -> int:
                 "actual": str(report.total),
             }, indent=2, sort_keys=True))
             return 1
-        suite = specialization_suite(perspective, report=report, force=args.force)
+        suite = specialization_suite(perspective, report=report)
         if not suite.passed:
             print(json.dumps({
                 "check": "specialization suite",
@@ -127,9 +129,8 @@ def run(args) -> int:
                 "actual": str(suite.interpolation),
             }, indent=2, sort_keys=True))
             return 1
-        case = dichotomy_case(perspective, force=args.force) if perspective.ground \
-            else DichotomyCase.BOTH
-        dc_ok = deletion_contraction_check(perspective, report=report, force=args.force)
+        case = dichotomy_case(perspective) if perspective.ground else DichotomyCase.BOTH
+        dc_ok = deletion_contraction_check(perspective, report=report)
         if not dc_ok:
             print(json.dumps({"check": "deletion/contraction recursion",
                               "expected": "minor sums to match",
@@ -154,31 +155,31 @@ def run(args) -> int:
         if args.kind == "acyclic":
             if realization is None:
                 raise MatroidError("count acyclic needs a digraph or matrix input")
-            value = count_acyclic(perspective.m, force=args.force)
-            t20 = tutte_closed(realization, force=args.force).evaluate({"x": 2, "y": 0})
+            value = count_acyclic(perspective.m)
+            t20 = tutte_closed(realization).evaluate({"x": 2, "y": 0})
             print(f"{value} (t(2,0)={_fraction_text(t20)})")
             agree = value == t20
         elif args.kind == "bounded":
-            value = count_bounded(perspective, force=args.force)
-            t = tutte3_closed(perspective, force=args.force)
-            ssum = signed_sum(perspective, force=args.force)
+            value = count_bounded(perspective)
+            t = tutte3_closed(perspective)
+            ssum = signed_sum(perspective)
             t001 = t.evaluate({"x": 0, "y": 0, "z": 1})
             print(f"{value} (t(0,0,1)={_fraction_text(t001)}, signed sum={ssum})")
             agree = value == t001 == ssum
         else:
             if realization is None:
                 raise MatroidError("count bases needs a digraph or matrix input")
-            nbases = len(bases(realization, force=args.force))
-            out_free, in_free = count_basic_orientations(perspective.m, force=args.force)
-            t11 = tutte_closed(realization, force=args.force).evaluate({"x": 1, "y": 1})
+            nbases = len(bases(realization))
+            out_free, in_free = count_basic_orientations(perspective.m)
+            t11 = tutte_closed(realization).evaluate({"x": 1, "y": 1})
             print(f"{nbases} (t(1,1)={_fraction_text(t11)}, basic orientations={out_free},{in_free})")
             agree = nbases == t11 == out_free == in_free
         return 0 if agree else 1
 
     if args.command == "derivative":
-        report = expansion_sum(perspective, force=args.force)
+        report = expansion_sum(perspective)
         activity_side = derivative_expansion(perspective, args.p, args.q, report=report)
-        formal = tutte3_closed(perspective, force=args.force).substitute({"z": 1})
+        formal = tutte3_closed(perspective).substitute({"z": 1})
         formal = formal.partial_derivative("x", args.p).partial_derivative("y", args.q)
         if args.json:
             print(json.dumps({"activity": str(activity_side),

@@ -15,10 +15,10 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator
 
-from .matroid import MatroidError, OrientedRealization, check_guard
+from .matroid import MatroidError, OrientedRealization
 from .oriented import (
     ActivityRecord,
     OrientedMatroid,
@@ -99,8 +99,7 @@ class ExpansionReport:
     @cached_property
     def tutte(self) -> Polynomial:
         """t(x, y, 1) by the closed rank formula, never by this sweep."""
-        # the sweep has already passed the enumeration guard
-        return tutte3_closed(self.perspective, force=True).substitute({"z": 1})
+        return tutte3_closed(self.perspective).substitute({"z": 1})
 
     @cached_property
     def reference(self) -> Polynomial:
@@ -119,9 +118,11 @@ class ExpansionReport:
         def text(mask: int) -> str:
             return "".join(label for bit, label in labels if mask & bit) or "-"
 
+        masks = cache(text)  # the A column's 2^|E| masks are all distinct, so not cached
+        monomial = cache(lambda key: str(Monomial(key + (0,))))
         for a, (act, dual) in enumerate(zip(self.active, self.dual)):
-            yield [text(a), text(dual), text(act), text(dual & ~a), text(dual & a),
-                   text(act & ~a), text(act & a), str(Monomial(_key(a, act, dual) + (0,)))]
+            yield [text(a), masks(dual), masks(act), masks(dual & ~a), masks(dual & a),
+                   masks(act & ~a), masks(act & a), monomial(_key(a, act, dual))]
 
     def to_tsv(self) -> str:
         lines = ["\t".join(_COLUMNS)]
@@ -160,14 +161,13 @@ def monomial_of(p: Perspective, A: Iterable[int]) -> ActivityRecord:
     return ActivityRecord.build(a, active, dual_active)
 
 
-def expansion_sum(p: Perspective, force: bool = False) -> ExpansionReport:
+def expansion_sum(p: Perspective) -> ExpansionReport:
     """The 4-variable activity generating function: the one 2^|E| sweep.
 
     The report's reference is the closed-formula t(x+u, y+v, 1); passed is
     exact polynomial equality.
     """
     n = len(p.ground)
-    check_guard(n, force)
     circuits = _pack_family(p.m.masks("circuits"), p.ground)
     cocircuits = _pack_family(p.mprime.masks("cocircuits"), p.ground)
     active, dual = array("Q"), array("Q")
@@ -191,12 +191,12 @@ def _collect(histogram: Counter, pick: Callable[..., tuple[int, int] | None]) ->
     return Polynomial(terms)
 
 
-def doubling_expansion(p: Perspective, force: bool = False) -> Polynomial:
+def doubling_expansion(p: Perspective) -> Polynomial:
     """The expansion at (x, x, y, y); equals the Tutte polynomial at (2x, 2y, 1).
 
     Each A contributes x^|dual-active set| * y^|active set|.
     """
-    return _collect(expansion_sum(p, force=force).histogram,
+    return _collect(expansion_sum(p).histogram,
                     lambda d_out, d_in, a_out, a_in: (d_out + d_in, a_out + a_in))
 
 
@@ -222,8 +222,8 @@ class SpecializationReport:
                 and self.restricted_swap_ok and self.doubling_ok)
 
 
-def specialization_suite(p: Perspective, report: ExpansionReport | None = None,
-                         force: bool = False) -> SpecializationReport:
+def specialization_suite(p: Perspective,
+                         report: ExpansionReport | None = None) -> SpecializationReport:
     """Check the 2-variable specializations of the 4-variable expansion.
 
     (a) the expansion at (x-1, 1, y-1, 1), (b) its u^0 v^0 part and (c) its
@@ -231,7 +231,7 @@ def specialization_suite(p: Perspective, report: ExpansionReport | None = None,
     counts (2 to the one nonzero activity) equal t(2,0,1).
     """
     if report is None:
-        report = expansion_sum(p, force=force)
+        report = expansion_sum(p)
     hist = report.histogram
     tutte = report.tutte
     interpolation = _collect(hist, lambda d_out, d_in, a_out, a_in: (d_out, a_out)
@@ -255,25 +255,25 @@ def specialization_suite(p: Perspective, report: ExpansionReport | None = None,
 
 def count_acyclic(m: OrientedRealization | OrientedMatroid, force: bool = False) -> int:
     """Number of A with no positive circuit in -_A M: the terms with no y and no v."""
-    hist = expansion_sum(identity_perspective(m, force=force), force=force).histogram
+    hist = expansion_sum(identity_perspective(m, force=force)).histogram
     return sum(count for (_, _, a_out, a_in), count in hist.items() if not (a_out or a_in))
 
 
-def count_bounded(p: Perspective, force: bool = False) -> int:
+def count_bounded(p: Perspective) -> int:
     """Number of A with -_A M acyclic and -_A M' totally cyclic: the constant term.
 
     (Totally cyclic means no positive cocircuit.)
     """
-    return expansion_sum(p, force=force).histogram[(0, 0, 0, 0)]
+    return expansion_sum(p).histogram[(0, 0, 0, 0)]
 
 
-def signed_sum(p: Perspective, force: bool = False) -> int:
+def signed_sum(p: Perspective) -> int:
     """Alternating activity sum over all A, signed on the two outside-A counts.
 
     All four sign variants are +-1 evaluations of the expansion; this raises
     if they disagree, since then the expansion itself is broken.
     """
-    hist = expansion_sum(p, force=force).histogram
+    hist = expansion_sum(p).histogram
     # key positions: 0 dual_out, 1 dual_in, 2 active_out, 3 active_in
     sums = [sum(count * (-1) ** (key[i] + key[j]) for key, count in hist.items())
             for i, j in ((0, 2), (1, 3), (0, 3), (1, 2))]
@@ -288,7 +288,7 @@ def count_basic_orientations(m: OrientedRealization | OrientedMatroid,
 
     Each equals the number of bases, i.e. the Tutte polynomial at (1, 1).
     """
-    hist = expansion_sum(identity_perspective(m, force=force), force=force).histogram
+    hist = expansion_sum(identity_perspective(m, force=force)).histogram
     out_free = sum(count for (d_out, _, a_out, _), count in hist.items() if not (d_out or a_out))
     in_free = sum(count for (_, d_in, _, a_in), count in hist.items() if not (d_in or a_in))
     return out_free, in_free
@@ -297,8 +297,7 @@ def count_basic_orientations(m: OrientedRealization | OrientedMatroid,
 # -- derivatives ----------------------------------------------------------------
 
 def derivative_expansion(p: Perspective, dp: int, dq: int,
-                         report: ExpansionReport | None = None,
-                         force: bool = False) -> Polynomial:
+                         report: ExpansionReport | None = None) -> Polynomial:
     """p! q! times the coefficient of u^p v^q in the expansion.
 
     Equals the formal (p, q) partial derivative of t(x, y, 1).
@@ -306,20 +305,19 @@ def derivative_expansion(p: Perspective, dp: int, dq: int,
     if dp < 0 or dq < 0:
         raise ValueError("derivative orders must be non-negative")
     if report is None:
-        report = expansion_sum(p, force=force)
+        report = expansion_sum(p)
     total = _collect(report.histogram, lambda d_out, d_in, a_out, a_in:
                      (d_out, a_out) if (d_in, a_in) == (dp, dq) else None)
     return math.factorial(dp) * math.factorial(dq) * total
 
 
 def derivative_diag(p: Perspective, dp: int,
-                    report: ExpansionReport | None = None,
-                    force: bool = False) -> Polynomial:
+                    report: ExpansionReport | None = None) -> Polynomial:
     """p! times the x-power sum over keys whose inside-A counts total p: (d/dx)^p t(x, x, 1)."""
     if dp < 0:
         raise ValueError("derivative order must be non-negative")
     if report is None:
-        report = expansion_sum(p, force=force)
+        report = expansion_sum(p)
     total = _collect(report.histogram, lambda d_out, d_in, a_out, a_in:
                      (d_out + a_out, 0) if d_in + a_in == dp else None)
     return math.factorial(dp) * total
@@ -337,7 +335,7 @@ class DichotomyError(IdentityError):
     """Neither dichotomy case holds; the input is invalid or there is a bug."""
 
 
-def dichotomy_case(p: Perspective, force: bool = False) -> DichotomyCase:
+def dichotomy_case(p: Perspective) -> DichotomyCase:
     """Which indicator-transfer case holds at the greatest element.
 
     Case i: deleting the greatest element e preserves the base indicators
@@ -359,10 +357,10 @@ def dichotomy_case(p: Perspective, force: bool = False) -> DichotomyCase:
     _, dual_mp = active_pair(p.mprime)
     act_m_flip, _ = active_pair(p.m.reorient({e}))
     _, dual_mp_flip = active_pair(p.mprime.reorient({e}))
-    act_m_del, _ = active_pair(p.m.minor_delete(e, force=force))
-    act_m_con, _ = active_pair(p.m.minor_contract(e, force=force))
-    _, dual_mp_del = active_pair(p.mprime.minor_delete(e, force=force))
-    _, dual_mp_con = active_pair(p.mprime.minor_contract(e, force=force))
+    act_m_del, _ = active_pair(p.m.minor_delete(e))
+    act_m_con, _ = active_pair(p.m.minor_contract(e))
+    _, dual_mp_del = active_pair(p.mprime.minor_delete(e))
+    _, dual_mp_con = active_pair(p.mprime.minor_contract(e))
 
     case_i = (dual_mp == dual_mp_del and act_m == act_m_del
               and dual_mp_flip == dual_mp_con and act_m_flip == act_m_con)
@@ -382,8 +380,7 @@ def dichotomy_case(p: Perspective, force: bool = False) -> DichotomyCase:
         f"dual(M'/e)={sorted(dual_mp_con)}, dual(-eM')={sorted(dual_mp_flip)}")
 
 
-def deletion_contraction_check(p: Perspective, report: ExpansionReport | None = None,
-                               force: bool = False) -> bool:
+def deletion_contraction_check(p: Perspective, report: ExpansionReport | None = None) -> bool:
     """One step of the minor recursion for the 4-variable expansion.
 
     Greatest element an isthmus of M': multiply the deleted minor's sum by
@@ -391,15 +388,15 @@ def deletion_contraction_check(p: Perspective, report: ExpansionReport | None = 
     minors' sums add up.  The empty perspective sums to 1.
     """
     if report is None:
-        report = expansion_sum(p, force=force)
+        report = expansion_sum(p)
     full = report.total
     if not p.ground:
         return full == ONE
     e = max(p.ground)
-    deleted = expansion_sum(p.minor_delete(e, force=force), force=force).total
+    deleted = expansion_sum(p.minor_delete(e)).total
     if p.mprime.realization.is_isthmus(e):
         return full == (X + U) * deleted
     if p.m.realization.is_loop(e):
         return full == (Y + V) * deleted
-    contracted = expansion_sum(p.minor_contract(e, force=force), force=force).total
+    contracted = expansion_sum(p.minor_contract(e)).total
     return full == deleted + contracted

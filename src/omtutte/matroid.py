@@ -237,7 +237,7 @@ class OrientedRealization:
             else ((),) * len(ground)
         self._index = {e: i for i, e in enumerate(ground)}
         self._table: bytearray | None = None
-        self._derive: Callable[[], bytearray] | None = None
+        self._derive: Callable[[bool], bytearray] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -263,14 +263,18 @@ class OrientedRealization:
     def columns(self, labels: Iterable[int]) -> list[Vector]:
         return [self.column(e) for e in labels]
 
-    def rank_table(self) -> bytearray:
+    def rank_table(self, force: bool = False) -> bytearray:
         """r(S) for every mask S (bit i = ground[i]); built on first use, never mutated.
 
-        2^|E| bytes.  Minors and duals derive theirs from this one.
+        2^|E| bytes.  Minors, duals and reorientations derive theirs from this one,
+        so only a root table, built from the columns, checks the enumeration guard.
         """
         if self._table is None:
-            self._table = self._derive() if self._derive else _rank_table(self.integer_columns)
-            self._derive = None
+            if self._derive:
+                self._table, self._derive = self._derive(force), None
+            else:
+                check_guard(len(self.ground), force)
+                self._table = _rank_table(self.integer_columns)
         return self._table
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
@@ -291,7 +295,7 @@ class OrientedRealization:
     def _derived(self, ground: Sequence[int], matrix, derive) -> "OrientedRealization":
         """A realization whose rank table ``derive`` reads off this one's."""
         out = OrientedRealization(ground, matrix)
-        out._derive = lambda: derive(self.rank_table())
+        out._derive = lambda force: derive(self.rank_table(force))
         return out
 
     def delete(self, e: int) -> "OrientedRealization":
@@ -343,7 +347,10 @@ class OrientedRealization:
         return self._derived(self.ground, matrix, lambda t: t)
 
     def __repr__(self) -> str:
-        return f"OrientedRealization(ground={self.ground}, rank={self.rank()})"
+        # the rank of the matrix itself: a repr neither builds the 2^|E| table nor is guarded
+        n = len(self.ground)
+        rank = n - len(_integer_kernel([_cleared(row) for row in self.matrix], n))
+        return f"OrientedRealization(ground={self.ground}, rank={rank})"
 
     @classmethod
     def parse_matrix(cls, text: str) -> "OrientedRealization":
@@ -394,8 +401,7 @@ def subsets_in_order(ground: Sequence[int]):
 def tutte_closed(m: OrientedRealization, force: bool = False) -> Polynomial:
     """Tutte polynomial as the corank-nullity sum over all subsets of E."""
     n = len(m.ground)
-    check_guard(n, force)
-    table = m.rank_table()
+    table = m.rank_table(force)
     r = table[-1]
     counts = {(r - ra, size - ra): count
               for (size, ra), count in Counter(zip(popcounts(n), table)).items()}
@@ -410,8 +416,7 @@ def tutte_closed(m: OrientedRealization, force: bool = False) -> Polynomial:
 def bases(m: OrientedRealization, force: bool = False) -> list[frozenset[int]]:
     """All maximal independent sets, in ascending canonical order."""
     n = len(m.ground)
-    check_guard(n, force)
-    table = m.rank_table()
+    table = m.rank_table(force)
     r = table[-1]
     return [frozenset(m.ground[i] for i in combo)
             for combo in itertools.combinations(range(n), r)

@@ -19,7 +19,6 @@ from .matroid import (
     MatroidError,
     OrientedRealization,
     _integer_kernel,
-    check_guard,
     popcounts,
 )
 from .poly import Monomial
@@ -96,10 +95,9 @@ def signed_circuits(m: OrientedRealization, force: bool = False) -> tuple[Signed
     Supports come off the rank table; the sign pattern is the kernel vector
     of the support's columns.
     """
-    check_guard(len(m.ground), force)
     ground, columns = m.ground, m.integer_columns
     family: list[SignedSubset] = []
-    for support in _circuit_supports(m.rank_table()):
+    for support in _circuit_supports(m.rank_table(force)):
         idx = [i for i in range(len(ground)) if support >> i & 1]
         (kernel,) = _integer_kernel(list(zip(*(columns[i] for i in idx))), len(idx))
         circuit = SignedSubset(frozenset(ground[i] for i, x in zip(idx, kernel) if x > 0),
@@ -179,15 +177,13 @@ class OrientedMatroid:
         return OrientedMatroid(self.realization.dual(), self.cocircuits,
                                self.circuits, self.reorientation)
 
-    def minor_delete(self, e: int, force: bool = False) -> "OrientedMatroid":
-        check_guard(len(self.ground) - 1, force)
+    def minor_delete(self, e: int) -> "OrientedMatroid":
         return self.memo(("delete", e), lambda: OrientedMatroid.from_realization(
-            self.realization.delete(e), force=force))
+            self.realization.delete(e)))
 
-    def minor_contract(self, e: int, force: bool = False) -> "OrientedMatroid":
-        check_guard(len(self.ground) - 1, force)
+    def minor_contract(self, e: int) -> "OrientedMatroid":
         return self.memo(("contract", e), lambda: OrientedMatroid.from_realization(
-            self.realization.contract(e), force=force))
+            self.realization.contract(e)))
 
     def __repr__(self) -> str:
         return (f"OrientedMatroid(|E|={len(self.ground)}, "

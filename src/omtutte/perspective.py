@@ -19,7 +19,6 @@ from .matroid import (
     InputFormatError,
     MatroidError,
     OrientedRealization,
-    check_guard,
     from_digraph,
     popcounts,
 )
@@ -101,17 +100,17 @@ class Perspective:
     def rank_drop(self) -> int:
         return self.m.realization.rank() - self.mprime.realization.rank()
 
-    def minor_delete(self, e: int, force: bool = False) -> "Perspective":
-        m = self.m.minor_delete(e, force=force)
+    def minor_delete(self, e: int) -> "Perspective":
+        m = self.m.minor_delete(e)
         if self.is_identity():
             return identity_perspective(m)
-        return Perspective(m, self.mprime.minor_delete(e, force=force))
+        return Perspective(m, self.mprime.minor_delete(e))
 
-    def minor_contract(self, e: int, force: bool = False) -> "Perspective":
-        m = self.m.minor_contract(e, force=force)
+    def minor_contract(self, e: int) -> "Perspective":
+        m = self.m.minor_contract(e)
         if self.is_identity():
             return identity_perspective(m)
-        return Perspective(m, self.mprime.minor_contract(e, force=force))
+        return Perspective(m, self.mprime.minor_contract(e))
 
     def __repr__(self) -> str:
         return f"Perspective(|E|={len(self.ground)}, rank_drop={self.rank_drop()})"
@@ -137,11 +136,10 @@ def from_major(n: OrientedRealization, c: Iterable[int], force: bool = False) ->
                        OrientedMatroid.from_realization(mprime_real, force=force))
 
 
-def tutte3_closed(p: Perspective, force: bool = False) -> Polynomial:
+def tutte3_closed(p: Perspective) -> Polynomial:
     """3-variable Tutte polynomial of the perspective via the closed subset sum."""
     m = p.m.realization
     n = len(m.ground)
-    check_guard(n, force)
     table_m, table_mp = m.rank_table(), p.mprime.realization.rank_table()
     r_mp = table_mp[-1]
     drop = table_m[-1] - r_mp
@@ -168,6 +166,7 @@ def bounded_perspective(m: OrientedRealization, e: int, force: bool = False) -> 
     Requires e to be neither a loop nor an isthmus, mirroring the
     bounded-region / bipolar-orientation construction.
     """
+    m.rank_table(force)  # admitted here: is_loop and is_isthmus read the table unforced
     if m.is_loop(e):
         raise PerspectiveError(f"element {e} is a loop; a non-factor element is required")
     if m.is_isthmus(e):

@@ -187,9 +187,9 @@ def test_identity_failure_exits_one(tmp_path, capsys, monkeypatch):
 
     real = cli.expansion_sum
 
-    def falsified(p, force=False):
+    def falsified(p):
         # one extra A on the constant term: the sum no longer matches the reference
-        report = real(p, force=force)
+        report = real(p)
         return ExpansionReport(report.perspective, report.active, report.dual,
                                report.histogram + Counter({(0, 0, 0, 0): 1}))
 

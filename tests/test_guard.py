@@ -1,0 +1,117 @@
+"""The enumeration guard: checked once, where a root rank table is built."""
+
+import pytest
+
+from omtutte import cli, matroid
+from omtutte.expansions import count_acyclic, count_basic_orientations
+from omtutte.matroid import (
+    EnumerationGuardError,
+    OrientedRealization,
+    bases,
+    from_digraph,
+    tutte_bases,
+    tutte_closed,
+)
+from omtutte.oriented import OrientedMatroid, signed_circuits, signed_cocircuits
+from omtutte.perspective import (
+    PerspectiveError,
+    bounded_perspective,
+    from_major,
+    identity_perspective,
+    parse_perspective,
+)
+from omtutte import gallery
+
+# 21 columns (1, i), rank 2: deleting and contracting {20, 21} leaves 19 elements
+MAJOR21 = ("major: matrix\n2 21\n" + " ".join(["1"] * 21) + "\n"
+           + " ".join(str(i) for i in range(21)) + "\ncontract: 20 21\n")
+
+
+def major21() -> OrientedRealization:
+    return OrientedRealization(range(1, 22), [[1] * 21, list(range(21))])
+
+
+def wide_with_loop() -> OrientedRealization:
+    """21 elements, rank 2; element 21 is a zero column, hence a loop."""
+    return OrientedRealization(range(1, 22), [[1] * 20 + [0], list(range(20)) + [0]])
+
+
+@pytest.fixture
+def no_table_built(monkeypatch):
+    def forbidden(columns):
+        raise AssertionError("a rank table was built before the guard was checked")
+
+    monkeypatch.setattr(matroid, "_rank_table", forbidden)
+
+
+def test_cli_counts_the_major_of_a_perspective(tmp_path, capsys):
+    path = tmp_path / "major21.persp"
+    path.write_text(MAJOR21)
+    argv = ["tutte3", "--input", str(path), "--format", "perspective"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ground set has 21 elements; full enumeration is guarded at 20" in err
+    assert cli.main(argv + ["--force"]) == 0
+    # M = U(2,19) and M' has rank 0: z^2 + 19z + t(U(2,19); 1, y)
+    assert capsys.readouterr().out == (
+        "y^17 + 2*y^16 + 3*y^15 + 4*y^14 + 5*y^13 + 6*y^12 + 7*y^11 + 8*y^10 + 9*y^9"
+        " + 10*y^8 + 11*y^7 + 12*y^6 + 13*y^5 + 14*y^4 + 15*y^3 + 16*y^2 + z^2 + 17*y"
+        " + 19*z + 18\n")
+
+
+def test_major_is_counted_not_the_perspective(no_table_built):
+    with pytest.raises(EnumerationGuardError, match="ground set has 21 elements"):
+        parse_perspective(MAJOR21)
+    with pytest.raises(EnumerationGuardError, match="ground set has 21 elements"):
+        from_major(major21(), {20, 21})
+
+
+# every function that still takes ``force``: each forwards it to ``rank_table``
+KEEPS_FORCE = {
+    "rank_table": lambda m, **kw: m.rank_table(**kw),
+    "tutte_closed": tutte_closed,
+    "bases": bases,
+    "tutte_bases": tutte_bases,
+    "signed_circuits": signed_circuits,
+    "signed_cocircuits": signed_cocircuits,
+    "from_realization": OrientedMatroid.from_realization,
+    "identity_perspective": identity_perspective,
+    "from_major": lambda m, **kw: from_major(m, {20, 21}, **kw),
+    "bounded_perspective": lambda m, **kw: bounded_perspective(m, 1, **kw),
+    "parse_perspective": lambda m, **kw: parse_perspective(MAJOR21, **kw),
+    "count_acyclic": count_acyclic,
+    "count_basic_orientations": count_basic_orientations,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEEPS_FORCE))
+def test_guard_fires_before_any_table_is_built(no_table_built, name):
+    with pytest.raises(EnumerationGuardError, match="ground set has 21 elements"):
+        KEEPS_FORCE[name](major21())
+
+
+def test_rank_is_guarded_on_the_root(no_table_built):
+    m = major21()
+    with pytest.raises(EnumerationGuardError, match="21 elements"):
+        m.rank()
+    # a 20-element minor derives its table from the 21-element root's
+    with pytest.raises(EnumerationGuardError, match="21 elements"):
+        m.delete(21).rank()
+
+
+def test_bounded_perspective_admits_before_loop_test():
+    # with force, the loop test reads the admitted table instead of hitting the guard
+    with pytest.raises(PerspectiveError, match="element 21 is a loop"):
+        bounded_perspective(wide_with_loop(), 21, force=True)
+
+
+def test_repr_builds_no_table(no_table_built):
+    m = major21()
+    assert repr(m) == f"OrientedRealization(ground={m.ground}, rank=2)"
+    assert repr(m.delete(21)) == f"OrientedRealization(ground={m.ground[:20]}, rank=2)"
+    assert repr(m.contract(1).contract(2)) == f"OrientedRealization(ground={m.ground[2:]}, rank=0)"
+    assert repr(wide_with_loop().dual()).endswith("rank=19)")
+    assert repr(from_digraph(gallery.directed_triangle())) == \
+        "OrientedRealization(ground=(1, 2, 3), rank=2)"
+    assert repr(OrientedRealization((1, 2), [])) == "OrientedRealization(ground=(1, 2), rank=0)"
