@@ -160,9 +160,10 @@ def run(args) -> int:
             print(f"{value} (t(2,0)={_fraction_text(t20)})")
             agree = value == t20
         elif args.kind == "bounded":
-            value = count_bounded(perspective)
+            report = expansion_sum(perspective)
+            value = count_bounded(perspective, report=report)
             t = tutte3_closed(perspective)
-            ssum = signed_sum(perspective)
+            ssum = signed_sum(perspective, report=report)
             t001 = t.evaluate({"x": 0, "y": 0, "z": 1})
             print(f"{value} (t(0,0,1)={_fraction_text(t001)}, signed sum={ssum})")
             agree = value == t001 == ssum

@@ -1,15 +1,18 @@
 """Generating functions over all reorientations, counting identities, derivatives.
 
-One sweep over every subset A records the activity bitmasks of -_A M and
--_A M'; the histogram of their four activity counts is the 4-variable
-generating function, and every other quantity here is a coefficient
-operation on it.  The reference side of the main identity is the closed rank
+One bit-sliced sweep over every subset A gives, per ground element, the set
+of A in which it is active in -_A M and the set in which it is dual-active in
+-_A M'.  Counters over those sets give the histogram of the four activity
+counts: the 4-variable generating function, of which every other quantity
+here is a coefficient operation.  Per-A rows are transposed from the sets
+only when read.  The reference side of the main identity is the closed rank
 formula shifted by x -> x+u, y -> y+v, never the sweep itself.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections import Counter
 from collections.abc import Sequence
@@ -33,33 +36,93 @@ class IdentityError(AssertionError):
 
 
 # -- the sweep ------------------------------------------------------------------
+# A set of reorientations is one int of 2^|E| bits, with bit A set for each A in it.
 
-def _pack_family(masks: Sequence[tuple[int, int]],
-                 ground: Sequence[int]) -> list[tuple[int, int, int]]:
-    """One (positive mask, negative mask, min-element bit) triple per +/- pair.
-
-    ``masks`` are a family's (positive, support) pairs; each support carries
-    exactly one opposite pair, so one entry per support.
-    """
-    by_label = sorted(range(len(ground)), key=ground.__getitem__)
-    packed: dict[int, tuple[int, int, int]] = {}
-    for pos, sup in masks:
-        if sup not in packed:
-            packed[sup] = (pos, sup ^ pos, next(1 << i for i in by_label if sup >> i & 1))
-    return list(packed.values())
-
-
-def _active_min_mask(packed: Sequence[tuple[int, int, int]], a_mask: int) -> int:
-    """Bits of the smallest elements of sign vectors positive after reorienting on A."""
-    out = 0
-    for pos, neg, min_bit in packed:
-        if out & min_bit:
-            continue
-        if (neg & a_mask) == neg and not (pos & a_mask):
-            out |= min_bit
-        elif (pos & a_mask) == pos and not (neg & a_mask):
-            out |= min_bit
+def _in_sets(n: int) -> list[int]:
+    """For each ground index i, the set of A that contain it."""
+    out = []
+    for i in range(n):
+        pattern = ((1 << (1 << i)) - 1) << (1 << i)
+        for j in range(i + 1, n):
+            pattern |= pattern << (1 << j)
+        out.append(pattern)
     return out
+
+
+def _active_sets(masks: Sequence[tuple[int, int]], ground: Sequence[int],
+                 in_a: Sequence[int], full: int) -> list[int]:
+    """Per ground index e, the A for which -_A has a positive member with smallest element e.
+
+    ``masks`` are a negation-closed family's (positive, support) pairs.  A
+    member turns positive exactly when A meets its support in its negative part.
+    """
+    out = [0] * len(ground)
+    for pos, sup in masks:
+        support = [i for i in range(len(ground)) if sup >> i & 1]
+        positive = full
+        for i in support:
+            positive &= ~in_a[i] if pos >> i & 1 else in_a[i]
+        out[min(support, key=ground.__getitem__)] |= positive
+    return out
+
+
+def _count(planes: list[int], bits: int) -> None:
+    """Add one at ``bits`` to a bit-sliced counter, its planes least significant first."""
+    for k, plane in enumerate(planes):
+        if not bits:
+            return
+        planes[k], bits = plane ^ bits, plane & bits
+    if bits:
+        planes.append(bits)
+
+
+def _split(subset: int, planes: Sequence[tuple[int, int, int]], key: tuple[int, ...],
+           histogram: Counter) -> None:
+    """Count the A in ``subset`` at each value of the counters, splitting on the ``planes`` left.
+
+    Each plane is (counter index, bit weight, the set of A with that bit set).
+    """
+    if not planes:
+        histogram[key] = subset.bit_count()
+        return
+    (k, weight, plane), rest = planes[0], planes[1:]
+    inside = subset & plane
+    if inside:
+        _split(inside, rest, key[:k] + (key[k] + weight,) + key[k + 1:], histogram)
+    if inside != subset:
+        _split(subset ^ inside, rest, key, histogram)
+
+
+class _Transposed(Sequence):
+    """Per A, the mask of the ground indices whose set holds A; built on first read."""
+
+    def __init__(self, sets: Sequence[int]):
+        self._sets = sets
+
+    def __len__(self) -> int:
+        return 1 << len(self._sets)
+
+    @cached_property
+    def _masks(self) -> array:
+        size = len(self)
+        lanes = bytearray(8 * size)  # 8 bytes per A, byte g holding sets 8g..8g+7
+        for g in range(0, len(self._sets), 8):
+            value = 0
+            for j, bits in enumerate(self._sets[g:g + 8]):
+                digits = format(bits, f"0{size}b").encode()  # bit A is digit size-1-A
+                lane = digits.translate(bytes.maketrans(b"01", bytes((0, 1 << j))))
+                value |= int.from_bytes(lane, "big")
+            lanes[g // 8::8] = value.to_bytes(size, "little")
+        masks = array("Q", lanes)
+        if sys.byteorder == "big":
+            masks.byteswap()
+        return masks
+
+    def __getitem__(self, index):
+        return self._masks[index]
+
+    def __iter__(self):
+        return iter(self._masks)
 
 
 def _key(a_mask: int, active: int, dual: int) -> tuple[int, int, int, int]:
@@ -77,7 +140,9 @@ class ExpansionReport:
     """One reorientation sweep of a perspective, in binary counting order.
 
     ``active[A]`` and ``dual[A]`` are the bitmasks (bit i is ground[i]) of the
-    active set of -_A M and the dual-active set of -_A M'.  ``histogram``
+    active set of -_A M and the dual-active set of -_A M'; the sweep's are
+    transposed on first read, so a report that is never rendered never builds
+    them, and their length costs nothing.  ``histogram``
     counts the A per (dual_out, dual_in, active_out, active_in): the expansion
     with exponents (x, u, y, v).  Everything else is derived when read.
     """
@@ -112,17 +177,21 @@ class ExpansionReport:
     def _texts(self) -> Iterator[list[str]]:
         """The rendered columns of every row, read straight off the masks."""
         ground = self.perspective.ground
-        labels = [(1 << i, str(ground[i]))
-                  for i in sorted(range(len(ground)), key=ground.__getitem__)]
+        by_label = sorted(range(len(ground)), key=ground.__getitem__)
+        labels = [(1 << i, str(ground[i])) for i in by_label]
 
+        @cache
         def text(mask: int) -> str:
-            return "".join(label for bit, label in labels if mask & bit) or "-"
+            return "".join(label for bit, label in labels if mask & bit)
 
-        masks = cache(text)  # the A column's 2^|E| masks are all distinct, so not cached
+        # A's 2^|E| masks are all distinct: join the texts of its low and high label halves
+        low = sum(1 << i for i in by_label[:len(by_label) // 2])
+        high = ((1 << len(ground)) - 1) ^ low
         monomial = cache(lambda key: str(Monomial(key + (0,))))
         for a, (act, dual) in enumerate(zip(self.active, self.dual)):
-            yield [text(a), masks(dual), masks(act), masks(dual & ~a), masks(dual & a),
-                   masks(act & ~a), masks(act & a), monomial(_key(a, act, dual))]
+            yield [text(a & low) + text(a & high) or "-", text(dual) or "-", text(act) or "-",
+                   text(dual & ~a) or "-", text(dual & a) or "-", text(act & ~a) or "-",
+                   text(act & a) or "-", monomial(_key(a, act, dual))]
 
     def to_tsv(self) -> str:
         lines = ["\t".join(_COLUMNS)]
@@ -168,17 +237,19 @@ def expansion_sum(p: Perspective) -> ExpansionReport:
     exact polynomial equality.
     """
     n = len(p.ground)
-    circuits = _pack_family(p.m.masks("circuits"), p.ground)
-    cocircuits = _pack_family(p.mprime.masks("cocircuits"), p.ground)
-    active, dual = array("Q"), array("Q")
+    full = (1 << (1 << n)) - 1
+    in_a = _in_sets(n)
+    active = _active_sets(p.m.masks("circuits"), p.ground, in_a, full)
+    dual = _active_sets(p.mprime.masks("cocircuits"), p.ground, in_a, full)
+    counters: list[list[int]] = [[], [], [], []]  # dual_out, dual_in, active_out, active_in
+    for i, inside in enumerate(in_a):
+        for planes, bits in zip(counters, (dual[i] & ~inside, dual[i] & inside,
+                                           active[i] & ~inside, active[i] & inside)):
+            _count(planes, bits)
     histogram: Counter = Counter()
-    for a_mask in range(1 << n):
-        act = _active_min_mask(circuits, a_mask)
-        co = _active_min_mask(cocircuits, a_mask)
-        active.append(act)
-        dual.append(co)
-        histogram[_key(a_mask, act, co)] += 1
-    return ExpansionReport(p, active, dual, histogram)
+    _split(full, [(k, 1 << w, plane) for k, planes in enumerate(counters)
+                  for w, plane in enumerate(planes)], (0, 0, 0, 0), histogram)
+    return ExpansionReport(p, _Transposed(active), _Transposed(dual), histogram)
 
 
 def _collect(histogram: Counter, pick: Callable[..., tuple[int, int] | None]) -> Polynomial:
@@ -259,21 +330,25 @@ def count_acyclic(m: OrientedRealization | OrientedMatroid, force: bool = False)
     return sum(count for (_, _, a_out, a_in), count in hist.items() if not (a_out or a_in))
 
 
-def count_bounded(p: Perspective) -> int:
+def count_bounded(p: Perspective, report: ExpansionReport | None = None) -> int:
     """Number of A with -_A M acyclic and -_A M' totally cyclic: the constant term.
 
     (Totally cyclic means no positive cocircuit.)
     """
-    return expansion_sum(p).histogram[(0, 0, 0, 0)]
+    if report is None:
+        report = expansion_sum(p)
+    return report.histogram[(0, 0, 0, 0)]
 
 
-def signed_sum(p: Perspective) -> int:
+def signed_sum(p: Perspective, report: ExpansionReport | None = None) -> int:
     """Alternating activity sum over all A, signed on the two outside-A counts.
 
     All four sign variants are +-1 evaluations of the expansion; this raises
     if they disagree, since then the expansion itself is broken.
     """
-    hist = expansion_sum(p).histogram
+    if report is None:
+        report = expansion_sum(p)
+    hist = report.histogram
     # key positions: 0 dual_out, 1 dual_in, 2 active_out, 3 active_in
     sums = [sum(count * (-1) ** (key[i] + key[j]) for key, count in hist.items())
             for i, j in ((0, 2), (1, 3), (0, 3), (1, 2))]

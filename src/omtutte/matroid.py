@@ -134,6 +134,13 @@ def _minor_table(table: bytes, i: int, contract: bool) -> bytearray:
     return out.translate(_shifted(-1)) if contract and table[low] else out
 
 
+def _loop_table(table: bytes, i: int) -> bytearray:
+    """r(S + e) - r(e) on the same ground: e (ground index i) contracted, its slot a loop."""
+    low = 1 << i
+    out = bytearray().join(table[k + low:k + 2 * low] * 2 for k in range(0, len(table), 2 * low))
+    return out.translate(_shifted(-table[low]))
+
+
 def _integer_kernel(rows: Sequence[IntVector], ncols: int) -> list[list[int]]:
     """Integer basis of the right kernel, one vector per non-pivot column.
 

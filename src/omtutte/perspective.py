@@ -19,6 +19,7 @@ from .matroid import (
     InputFormatError,
     MatroidError,
     OrientedRealization,
+    _loop_table,
     from_digraph,
     popcounts,
 )
@@ -174,7 +175,7 @@ def bounded_perspective(m: OrientedRealization, e: int, force: bool = False) -> 
     contracted = m.contract(e)
     pos = m.index_of(e)
     rows = [row[:pos] + (Fraction(0),) + row[pos:] for row in contracted.matrix]
-    mprime_real = OrientedRealization(m.ground, rows)
+    mprime_real = m._derived(m.ground, rows, lambda t: _loop_table(t, pos))
     return Perspective(OrientedMatroid.from_realization(m, force=force),
                        OrientedMatroid.from_realization(mprime_real, force=force))
 

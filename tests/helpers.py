@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from omtutte.matroid import Digraph, OrientedRealization, from_digraph
@@ -270,3 +271,44 @@ TWO_GRAPH_ROWS = {
 
 def labels_of(text: str) -> frozenset:
     return frozenset(int(ch) for ch in text)
+
+
+def oracle_expansion(p) -> tuple[list[int], list[int], Counter]:
+    """The per-mask sweep: (active masks, dual-active masks, histogram) over every A.
+
+    For each A it scans every signed circuit of M and cocircuit of M' for
+    the ones positive after reorienting on A, one Python loop per mask.
+    """
+    ground = p.ground
+    by_label = sorted(range(len(ground)), key=ground.__getitem__)
+
+    def pack(masks):
+        # (positive, negative, smallest-element bit), one entry per +/- pair
+        packed = {}
+        for pos, sup in masks:
+            if sup not in packed:
+                packed[sup] = (pos, sup ^ pos, next(1 << i for i in by_label if sup >> i & 1))
+        return list(packed.values())
+
+    def active_min_mask(packed, a_mask):
+        out = 0
+        for pos, neg, min_bit in packed:
+            if out & min_bit:
+                continue
+            if (neg & a_mask) == neg and not (pos & a_mask):
+                out |= min_bit
+            elif (pos & a_mask) == pos and not (neg & a_mask):
+                out |= min_bit
+        return out
+
+    circuits = pack(p.m.masks("circuits"))
+    cocircuits = pack(p.mprime.masks("cocircuits"))
+    active, dual, histogram = [], [], Counter()
+    for a in range(1 << len(ground)):
+        act = active_min_mask(circuits, a)
+        co = active_min_mask(cocircuits, a)
+        active.append(act)
+        dual.append(co)
+        histogram[((co & ~a).bit_count(), (co & a).bit_count(),
+                   (act & ~a).bit_count(), (act & a).bit_count())] += 1
+    return active, dual, histogram

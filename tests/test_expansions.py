@@ -25,7 +25,7 @@ from omtutte.expansions import (
     signed_sum,
     specialization_suite,
 )
-from omtutte.oriented import is_acyclic, is_totally_cyclic
+from omtutte.oriented import ActivityRecord, is_acyclic, is_totally_cyclic
 from omtutte.perspective import (
     bounded_perspective,
     from_major,
@@ -41,6 +41,7 @@ from helpers import (
     every_arc_on_directed_cycle,
     has_directed_cycle,
     labels_of as _labels,
+    oracle_expansion,
     random_digraph,
     random_realization,
 )
@@ -161,6 +162,46 @@ def test_sweep_matches_per_subset_oracles():
         bounded = sum(is_acyclic(p.m.reorient(rec.A))
                       and is_totally_cyclic(p.mprime.reorient(rec.A)) for rec in oracle)
         assert count_bounded(p) == bounded
+
+
+def differential_perspectives(rng):
+    """Identity and rank-drop perspectives, loops and isthmi, and the empty ground set."""
+    out = [identity_perspective(OrientedRealization((), []))]
+    while len(out) < 9:
+        n = random_realization(rng, max_rows=4, max_cols=10)
+        c = frozenset(e for e in n.ground if rng.random() < 0.3)
+        if c and len(n.ground) - len(c) >= 4:
+            p = from_major(n, c)
+            if p.rank_drop():
+                out.append(p)
+    for _ in range(4):
+        out.append(identity_perspective(random_realization(rng, max_rows=4, max_cols=9)))
+        # random digraphs may carry loops
+        out.append(identity_perspective(from_digraph(
+            random_digraph(rng, max_vertices=5, max_arcs=8))))
+    for _ in range(3):
+        # a zero column (a loop) and a column alone in its own row (an isthmus)
+        m = random_realization(rng, max_rows=3, max_cols=6)
+        rows = [list(row) + [0, 0] for row in m.matrix] + [[0] * len(m.ground) + [0, 1]]
+        out.append(identity_perspective(OrientedRealization(range(1, len(m.ground) + 3), rows)))
+    return out
+
+
+def test_sweep_matches_per_mask_oracle():
+    # the whole histogram, the per-A masks and the rows against the per-mask loop
+    for p in differential_perspectives(random.Random(71)):
+        report = expansion_sum(p)
+        active, dual, histogram = oracle_expansion(p)
+        assert report.histogram == histogram
+        assert list(report.active) == active
+        assert list(report.dual) == dual
+        ground = p.ground
+
+        def labels(mask):
+            return frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
+
+        assert list(report.rows) == [ActivityRecord.build(labels(a), labels(act), labels(co))
+                                     for a, (act, co) in enumerate(zip(active, dual))]
 
 
 def test_expansion_symmetric_under_complement_swap():

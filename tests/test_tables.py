@@ -2,8 +2,10 @@
 
 import random
 
+from omtutte import matroid
 from omtutte.matroid import OrientedRealization, from_digraph
 from omtutte.oriented import signed_circuits, signed_cocircuits
+from omtutte.perspective import bounded_perspective
 
 from helpers import oracle_rank, oracle_signed_circuits, random_digraph, random_realization
 
@@ -69,3 +71,24 @@ def test_minor_and_dual_tables_match_fresh_builds():
         dual = m.dual()
         assert dual.rank_table() == fresh(dual).rank_table()
         assert m.negate_columns(m.ground[:1]).rank_table() == m.rank_table()
+
+
+def test_bounded_perspective_builds_one_root_table(monkeypatch):
+    # M' (M/e with a loop at e's slot) reads r(S + e) - r(e) off M's table
+    _, instances = seeded_instances(9004)
+    built = []
+    real = matroid._rank_table
+    monkeypatch.setattr(matroid, "_rank_table",
+                        lambda columns: built.append(len(columns)) or real(columns))
+    checked = 0
+    for m in instances:
+        probe = fresh(m)
+        e = next((e for e in m.ground if not probe.is_loop(e) and not probe.is_isthmus(e)), None)
+        if e is None:
+            continue
+        built.clear()
+        mprime = bounded_perspective(m, e).mprime.realization
+        assert built == [len(m.ground)]
+        assert mprime.rank_table() == fresh(mprime).rank_table()
+        checked += 1
+    assert checked >= 12
