@@ -200,13 +200,15 @@ def run(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "derivative" and min(args.p, args.q) < 0:
+        parser.error("derivative orders must be non-negative")
     try:
         return run(args)
     except IdentityError as exc:
         print(json.dumps({"check": "exact identity", "error": str(exc)},
                          indent=2, sort_keys=True))
         return 1
-    except (MatroidError, PolynomialParseError, OSError) as exc:
+    except (MatroidError, PolynomialParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from .matroid import MatroidError, OrientedRealization
 from .oriented import (
     ActivityRecord,
     OrientedMatroid,
-    orientation_active_sets,
+    _positive_minima,
 )
 from .perspective import Perspective, identity_perspective, tutte3_closed
 from .poly import Monomial, Polynomial, X, U, Y, V, ONE
@@ -225,8 +225,8 @@ class _Rows(Sequence):
 def monomial_of(p: Perspective, A: Iterable[int]) -> ActivityRecord:
     """Activity record of one reorientation: dual data in M', primal in M."""
     a = frozenset(A)
-    _, dual_active = orientation_active_sets(p.mprime.reorient(a))
-    active, _ = orientation_active_sets(p.m.reorient(a))
+    active = _positive_minima(p.ground, p.m.reorient(a).circuit_pairs)
+    dual_active = _positive_minima(p.ground, p.mprime.reorient(a).cocircuit_pairs)
     return ActivityRecord.build(a, active, dual_active)
 
 
@@ -239,8 +239,8 @@ def expansion_sum(p: Perspective) -> ExpansionReport:
     n = len(p.ground)
     full = (1 << (1 << n)) - 1
     in_a = _in_sets(n)
-    active = _active_sets(p.m.masks("circuits"), p.ground, in_a, full)
-    dual = _active_sets(p.mprime.masks("cocircuits"), p.ground, in_a, full)
+    active = _active_sets(p.m.circuit_pairs, p.ground, in_a, full)
+    dual = _active_sets(p.mprime.cocircuit_pairs, p.ground, in_a, full)
     counters: list[list[int]] = [[], [], [], []]  # dual_out, dual_in, active_out, active_in
     for i, inside in enumerate(in_a):
         for planes, bits in zip(counters, (dual[i] & ~inside, dual[i] & inside,
@@ -324,9 +324,9 @@ def specialization_suite(p: Perspective,
 
 # -- counting identities -------------------------------------------------------
 
-def count_acyclic(m: OrientedRealization | OrientedMatroid, force: bool = False) -> int:
+def count_acyclic(m: OrientedRealization | OrientedMatroid) -> int:
     """Number of A with no positive circuit in -_A M: the terms with no y and no v."""
-    hist = expansion_sum(identity_perspective(m, force=force)).histogram
+    hist = expansion_sum(identity_perspective(m)).histogram
     return sum(count for (_, _, a_out, a_in), count in hist.items() if not (a_out or a_in))
 
 
@@ -357,13 +357,12 @@ def signed_sum(p: Perspective, report: ExpansionReport | None = None) -> int:
     return sums[0]
 
 
-def count_basic_orientations(m: OrientedRealization | OrientedMatroid,
-                             force: bool = False) -> tuple[int, int]:
+def count_basic_orientations(m: OrientedRealization | OrientedMatroid) -> tuple[int, int]:
     """Counts of the terms with no x and no y, resp. no u and no v.
 
     Each equals the number of bases, i.e. the Tutte polynomial at (1, 1).
     """
-    hist = expansion_sum(identity_perspective(m, force=force)).histogram
+    hist = expansion_sum(identity_perspective(m)).histogram
     out_free = sum(count for (d_out, _, a_out, _), count in hist.items() if not (d_out or a_out))
     in_free = sum(count for (_, d_in, _, a_in), count in hist.items() if not (d_in or a_in))
     return out_free, in_free
@@ -424,18 +423,18 @@ def dichotomy_case(p: Perspective) -> DichotomyCase:
     e = max(ground)
     others = set(ground) - {e}
 
-    def active_pair(om: OrientedMatroid) -> tuple[frozenset[int], frozenset[int]]:
-        active, dual_active = orientation_active_sets(om)
-        return active & others, dual_active & others
+    # only M's circuits and M''s cocircuits are read, of each matroid below
+    def active(om: OrientedMatroid) -> frozenset[int]:
+        return _positive_minima(om.ground, om.circuit_pairs) & others
 
-    act_m, _ = active_pair(p.m)
-    _, dual_mp = active_pair(p.mprime)
-    act_m_flip, _ = active_pair(p.m.reorient({e}))
-    _, dual_mp_flip = active_pair(p.mprime.reorient({e}))
-    act_m_del, _ = active_pair(p.m.minor_delete(e))
-    act_m_con, _ = active_pair(p.m.minor_contract(e))
-    _, dual_mp_del = active_pair(p.mprime.minor_delete(e))
-    _, dual_mp_con = active_pair(p.mprime.minor_contract(e))
+    def dual_active(om: OrientedMatroid) -> frozenset[int]:
+        return _positive_minima(om.ground, om.cocircuit_pairs) & others
+
+    m, mp = p.m, p.mprime
+    act_m, act_m_flip = active(m), active(m.reorient({e}))
+    act_m_del, act_m_con = active(m.minor_delete(e)), active(m.minor_contract(e))
+    dual_mp, dual_mp_flip = dual_active(mp), dual_active(mp.reorient({e}))
+    dual_mp_del, dual_mp_con = dual_active(mp.minor_delete(e)), dual_active(mp.minor_contract(e))
 
     case_i = (dual_mp == dual_mp_del and act_m == act_m_del
               and dual_mp_flip == dual_mp_con and act_m_flip == act_m_con)

@@ -35,14 +35,6 @@ class InputFormatError(MatroidError):
     """Malformed digraph or matrix text."""
 
 
-def check_guard(n: int, force: bool) -> None:
-    if n > ENUMERATION_GUARD and not force:
-        raise EnumerationGuardError(
-            f"ground set has {n} elements; full enumeration is guarded at "
-            f"{ENUMERATION_GUARD} (pass force=True / --force to override)"
-        )
-
-
 # -- exact integer elimination and the rank table --------------------------------
 
 Vector = tuple[Fraction, ...]
@@ -227,7 +219,7 @@ class Digraph:
 class OrientedRealization:
     """Rational matrix whose columns realize the matroid, in ground order."""
 
-    __slots__ = ("ground", "matrix", "integer_columns", "_index", "_table", "_derive")
+    __slots__ = ("ground", "matrix", "integer_columns", "_index", "_table", "_parent")
 
     def __init__(self, ground: Sequence[int], matrix: Sequence[Sequence[Fraction]]):
         ground = tuple(int(g) for g in ground)
@@ -244,7 +236,7 @@ class OrientedRealization:
             else ((),) * len(ground)
         self._index = {e: i for i, e in enumerate(ground)}
         self._table: bytearray | None = None
-        self._derive: Callable[[bool], bytearray] | None = None
+        self._parent: tuple[OrientedRealization, Callable[[bytes], bytearray]] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -274,13 +266,20 @@ class OrientedRealization:
         """r(S) for every mask S (bit i = ground[i]); built on first use, never mutated.
 
         2^|E| bytes.  Minors, duals and reorientations derive theirs from this one,
-        so only a root table, built from the columns, checks the enumeration guard.
+        passing ``force`` on, so only a root table, built from the columns, checks
+        the enumeration guard; ``force=True`` admits one above it.  This is the one
+        admission point: everything else reads the table unforced.
         """
         if self._table is None:
-            if self._derive:
-                self._table, self._derive = self._derive(force), None
+            if self._parent:
+                parent, derive = self._parent
+                self._table, self._parent = derive(parent.rank_table(force)), None
             else:
-                check_guard(len(self.ground), force)
+                n = len(self.ground)
+                if n > ENUMERATION_GUARD and not force:
+                    raise EnumerationGuardError(
+                        f"ground set has {n} elements; full enumeration is guarded at "
+                        f"{ENUMERATION_GUARD} (admit it with rank_table(force=True) or --force)")
                 self._table = _rank_table(self.integer_columns)
         return self._table
 
@@ -302,7 +301,7 @@ class OrientedRealization:
     def _derived(self, ground: Sequence[int], matrix, derive) -> "OrientedRealization":
         """A realization whose rank table ``derive`` reads off this one's."""
         out = OrientedRealization(ground, matrix)
-        out._derive = lambda force: derive(self.rank_table(force))
+        out._parent = (self, derive)
         return out
 
     def delete(self, e: int) -> "OrientedRealization":
@@ -405,10 +404,10 @@ def subsets_in_order(ground: Sequence[int]):
         yield mask, frozenset(ground[i] for i in range(n) if mask >> i & 1)
 
 
-def tutte_closed(m: OrientedRealization, force: bool = False) -> Polynomial:
+def tutte_closed(m: OrientedRealization) -> Polynomial:
     """Tutte polynomial as the corank-nullity sum over all subsets of E."""
     n = len(m.ground)
-    table = m.rank_table(force)
+    table = m.rank_table()
     r = table[-1]
     counts = {(r - ra, size - ra): count
               for (size, ra), count in Counter(zip(popcounts(n), table)).items()}
@@ -420,10 +419,10 @@ def tutte_closed(m: OrientedRealization, force: bool = False) -> Polynomial:
     return total
 
 
-def bases(m: OrientedRealization, force: bool = False) -> list[frozenset[int]]:
+def bases(m: OrientedRealization) -> list[frozenset[int]]:
     """All maximal independent sets, in ascending canonical order."""
     n = len(m.ground)
-    table = m.rank_table(force)
+    table = m.rank_table()
     r = table[-1]
     return [frozenset(m.ground[i] for i in combo)
             for combo in itertools.combinations(range(n), r)
@@ -466,10 +465,10 @@ def basis_activities(m: OrientedRealization, b: Iterable[int]) -> BasisActivity:
     return BasisActivity(frozenset(internal), frozenset(external))
 
 
-def tutte_bases(m: OrientedRealization, force: bool = False) -> Polynomial:
+def tutte_bases(m: OrientedRealization) -> Polynomial:
     """Tutte polynomial as the basis-activity state sum; equals tutte_closed."""
     total = Polynomial.zero()
-    for b in bases(m, force=force):
+    for b in bases(m):
         act = basis_activities(m, b)
         total = total + X ** act.iota * Y ** act.epsilon
     return total

@@ -1,19 +1,20 @@
 """Signed circuits and cocircuits, reorientation, and orientation activities.
 
-Circuits are enumerated once per realization: their supports are read off the
-rank table (rank |S|-1, every maximal proper subset independent), and each
-support's signs come from one small integer kernel of its columns.
-Cocircuits are the circuits of the dual, whose table is derived from the
-primal one.  Reorientation afterwards only flips stored signs and negates
-realization columns, so the 2^|E| reorientation sweep never re-runs linear
-algebra.  "Smallest" always refers to the ascending label order.
+A family is held once, as (positive, support) bitmask pairs (bit i is
+ground[i]) sorted by support labels, then positive labels; ``SignedSubset``
+views them for witnesses and text.  Circuit supports are read off the rank
+table (rank |S|-1, every maximal proper subset independent), each support's
+signs off one small integer kernel of its columns; cocircuits are the
+circuits of the dual.  Reorientation only flips stored signs, so the 2^|E|
+sweep never re-runs linear algebra.  "Smallest" means in ascending label order.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .matroid import (
     MatroidError,
@@ -22,6 +23,8 @@ from .matroid import (
     popcounts,
 )
 from .poly import Monomial
+
+Pairs = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -43,21 +46,6 @@ class SignedSubset:
     def support(self) -> frozenset[int]:
         return self.positive | self.negative
 
-    @property
-    def is_positive(self) -> bool:
-        return not self.negative
-
-    def negate(self) -> "SignedSubset":
-        return SignedSubset(self.negative, self.positive)
-
-    def reorient(self, labels: frozenset[int]) -> "SignedSubset":
-        pos = (self.positive - labels) | (self.negative & labels)
-        neg = (self.negative - labels) | (self.positive & labels)
-        return SignedSubset(pos, neg)
-
-    def sort_key(self) -> tuple:
-        return (tuple(sorted(self.support)), tuple(sorted(self.positive)))
-
     def __str__(self) -> str:
         parts = [f"+{e}" for e in sorted(self.positive)]
         parts += [f"-{e}" for e in sorted(self.negative)]
@@ -69,8 +57,14 @@ def conformal(y: SignedSubset, x: SignedSubset) -> bool:
     return y.positive <= x.positive and y.negative <= x.negative
 
 
-def _sorted_family(family: Iterable[SignedSubset]) -> tuple[SignedSubset, ...]:
-    return tuple(sorted(family, key=SignedSubset.sort_key))
+def _labels(ground: Sequence[int], mask: int) -> list[int]:
+    """The labels of the ground indices in ``mask``, ascending."""
+    return sorted(e for i, e in enumerate(ground) if mask >> i & 1)
+
+
+def _in_family_order(ground: Sequence[int], pairs: Iterable[tuple[int, int]]) -> Pairs:
+    return tuple(sorted(pairs, key=lambda pair: (_labels(ground, pair[1]),
+                                                 _labels(ground, pair[0]))))
 
 
 def _circuit_supports(table: bytes) -> list[int]:
@@ -89,54 +83,49 @@ def _circuit_supports(table: bytes) -> list[int]:
     return out
 
 
-def signed_circuits(m: OrientedRealization, force: bool = False) -> tuple[SignedSubset, ...]:
-    """All signed circuits of the realization, closed under negation.
+def signed_circuits(m: OrientedRealization) -> Pairs:
+    """(positive, support) bitmasks of all signed circuits, closed under negation.
 
     Supports come off the rank table; the sign pattern is the kernel vector
     of the support's columns.
     """
-    ground, columns = m.ground, m.integer_columns
-    family: list[SignedSubset] = []
-    for support in _circuit_supports(m.rank_table(force)):
-        idx = [i for i in range(len(ground)) if support >> i & 1]
+    columns = m.integer_columns
+    family: list[tuple[int, int]] = []
+    for support in _circuit_supports(m.rank_table()):
+        idx = [i for i in range(len(m.ground)) if support >> i & 1]
         (kernel,) = _integer_kernel(list(zip(*(columns[i] for i in idx))), len(idx))
-        circuit = SignedSubset(frozenset(ground[i] for i, x in zip(idx, kernel) if x > 0),
-                               frozenset(ground[i] for i, x in zip(idx, kernel) if x < 0))
-        if len(circuit.support) != len(idx):
+        if not all(kernel):
             raise MatroidError("internal error: zero coefficient on a circuit support")
-        family += [circuit, circuit.negate()]
-    return _sorted_family(family)
+        positive = sum(1 << i for i, x in zip(idx, kernel) if x > 0)
+        family += [(positive, support), (support ^ positive, support)]
+    return _in_family_order(m.ground, family)
 
 
-def signed_cocircuits(m: OrientedRealization, force: bool = False) -> tuple[SignedSubset, ...]:
+def signed_cocircuits(m: OrientedRealization) -> Pairs:
     """Signed circuits of the dual realization."""
-    return signed_circuits(m.dual(), force=force)
+    return signed_circuits(m.dual())
 
 
 class OrientedMatroid:
-    """A realization together with its signed circuit and cocircuit families.
+    """A realization with its signed circuit and cocircuit families, each built on first read.
 
-    Values are immutable; ``reorient`` returns a new instance with signs
-    flipped and the realization's columns negated accordingly, keeping the
-    two views consistent.  Values derived from it (its minors, its identity
+    ``build_circuits`` and ``build_cocircuits`` return the pairs; by default
+    they enumerate them from the realization.  ``reorient`` and ``dual`` derive theirs
+    from this one's.  Values derived from it (its minors, its identity
     perspective) are built once and kept.
     """
 
-    __slots__ = ("realization", "circuits", "cocircuits", "reorientation", "_memo")
+    __slots__ = ("realization", "reorientation", "_builds", "_memo")
 
     def __init__(self, realization: OrientedRealization,
-                 circuits: tuple[SignedSubset, ...],
-                 cocircuits: tuple[SignedSubset, ...],
+                 build_circuits: Callable[[], Pairs] | None = None,
+                 build_cocircuits: Callable[[], Pairs] | None = None,
                  reorientation: frozenset[int] = frozenset()):
         self.realization = realization
-        self.circuits = circuits
-        self.cocircuits = cocircuits
         self.reorientation = reorientation
+        self._builds = (build_circuits or (lambda: signed_circuits(realization)),
+                        build_cocircuits or (lambda: signed_cocircuits(realization)))
         self._memo: dict = {}
-
-    @classmethod
-    def from_realization(cls, m: OrientedRealization, force: bool = False) -> "OrientedMatroid":
-        return cls(m, signed_circuits(m, force=force), signed_cocircuits(m, force=force))
 
     @property
     def ground(self) -> tuple[int, ...]:
@@ -148,53 +137,71 @@ class OrientedMatroid:
             self._memo[key] = build()
         return self._memo[key]
 
-    def masks(self, family: str) -> tuple[tuple[int, int], ...]:
-        """(positive, support) bitmasks of ``circuits`` or ``cocircuits``, in family order.
+    @property
+    def circuit_pairs(self) -> Pairs:
+        """(positive, support) bitmasks of the signed circuits; bit i is ground[i]."""
+        return self.memo("circuits", self._builds[0])
 
-        Bit i is ground[i].  Built on first read and kept; the validation scan
-        and the sweep both read them.
-        """
-        def build():
-            bit = {e: 1 << i for i, e in enumerate(self.ground)}
-            return tuple((sum(bit[e] for e in s.positive), sum(bit[e] for e in s.support))
-                         for s in getattr(self, family))
-        return self.memo(("masks", family), build)
+    @property
+    def cocircuit_pairs(self) -> Pairs:
+        """(positive, support) bitmasks of the signed cocircuits; bit i is ground[i]."""
+        return self.memo("cocircuits", self._builds[1])
+
+    def signed(self, pair: tuple[int, int]) -> SignedSubset:
+        """The SignedSubset of one (positive, support) pair."""
+        pos, sup = pair
+        return SignedSubset(frozenset(_labels(self.ground, pos)),
+                            frozenset(_labels(self.ground, sup ^ pos)))
+
+    # SignedSubset views of the two families, built on each read
+    circuits = property(lambda self: tuple(map(self.signed, self.circuit_pairs)))
+    cocircuits = property(lambda self: tuple(map(self.signed, self.cocircuit_pairs)))
 
     def reorient(self, labels: Iterable[int]) -> "OrientedMatroid":
         a = frozenset(labels)
-        for e in a:
-            self.realization.index_of(e)
+        flip = self.realization.mask_of(a)
         if not a:
             return self
+
+        def flipped(pairs: Pairs) -> Pairs:
+            return _in_family_order(self.ground, ((pos ^ (sup & flip), sup) for pos, sup in pairs))
+
         return OrientedMatroid(
             self.realization.negate_columns(a),
-            _sorted_family(c.reorient(a) for c in self.circuits),
-            _sorted_family(c.reorient(a) for c in self.cocircuits),
+            lambda: flipped(self.circuit_pairs),
+            lambda: flipped(self.cocircuit_pairs),
             self.reorientation ^ a,
         )
 
     def dual(self) -> "OrientedMatroid":
-        return OrientedMatroid(self.realization.dual(), self.cocircuits,
-                               self.circuits, self.reorientation)
+        return OrientedMatroid(self.realization.dual(), lambda: self.cocircuit_pairs,
+                               lambda: self.circuit_pairs, self.reorientation)
 
     def minor_delete(self, e: int) -> "OrientedMatroid":
-        return self.memo(("delete", e), lambda: OrientedMatroid.from_realization(
-            self.realization.delete(e)))
+        return self.memo(("delete", e), lambda: OrientedMatroid(self.realization.delete(e)))
 
     def minor_contract(self, e: int) -> "OrientedMatroid":
-        return self.memo(("contract", e), lambda: OrientedMatroid.from_realization(
-            self.realization.contract(e)))
+        return self.memo(("contract", e), lambda: OrientedMatroid(self.realization.contract(e)))
 
     def __repr__(self) -> str:
-        return (f"OrientedMatroid(|E|={len(self.ground)}, "
-                f"circuits={len(self.circuits) // 2}, reoriented={sorted(self.reorientation)})")
+        # like the realization's repr, this builds neither a rank table nor a family
+        return f"OrientedMatroid(|E|={len(self.ground)}, reoriented={sorted(self.reorientation)})"
+
+
+def _positive_minima(ground: Sequence[int], pairs: Pairs) -> frozenset[int]:
+    """Smallest elements of the positive members (no negative part) of a family."""
+    return frozenset(_labels(ground, sup)[0] for pos, sup in pairs if pos == sup)
+
+
+def _positive_cover(pairs: Pairs) -> int:
+    """Mask of the elements that lie in some positive member of a family."""
+    return functools.reduce(operator.or_, (sup for pos, sup in pairs if pos == sup), 0)
 
 
 def orientation_active_sets(om: OrientedMatroid) -> tuple[frozenset[int], frozenset[int]]:
     """(active, dual-active): smallest elements of positive circuits resp. cocircuits."""
-    active = frozenset(min(c.support) for c in om.circuits if c.is_positive)
-    dual_active = frozenset(min(c.support) for c in om.cocircuits if c.is_positive)
-    return active, dual_active
+    return (_positive_minima(om.ground, om.circuit_pairs),
+            _positive_minima(om.ground, om.cocircuit_pairs))
 
 
 def element_indicators(om: OrientedMatroid, a: int) -> tuple[int, int]:
@@ -206,30 +213,19 @@ def element_indicators(om: OrientedMatroid, a: int) -> tuple[int, int]:
 
 def is_acyclic(om: OrientedMatroid) -> bool:
     """No positive circuit exists."""
-    return not any(c.is_positive for c in om.circuits)
+    return not _positive_cover(om.circuit_pairs)
 
 
 def is_totally_cyclic(om: OrientedMatroid) -> bool:
     """Every element of E lies in some positive circuit."""
-    covered: set[int] = set()
-    for c in om.circuits:
-        if c.is_positive:
-            covered |= c.support
-    return covered == set(om.ground)
+    return _positive_cover(om.circuit_pairs) == (1 << len(om.ground)) - 1
 
 
 def minty_check(om: OrientedMatroid) -> bool:
     """Each element sits in a positive circuit or a positive cocircuit, never both."""
-    in_circuit: set[int] = set()
-    for c in om.circuits:
-        if c.is_positive:
-            in_circuit |= c.support
-    in_cocircuit: set[int] = set()
-    for c in om.cocircuits:
-        if c.is_positive:
-            in_cocircuit |= c.support
-    universe = set(om.ground)
-    return (in_circuit | in_cocircuit == universe) and not (in_circuit & in_cocircuit)
+    in_circuit = _positive_cover(om.circuit_pairs)
+    in_cocircuit = _positive_cover(om.cocircuit_pairs)
+    return in_circuit | in_cocircuit == (1 << len(om.ground)) - 1 and not in_circuit & in_cocircuit
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ def validate(m: OrientedMatroid, mprime: OrientedMatroid) -> ValidationReport:
     """
     if m.ground != mprime.ground:
         raise PerspectiveError("the two matroids must share the same ordered ground set")
-    circuits, cocircuits = m.masks("circuits"), mprime.masks("cocircuits")
+    circuits, cocircuits = m.circuit_pairs, mprime.cocircuit_pairs
     weak_at = oriented_at = None
     for i, (c_pos, c_sup) in enumerate(circuits):
         for j, (d_pos, d_sup) in enumerate(cocircuits):
@@ -67,7 +67,7 @@ def validate(m: OrientedMatroid, mprime: OrientedMatroid) -> ValidationReport:
             break
 
     def witness(at):
-        return None if at is None else (m.circuits[at[0]], mprime.cocircuits[at[1]])
+        return None if at is None else (m.signed(circuits[at[0]]), mprime.signed(cocircuits[at[1]]))
 
     return ValidationReport(weak_at is None, oriented_at is None,
                             witness(weak_at), witness(oriented_at))
@@ -117,24 +117,25 @@ class Perspective:
         return f"Perspective(|E|={len(self.ground)}, rank_drop={self.rank_drop()})"
 
 
-def identity_perspective(m: OrientedRealization | OrientedMatroid,
-                         force: bool = False) -> Perspective:
+def identity_perspective(m: OrientedRealization | OrientedMatroid) -> Perspective:
     """The perspective M -> M, built once per oriented matroid."""
-    om = m if isinstance(m, OrientedMatroid) else OrientedMatroid.from_realization(m, force=force)
+    om = m if isinstance(m, OrientedMatroid) else OrientedMatroid(m)
     return om.memo("identity", lambda: Perspective(om, om))
 
 
-def from_major(n: OrientedRealization, c: Iterable[int], force: bool = False) -> Perspective:
-    """Delete/contract factorization: M = n with c deleted, M' = n with c contracted."""
+def _contraction_set(n: OrientedRealization, c: Iterable[int]) -> frozenset[int]:
+    """``c`` as a set of n's labels, checked to leave a nonempty ground set."""
     c = frozenset(c)
-    for e in c:
-        n.index_of(e)
+    n.mask_of(c)
     if c == set(n.ground):
         raise PerspectiveError("cannot contract the whole ground set; E would be empty")
-    m_real = n.delete_many(c)
-    mprime_real = n.contract_many(c)
-    return Perspective(OrientedMatroid.from_realization(m_real, force=force),
-                       OrientedMatroid.from_realization(mprime_real, force=force))
+    return c
+
+
+def from_major(n: OrientedRealization, c: Iterable[int]) -> Perspective:
+    """Delete/contract factorization: M = n with c deleted, M' = n with c contracted."""
+    c = _contraction_set(n, c)
+    return Perspective(OrientedMatroid(n.delete_many(c)), OrientedMatroid(n.contract_many(c)))
 
 
 def tutte3_closed(p: Perspective) -> Polynomial:
@@ -161,13 +162,12 @@ def tutte3_closed(p: Perspective) -> Polynomial:
     return total
 
 
-def bounded_perspective(m: OrientedRealization, e: int, force: bool = False) -> Perspective:
+def bounded_perspective(m: OrientedRealization, e: int) -> Perspective:
     """Perspective onto the contraction by ``e`` extended by a loop at e's slot.
 
     Requires e to be neither a loop nor an isthmus, mirroring the
     bounded-region / bipolar-orientation construction.
     """
-    m.rank_table(force)  # admitted here: is_loop and is_isthmus read the table unforced
     if m.is_loop(e):
         raise PerspectiveError(f"element {e} is a loop; a non-factor element is required")
     if m.is_isthmus(e):
@@ -176,8 +176,7 @@ def bounded_perspective(m: OrientedRealization, e: int, force: bool = False) -> 
     pos = m.index_of(e)
     rows = [row[:pos] + (Fraction(0),) + row[pos:] for row in contracted.matrix]
     mprime_real = m._derived(m.ground, rows, lambda t: _loop_table(t, pos))
-    return Perspective(OrientedMatroid.from_realization(m, force=force),
-                       OrientedMatroid.from_realization(mprime_real, force=force))
+    return Perspective(OrientedMatroid(m), OrientedMatroid(mprime_real))
 
 
 # -- perspective file format ----------------------------------------------------
@@ -191,9 +190,9 @@ def _parse_payload(fmt: str, text: str) -> OrientedRealization:
 
 
 def parse_perspective(text: str, force: bool = False) -> Perspective:
-    """Parse the perspective file format.
+    """Parse the perspective file format, admitting its roots' tables with ``force``.
 
-    Either::
+    The roots are the major, or both matroids of a pair.  Either::
 
         major: <digraph|matrix>
         ...payload lines...
@@ -236,7 +235,9 @@ def parse_perspective(text: str, force: bool = False) -> Perspective:
         except ValueError:
             raise InputFormatError(f"bad contract labels {labels_text!r}")
         major = _parse_payload(fmt, "\n".join(payload))
-        return from_major(major, labels, force=force)
+        labels = _contraction_set(major, labels)  # a bad label is reported before the guard
+        major.rank_table(force)
+        return from_major(major, labels)
     if header.startswith("pair:"):
         fmts = header.split(":", 1)[1].split()
         if len(fmts) == 1:
@@ -255,6 +256,7 @@ def parse_perspective(text: str, force: bool = False) -> Perspective:
         mp_real = _parse_payload(fmts[1], "\n".join(chunks[1]))
         if m_real.ground != mp_real.ground:
             raise PerspectiveError("the two inputs must share the same ordered ground set")
-        return Perspective(OrientedMatroid.from_realization(m_real, force=force),
-                           OrientedMatroid.from_realization(mp_real, force=force))
+        m_real.rank_table(force)
+        mp_real.rank_table(force)
+        return Perspective(OrientedMatroid(m_real), OrientedMatroid(mp_real))
     raise InputFormatError("perspective file must start with 'major:' or 'pair:'")

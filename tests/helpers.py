@@ -79,6 +79,14 @@ def oracle_signed_circuits(m: OrientedRealization) -> set[tuple[frozenset, froze
     return family
 
 
+def family_set(ground, pairs) -> set[tuple[frozenset, frozenset]]:
+    """(positive, negative) label sets of a family's (positive, support) bitmask pairs."""
+    def labels(mask):
+        return frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
+
+    return {(labels(pos), labels(sup ^ pos)) for pos, sup in pairs}
+
+
 def oracle_validate(m, mprime) -> ValidationReport:
     """The strong-map checks as two pairwise scans over frozenset supports.
 
@@ -301,8 +309,8 @@ def oracle_expansion(p) -> tuple[list[int], list[int], Counter]:
                 out |= min_bit
         return out
 
-    circuits = pack(p.m.masks("circuits"))
-    cocircuits = pack(p.mprime.masks("cocircuits"))
+    circuits = pack(p.m.circuit_pairs)
+    cocircuits = pack(p.mprime.cocircuit_pairs)
     active, dual, histogram = [], [], Counter()
     for a in range(1 << len(ground)):
         act = active_min_mask(circuits, a)

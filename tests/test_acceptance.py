@@ -219,7 +219,7 @@ def test_criterion_8_dual_and_complement_invariants(digraph_sweep):
     for _, p, report in digraph_sweep[0]:
         om = p.m
         _, ostar_direct = orientation_active_sets(om)
-        dual_om = OrientedMatroid.from_realization(om.realization.dual())
+        dual_om = OrientedMatroid(om.realization.dual())
         o_dual, _ = orientation_active_sets(dual_om)
         ok = ok and ostar_direct == o_dual
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from omtutte import cli, oriented, perspective
+from omtutte import cli, gallery, oriented, perspective
 from omtutte.expansions import ExpansionReport
 
 TRIANGLE = "1 a b\n2 b c\n3 c a\n"
@@ -119,10 +119,24 @@ def test_derivative_prints_both_sides(tmp_path, capsys):
 
 def test_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.dg"
-    path.write_text("1 a\n")
-    code, _, err = run_cli(capsys, "tutte", "--input", str(path))
-    assert code == 2
-    assert "line 1" in err
+    for content, message in [(b"1 a\n", "line 1"),
+                             (b"1 a b\n2 b \xff\n", "'utf-8' codec can't decode byte 0xff")]:
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "tutte", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert message in err
+
+
+@pytest.mark.parametrize("order", [["-p", "-1"], ["-q", "-1"]])
+def test_negative_derivative_order_exits_two(tmp_path, capsys, order):
+    path = tmp_path / "d.dg"
+    path.write_text(DOUBLED)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["derivative", *order, "--input", str(path)])
+    assert exc.value.code == 2
+    assert "derivative orders must be non-negative" in capsys.readouterr().err
 
 
 def test_missing_file_exits_two(tmp_path, capsys):
@@ -221,3 +235,31 @@ def test_count_disagreement_exits_one(tmp_path, capsys, monkeypatch, kind, sourc
     code, skewed, _ = run_cli(capsys, "count", kind, "--input", str(path), "--format", fmt)
     assert code == 1
     assert skewed != out
+
+
+def _count_family_builds(monkeypatch):
+    calls = []
+    real = oriented.signed_circuits
+    monkeypatch.setattr(oriented, "signed_circuits",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+def test_families_are_built_only_where_read(tmp_path, capsys, monkeypatch):
+    digraph, contract = gallery.bridged_triangle_major()
+    path = tmp_path / "bridged.persp"
+    path.write_text("major: digraph\n"
+                    + "".join(f"{label} {tail} {head}\n" for label, tail, head in digraph.arcs)
+                    + "contract: " + " ".join(map(str, sorted(contract))) + "\n")
+    calls = _count_family_builds(monkeypatch)
+    # validation reads only M's circuits and M''s cocircuits: one build each
+    code, _, _ = run_cli(capsys, "tutte3", "--input", str(path), "--format", "perspective")
+    assert code == 0
+    assert len(calls) == 2
+    # verify adds the same two families of the four minors at the greatest element;
+    # building every family of every matroid made 12 calls
+    calls.clear()
+    code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--format", "perspective")
+    assert code == 0
+    assert out.endswith("deletion/contraction recursion: pass\n")
+    assert len(calls) == 6

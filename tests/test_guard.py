@@ -1,7 +1,10 @@
 """The enumeration guard: checked once, where a root rank table is built."""
 
+import inspect
+
 import pytest
 
+import omtutte
 from omtutte import cli, matroid
 from omtutte.expansions import count_acyclic, count_basic_orientations
 from omtutte.matroid import (
@@ -67,28 +70,52 @@ def test_major_is_counted_not_the_perspective(no_table_built):
         from_major(major21(), {20, 21})
 
 
-# every function that still takes ``force``: each forwards it to ``rank_table``
-KEEPS_FORCE = {
-    "rank_table": lambda m, **kw: m.rank_table(**kw),
-    "tutte_closed": tutte_closed,
-    "bases": bases,
-    "tutte_bases": tutte_bases,
-    "signed_circuits": signed_circuits,
-    "signed_cocircuits": signed_cocircuits,
-    "from_realization": OrientedMatroid.from_realization,
-    "identity_perspective": identity_perspective,
-    "from_major": lambda m, **kw: from_major(m, {20, 21}, **kw),
-    "bounded_perspective": lambda m, **kw: bounded_perspective(m, 1, **kw),
-    "parse_perspective": lambda m, **kw: parse_perspective(MAJOR21, **kw),
-    "count_acyclic": count_acyclic,
-    "count_basic_orientations": count_basic_orientations,
-}
+# entry points that read a root table; none is given ``force``
+ENTRY_POINTS = [
+    ("rank_table", lambda m: m.rank_table()),
+    ("tutte_closed", tutte_closed),
+    ("bases", bases),
+    ("tutte_bases", tutte_bases),
+    ("signed_circuits", signed_circuits),
+    ("signed_cocircuits", signed_cocircuits),
+    ("circuit_pairs", lambda m: OrientedMatroid(m).circuit_pairs),
+    ("identity_perspective", identity_perspective),
+    ("from_major", lambda m: from_major(m, {20, 21})),
+    ("bounded_perspective", lambda m: bounded_perspective(m, 1)),
+    ("parse_perspective", lambda m: parse_perspective(MAJOR21)),
+    ("count_acyclic", count_acyclic),
+    ("count_basic_orientations", count_basic_orientations),
+]
 
 
-@pytest.mark.parametrize("name", sorted(KEEPS_FORCE))
-def test_guard_fires_before_any_table_is_built(no_table_built, name):
+@pytest.mark.parametrize("entry", [entry for _, entry in ENTRY_POINTS],
+                         ids=[name for name, _ in ENTRY_POINTS])
+def test_guard_fires_before_any_table_is_built(no_table_built, entry):
     with pytest.raises(EnumerationGuardError, match="ground set has 21 elements"):
-        KEEPS_FORCE[name](major21())
+        entry(major21())
+
+
+def test_force_is_taken_only_where_a_root_table_is_admitted():
+    functions = []
+    for module in (cli, matroid, omtutte.oriented, omtutte.perspective, omtutte.expansions):
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            functions.append((name, value))
+            if inspect.isclass(value):
+                functions += [(f"{name}.{attr}", getattr(member, "__func__", member))
+                              for attr, member in vars(value).items()]
+    found = {name for name, value in functions if inspect.isfunction(value)
+             and "force" in inspect.signature(value).parameters}
+    assert found == {"OrientedRealization.rank_table", "parse_perspective"}
+
+
+def test_oriented_matroid_reads_no_table_until_a_family_is_read(no_table_built):
+    om = OrientedMatroid(major21())
+    derived = om.reorient({1, 2}).dual().minor_delete(21)
+    assert repr(derived) == "OrientedMatroid(|E|=20, reoriented=[])"
+    with pytest.raises(EnumerationGuardError, match="ground set has 21 elements"):
+        derived.cocircuit_pairs
 
 
 def test_rank_is_guarded_on_the_root(no_table_built):
@@ -101,9 +128,11 @@ def test_rank_is_guarded_on_the_root(no_table_built):
 
 
 def test_bounded_perspective_admits_before_loop_test():
-    # with force, the loop test reads the admitted table instead of hitting the guard
+    # once the caller admits the table, the loop test reads it instead of hitting the guard
+    m = wide_with_loop()
+    m.rank_table(force=True)
     with pytest.raises(PerspectiveError, match="element 21 is a loop"):
-        bounded_perspective(wide_with_loop(), 21, force=True)
+        bounded_perspective(m, 21)
 
 
 def test_repr_builds_no_table(no_table_built):

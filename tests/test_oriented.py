@@ -24,7 +24,9 @@ from omtutte import gallery
 
 from helpers import (
     every_arc_on_directed_cycle,
+    family_set,
     has_directed_cycle,
+    oracle_signed_circuits,
     random_digraph,
     random_realization,
 )
@@ -35,46 +37,50 @@ def ss(pos=(), neg=()):
 
 
 def om_of(digraph):
-    return OrientedMatroid.from_realization(from_digraph(digraph))
+    return OrientedMatroid(from_digraph(digraph))
 
 
-def family_set(family):
-    return {(s.positive, s.negative) for s in family}
+def signs(*subsets):
+    return {(s.positive, s.negative) for s in subsets}
 
 
 # -- circuit and cocircuit enumeration ------------------------------------------
 
+def circuit_set(digraph):
+    m = from_digraph(digraph)
+    return family_set(m.ground, signed_circuits(m))
+
+
+def cocircuit_set(digraph):
+    m = from_digraph(digraph)
+    return family_set(m.ground, signed_cocircuits(m))
+
+
 def test_parallel_pair_circuits():
-    circuits = signed_circuits(from_digraph(gallery.parallel_pair()))
-    assert family_set(circuits) == family_set([ss({1}, {2}), ss({2}, {1})])
+    assert circuit_set(gallery.parallel_pair()) == signs(ss({1}, {2}), ss({2}, {1}))
 
 
 def test_loop_circuits():
-    circuits = signed_circuits(from_digraph(gallery.single_loop()))
-    assert family_set(circuits) == family_set([ss({1}), ss((), {1})])
+    assert circuit_set(gallery.single_loop()) == signs(ss({1}), ss((), {1}))
 
 
 def test_triangle_circuits_all_positive():
-    circuits = signed_circuits(from_digraph(gallery.directed_triangle()))
-    assert family_set(circuits) == family_set([ss({1, 2, 3}), ss((), {1, 2, 3})])
+    assert circuit_set(gallery.directed_triangle()) == signs(ss({1, 2, 3}), ss((), {1, 2, 3}))
 
 
 def test_parallel_pair_cocircuits():
-    cocircuits = signed_cocircuits(from_digraph(gallery.parallel_pair()))
-    assert family_set(cocircuits) == family_set([ss({1, 2}), ss((), {1, 2})])
+    assert cocircuit_set(gallery.parallel_pair()) == signs(ss({1, 2}), ss((), {1, 2}))
 
 
 def test_isthmus_cocircuits():
-    cocircuits = signed_cocircuits(from_digraph(gallery.single_arc()))
-    assert family_set(cocircuits) == family_set([ss({1}), ss((), {1})])
+    assert cocircuit_set(gallery.single_arc()) == signs(ss({1}), ss((), {1}))
 
 
 def test_triangle_cocircuits_are_vertex_cuts():
-    cocircuits = signed_cocircuits(from_digraph(gallery.directed_triangle()))
     expected = []
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         expected += [ss({i}, {j}), ss({j}, {i})]
-    assert family_set(cocircuits) == family_set(expected)
+    assert cocircuit_set(gallery.directed_triangle()) == signs(*expected)
 
 
 def test_signed_subset_disjointness_enforced():
@@ -87,7 +93,7 @@ def test_signed_subset_disjointness_enforced():
 def test_reorient_flips_circuit_signs():
     om = om_of(gallery.parallel_pair())
     flipped = om.reorient({2})
-    assert family_set(flipped.circuits) == family_set([ss({1, 2}), ss((), {1, 2})])
+    assert family_set(om.ground, flipped.circuit_pairs) == signs(ss({1, 2}), ss((), {1, 2}))
 
 
 def test_reorient_empty_is_identity():
@@ -98,16 +104,16 @@ def test_reorient_empty_is_identity():
 def test_reorient_twice_is_identity():
     om = om_of(gallery.doubled_triangle())
     twice = om.reorient({1, 3}).reorient({1, 3})
-    assert family_set(twice.circuits) == family_set(om.circuits)
-    assert family_set(twice.cocircuits) == family_set(om.cocircuits)
+    assert twice.circuit_pairs == om.circuit_pairs
+    assert twice.cocircuit_pairs == om.cocircuit_pairs
     assert twice.reorientation == frozenset()
 
 
 def test_reorient_full_ground_preserves_families():
     om = om_of(gallery.directed_triangle())
     full = om.reorient(set(om.ground))
-    assert family_set(full.circuits) == family_set(om.circuits)
-    assert family_set(full.cocircuits) == family_set(om.cocircuits)
+    assert full.circuit_pairs == om.circuit_pairs
+    assert full.cocircuit_pairs == om.cocircuit_pairs
 
 
 def test_reorient_unknown_label_errors():
@@ -119,12 +125,17 @@ def test_reoriented_families_match_recomputation():
     rng = random.Random(61)
     for _ in range(8):
         m = from_digraph(random_digraph(rng))
-        om = OrientedMatroid.from_realization(m)
+        om = OrientedMatroid(m)
         a = frozenset(e for e in m.ground if rng.random() < 0.5)
         flipped = om.reorient(a)
-        fresh = OrientedMatroid.from_realization(flipped.realization)
-        assert family_set(flipped.circuits) == family_set(fresh.circuits)
-        assert family_set(flipped.cocircuits) == family_set(fresh.cocircuits)
+        negated = m.negate_columns(a)
+        assert family_set(m.ground, flipped.circuit_pairs) == oracle_signed_circuits(negated)
+        assert family_set(m.ground, flipped.cocircuit_pairs) == \
+            oracle_signed_circuits(negated.dual())
+        # the family order survives reorientation: support labels, then positive labels
+        assert [s.support for s in flipped.circuits] == [s.support for s in om.circuits]
+        assert list(flipped.circuits) == sorted(
+            flipped.circuits, key=lambda s: (sorted(s.support), sorted(s.positive)))
 
 
 # -- orientation activities -------------------------------------------------------
@@ -201,10 +212,10 @@ def _random_oms(count, seed, graphic_only=False):
     for _ in range(count):
         if graphic_only or rng.random() < 0.5:
             g = random_digraph(rng)
-            out.append((g, OrientedMatroid.from_realization(from_digraph(g))))
+            out.append((g, OrientedMatroid(from_digraph(g))))
         else:
             m = random_realization(rng, max_rows=3, max_cols=6)
-            out.append((None, OrientedMatroid.from_realization(m)))
+            out.append((None, OrientedMatroid(m)))
     return out
 
 
@@ -234,8 +245,10 @@ def test_dual_activity_exchange():
         o_dual, ostar_dual = orientation_active_sets(om.dual())
         assert ostar == o_dual
         assert o == ostar_dual
-        fresh = OrientedMatroid.from_realization(om.realization.dual())
-        assert family_set(fresh.circuits) == family_set(om.cocircuits)
+        dual = om.dual()
+        assert family_set(om.ground, dual.circuit_pairs) == \
+            oracle_signed_circuits(om.realization.dual())
+        assert family_set(om.ground, dual.cocircuit_pairs) == oracle_signed_circuits(om.realization)
 
 
 def test_complement_reorientation_swaps_barred_activities():

@@ -33,7 +33,7 @@ def path_to_parallel():
 
 
 def om(realization):
-    return OrientedMatroid.from_realization(realization)
+    return OrientedMatroid(realization)
 
 
 def family_set(family):

@@ -7,11 +7,13 @@ from omtutte.matroid import OrientedRealization, from_digraph
 from omtutte.oriented import signed_circuits, signed_cocircuits
 from omtutte.perspective import bounded_perspective
 
-from helpers import oracle_rank, oracle_signed_circuits, random_digraph, random_realization
-
-
-def family_set(family):
-    return {(s.positive, s.negative) for s in family}
+from helpers import (
+    family_set,
+    oracle_rank,
+    oracle_signed_circuits,
+    random_digraph,
+    random_realization,
+)
 
 
 def seeded_instances(seed):
@@ -45,8 +47,8 @@ def fresh(m):
 def test_signed_families_match_subset_scan_oracle():
     _, instances = seeded_instances(9001)
     for m in instances:
-        assert family_set(signed_circuits(m)) == oracle_signed_circuits(m)
-        assert family_set(signed_cocircuits(m)) == oracle_signed_circuits(m.dual())
+        assert family_set(m.ground, signed_circuits(m)) == oracle_signed_circuits(m)
+        assert family_set(m.ground, signed_cocircuits(m)) == oracle_signed_circuits(m.dual())
 
 
 def test_rank_table_matches_minor_oracle():
