@@ -8,7 +8,6 @@ could not be parsed or validated.  Output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .matroid import (
@@ -82,6 +81,12 @@ def _load(args) -> tuple[OrientedRealization | None, Perspective | None]:
     return realization, None
 
 
+def _print_json(obj) -> None:
+    import json  # only JSON output pays for its import
+
+    print(json.dumps(obj, indent=2, sort_keys=True))
+
+
 def _fraction_text(value) -> str:
     return str(int(value)) if value.denominator == 1 else str(value)
 
@@ -107,7 +112,7 @@ def run(args) -> int:
     if args.command == "activities":
         report = expansion_sum(perspective)
         if args.json:
-            print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+            _print_json(report.to_json_dict())
         else:
             sys.stdout.write(report.to_tsv())
         return 0
@@ -115,26 +120,22 @@ def run(args) -> int:
     if args.command == "verify":
         report = expansion_sum(perspective)
         if not report.passed:
-            print(json.dumps({
-                "check": "expansion identity",
-                "expected": str(report.reference),
-                "actual": str(report.total),
-            }, indent=2, sort_keys=True))
+            _print_json({"check": "expansion identity",
+                         "expected": str(report.reference),
+                         "actual": str(report.total)})
             return 1
         suite = specialization_suite(perspective, report=report)
         if not suite.passed:
-            print(json.dumps({
-                "check": "specialization suite",
-                "expected": str(suite.tutte),
-                "actual": str(suite.interpolation),
-            }, indent=2, sort_keys=True))
+            _print_json({"check": "specialization suite",
+                         "expected": str(suite.tutte),
+                         "actual": str(suite.interpolation)})
             return 1
         case = dichotomy_case(perspective) if perspective.ground else DichotomyCase.BOTH
         dc_ok = deletion_contraction_check(perspective, report=report)
         if not dc_ok:
-            print(json.dumps({"check": "deletion/contraction recursion",
-                              "expected": "minor sums to match",
-                              "actual": "mismatch"}, indent=2, sort_keys=True))
+            _print_json({"check": "deletion/contraction recursion",
+                         "expected": "minor sums to match",
+                         "actual": "mismatch"})
             return 1
         lines = [
             "expansion identity: pass",
@@ -143,10 +144,8 @@ def run(args) -> int:
             "deletion/contraction recursion: pass",
         ]
         if args.json:
-            print(json.dumps({"pass": True, "dichotomy_case": case.value,
-                              "sum": str(report.total),
-                              "reference": str(report.reference)},
-                             indent=2, sort_keys=True))
+            _print_json({"pass": True, "dichotomy_case": case.value,
+                         "sum": str(report.total), "reference": str(report.reference)})
         else:
             print("\n".join(lines))
         return 0
@@ -183,10 +182,8 @@ def run(args) -> int:
         formal = tutte3_closed(perspective).substitute({"z": 1})
         formal = formal.partial_derivative("x", args.p).partial_derivative("y", args.q)
         if args.json:
-            print(json.dumps({"activity": str(activity_side),
-                              "formal": str(formal),
-                              "equal": activity_side == formal},
-                             indent=2, sort_keys=True))
+            _print_json({"activity": str(activity_side), "formal": str(formal),
+                         "equal": activity_side == formal})
         else:
             print(f"activity side: {activity_side}")
             print(f"formal derivative: {formal}")
@@ -205,8 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run(args)
     except IdentityError as exc:
-        print(json.dumps({"check": "exact identity", "error": str(exc)},
-                         indent=2, sort_keys=True))
+        _print_json({"check": "exact identity", "error": str(exc)})
         return 1
     except (MatroidError, PolynomialParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,10 +16,9 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .matroid import MatroidError, OrientedRealization
 from .oriented import (
@@ -135,7 +134,6 @@ _COLUMNS = ("A", "dual_active", "active", "dual_out", "dual_in",
             "active_out", "active_in", "monomial")
 
 
-@dataclass(frozen=True)
 class ExpansionReport:
     """One reorientation sweep of a perspective, in binary counting order.
 
@@ -147,10 +145,12 @@ class ExpansionReport:
     with exponents (x, u, y, v).  Everything else is derived when read.
     """
 
-    perspective: Perspective
-    active: Sequence[int]
-    dual: Sequence[int]
-    histogram: Counter
+    def __init__(self, perspective: Perspective, active: Sequence[int], dual: Sequence[int],
+                 histogram: Counter):
+        self.perspective = perspective
+        self.active = active
+        self.dual = dual
+        self.histogram = histogram
 
     @property
     def rows(self) -> Sequence[ActivityRecord]:
@@ -271,8 +271,7 @@ def doubling_expansion(p: Perspective) -> Polynomial:
                     lambda d_out, d_in, a_out, a_in: (d_out + d_in, a_out + a_in))
 
 
-@dataclass(frozen=True)
-class SpecializationReport:
+class SpecializationReport(NamedTuple):
     """Two-variable consequences read off the sweep's histogram."""
 
     tutte: Polynomial

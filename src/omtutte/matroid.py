@@ -14,9 +14,8 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .poly import Polynomial, X, Y, ONE
 
@@ -168,8 +167,7 @@ def _integer_kernel(rows: Sequence[IntVector], ncols: int) -> list[list[int]]:
 
 # -- digraphs -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(NamedTuple):
     """Arc-labelled directed multigraph; loops permitted, labels distinct."""
 
     vertices: tuple
@@ -429,8 +427,7 @@ def bases(m: OrientedRealization) -> list[frozenset[int]]:
             if table[sum(1 << i for i in combo)] == r]
 
 
-@dataclass(frozen=True)
-class BasisActivity:
+class BasisActivity(NamedTuple):
     internal: frozenset[int]
     external: frozenset[int]
 

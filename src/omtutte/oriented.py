@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .matroid import (
     MatroidError,
@@ -27,16 +26,16 @@ from .poly import Monomial
 Pairs = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class SignedSubset:
+class SignedSubset(NamedTuple("SignedSubset", [("positive", frozenset[int]),
+                                               ("negative", frozenset[int])])):
     """Disjoint positive/negative element sets; circuits have nonempty support."""
 
-    positive: frozenset[int]
-    negative: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.positive & self.negative:
+    def __new__(cls, positive: frozenset[int], negative: frozenset[int]) -> "SignedSubset":
+        if positive & negative:
             raise MatroidError("positive and negative parts must be disjoint")
+        return super().__new__(cls, positive, negative)
 
     @classmethod
     def make(cls, positive: Iterable[int] = (), negative: Iterable[int] = ()) -> "SignedSubset":
@@ -228,8 +227,7 @@ def minty_check(om: OrientedMatroid) -> bool:
     return in_circuit | in_cocircuit == (1 << len(om.ground)) - 1 and not in_circuit & in_cocircuit
 
 
-@dataclass(frozen=True)
-class ActivityRecord:
+class ActivityRecord(NamedTuple):
     """Activity data of one reorientation A, plus its monomial contribution.
 
     ``active`` and ``dual_active`` are the active sets of the reoriented

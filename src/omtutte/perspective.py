@@ -10,9 +10,8 @@ shares a nonempty all-equal-sign intersection with a signed cocircuit of M'
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .matroid import (
     Digraph,
@@ -31,8 +30,7 @@ class PerspectiveError(MatroidError):
     """The supplied pair is not a matroid perspective."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     weak: bool
     oriented: bool
     weak_witness: tuple[SignedSubset, SignedSubset] | None = None

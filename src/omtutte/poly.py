@@ -12,9 +12,8 @@ floating point anywhere, so identity checks are fully reliable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 VARIABLES = ("x", "u", "y", "v", "z")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -37,21 +36,21 @@ def _check_variable(name: str) -> int:
     return _VAR_INDEX[name]
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple("Monomial", [("exps", tuple[int, ...])])):
     """A product of variable powers, stored as one exponent per variable.
 
     Exponents are kept in VARIABLES order; variables with exponent 0 are
     absent from the mapping view returned by :meth:`exponents`.
     """
 
-    exps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.exps) != _NVARS:
-            raise ValueError(f"expected {_NVARS} exponents, got {len(self.exps)}")
-        if any(e < 0 for e in self.exps):
+    def __new__(cls, exps: tuple[int, ...]) -> "Monomial":
+        if len(exps) != _NVARS:
+            raise ValueError(f"expected {_NVARS} exponents, got {len(exps)}")
+        if any(e < 0 for e in exps):
             raise ValueError("negative exponent in monomial")
+        return super().__new__(cls, exps)
 
     @classmethod
     def one(cls) -> "Monomial":
