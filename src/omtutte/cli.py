@@ -9,34 +9,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from .matroid import (
+    IdentityError,
     MatroidError,
     OrientedRealization,
+    _parse_payload,
     bases,
     tutte_closed,
 )
-from .perspective import (
-    Perspective,
-    _parse_payload,
-    identity_perspective,
-    parse_perspective,
-    tutte3_closed,
-)
-from .expansions import (
-    DichotomyCase,
-    IdentityError,
-    count_acyclic,
-    count_basic_orientations,
-    count_bounded,
-    deletion_contraction_check,
-    derivative_expansion,
-    expansion_sum,
-    dichotomy_case,
-    signed_sum,
-    specialization_suite,
-)
 from .poly import PolynomialParseError
+
+if TYPE_CHECKING:
+    from .perspective import Perspective
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,6 +61,8 @@ def _load(args) -> tuple[OrientedRealization | None, Perspective | None]:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     if args.format == "perspective":
+        from .perspective import parse_perspective
+
         return None, parse_perspective(text, force=args.force)
     realization = _parse_payload(args.format, text)
     realization.rank_table(force=args.force)
@@ -87,18 +75,39 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _fraction_text(value) -> str:
-    return str(int(value)) if value.denominator == 1 else str(value)
+def _exact(value):
+    """An exact count: an int when it is integral, else the text of the Fraction."""
+    return int(value) if value.denominator == 1 else str(value)
 
 
 def run(args) -> int:
+    # import only the modules this command runs (start-up dominates small jobs), before any work
+    if args.command != "tutte":
+        from .perspective import identity_perspective, tutte3_closed
+    if args.command not in ("tutte", "tutte3"):
+        from .expansions import (
+            DichotomyCase,
+            count_acyclic,
+            count_basic_orientations,
+            count_bounded,
+            deletion_contraction_check,
+            derivative_expansion,
+            dichotomy_case,
+            expansion_sum,
+            signed_sum,
+            specialization_suite,
+        )
     realization, perspective = _load(args)
 
     if args.command == "tutte":
         if realization is None:
             raise MatroidError("tutte needs a digraph or matrix input; "
                                "use tutte3 for perspectives")
-        print(tutte_closed(realization))
+        t = tutte_closed(realization)
+        if args.json:
+            _print_json(str(t))
+        else:
+            print(t)
         return 0
 
     # every other command reads a validated perspective; a matroid input is M -> M
@@ -106,7 +115,11 @@ def run(args) -> int:
         perspective = identity_perspective(realization)
 
     if args.command == "tutte3":
-        print(tutte3_closed(perspective))
+        t = tutte3_closed(perspective)
+        if args.json:
+            _print_json(str(t))
+        else:
+            print(t)
         return 0
 
     if args.command == "activities":
@@ -114,7 +127,7 @@ def run(args) -> int:
         if args.json:
             _print_json(report.to_json_dict())
         else:
-            sys.stdout.write(report.to_tsv())
+            sys.stdout.writelines(report.tsv_blocks())
         return 0
 
     if args.command == "verify":
@@ -151,29 +164,30 @@ def run(args) -> int:
         return 0
 
     if args.command == "count":
+        # each side is a tuple of exact values that must all equal the count
         if args.kind == "acyclic":
             if realization is None:
                 raise MatroidError("count acyclic needs a digraph or matrix input")
             value = count_acyclic(perspective.m)
-            t20 = tutte_closed(realization).evaluate({"x": 2, "y": 0})
-            print(f"{value} (t(2,0)={_fraction_text(t20)})")
-            agree = value == t20
+            sides = {"t(2,0)": (tutte_closed(realization).evaluate({"x": 2, "y": 0}),)}
         elif args.kind == "bounded":
             report = expansion_sum(perspective)
             value = count_bounded(perspective, report=report)
-            t = tutte3_closed(perspective)
-            ssum = signed_sum(perspective, report=report)
-            t001 = t.evaluate({"x": 0, "y": 0, "z": 1})
-            print(f"{value} (t(0,0,1)={_fraction_text(t001)}, signed sum={ssum})")
-            agree = value == t001 == ssum
+            sides = {"t(0,0,1)": (tutte3_closed(perspective).evaluate({"x": 0, "y": 0, "z": 1}),),
+                     "signed sum": (signed_sum(perspective, report=report),)}
         else:
             if realization is None:
                 raise MatroidError("count bases needs a digraph or matrix input")
-            nbases = len(bases(realization))
-            out_free, in_free = count_basic_orientations(perspective.m)
-            t11 = tutte_closed(realization).evaluate({"x": 1, "y": 1})
-            print(f"{nbases} (t(1,1)={_fraction_text(t11)}, basic orientations={out_free},{in_free})")
-            agree = nbases == t11 == out_free == in_free
+            value = len(bases(realization))
+            sides = {"t(1,1)": (tutte_closed(realization).evaluate({"x": 1, "y": 1}),),
+                     "basic orientations": count_basic_orientations(perspective.m)}
+        agree = all(side == value for values in sides.values() for side in values)
+        exact = {name: [_exact(side) for side in values] for name, values in sides.items()}
+        if args.json:
+            _print_json({"value": value, "sides": exact, "agree": agree})
+        else:
+            shown = (f"{name}={','.join(map(str, values))}" for name, values in exact.items())
+            print(f"{value} ({', '.join(shown)})")
         return 0 if agree else 1
 
     if args.command == "derivative":

@@ -11,6 +11,7 @@ formula shifted by x -> x+u, y -> y+v, never the sweep itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from array import array
@@ -20,7 +21,7 @@ from enum import Enum
 from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .matroid import MatroidError, OrientedRealization
+from .matroid import IdentityError, MatroidError, OrientedRealization
 from .oriented import (
     ActivityRecord,
     OrientedMatroid,
@@ -28,10 +29,6 @@ from .oriented import (
 )
 from .perspective import Perspective, identity_perspective, tutte3_closed
 from .poly import Monomial, Polynomial, X, U, Y, V, ONE
-
-
-class IdentityError(AssertionError):
-    """An exact identity that must hold for valid input failed; signals a bug."""
 
 
 # -- the sweep ------------------------------------------------------------------
@@ -132,6 +129,7 @@ def _key(a_mask: int, active: int, dual: int) -> tuple[int, int, int, int]:
 
 _COLUMNS = ("A", "dual_active", "active", "dual_out", "dual_in",
             "active_out", "active_in", "monomial")
+_BLOCK_ROWS = 4096
 
 
 class ExpansionReport:
@@ -168,7 +166,7 @@ class ExpansionReport:
 
     @cached_property
     def reference(self) -> Polynomial:
-        return self.tutte.substitute({"x": X + U, "y": Y + V})
+        return self.tutte.shifted({"x": "u", "y": "v"})
 
     @property
     def passed(self) -> bool:
@@ -193,10 +191,14 @@ class ExpansionReport:
                    text(dual & ~a) or "-", text(dual & a) or "-", text(act & ~a) or "-",
                    text(act & a) or "-", monomial(_key(a, act, dual))]
 
+    def tsv_blocks(self) -> Iterator[str]:
+        """The TSV table, header first, in blocks of _BLOCK_ROWS lines: one write each."""
+        lines = itertools.chain([_COLUMNS], self._texts())
+        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+            yield "\n".join(map("\t".join, block)) + "\n"
+
     def to_tsv(self) -> str:
-        lines = ["\t".join(_COLUMNS)]
-        lines += ["\t".join(texts) for texts in self._texts()]
-        return "\n".join(lines) + "\n"
+        return "".join(self.tsv_blocks())
 
     def to_json_dict(self) -> dict:
         return {"pass": self.passed, "sum": str(self.total), "reference": str(self.reference),

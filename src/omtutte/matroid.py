@@ -17,13 +17,17 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .poly import Polynomial, X, Y, ONE
+from .poly import Monomial, Polynomial, X, Y
 
 ENUMERATION_GUARD = 20
 
 
 class MatroidError(ValueError):
     pass
+
+
+class IdentityError(AssertionError):
+    """An exact identity that must hold for valid input failed; signals a bug."""
 
 
 class EnumerationGuardError(MatroidError):
@@ -382,6 +386,14 @@ class OrientedRealization:
         return cls(range(1, ncols + 1), rows)
 
 
+def _parse_payload(fmt: str, text: str) -> OrientedRealization:
+    if fmt == "digraph":
+        return from_digraph(Digraph.parse(text))
+    if fmt == "matrix":
+        return OrientedRealization.parse_matrix(text)
+    raise InputFormatError(f"unknown input format {fmt!r}; expected digraph or matrix")
+
+
 def from_digraph(g: Digraph) -> OrientedRealization:
     """Signed incidence realization: +1 at the head row, -1 at the tail row."""
     vrow = {v: i for i, v in enumerate(g.vertices)}
@@ -407,14 +419,9 @@ def tutte_closed(m: OrientedRealization) -> Polynomial:
     n = len(m.ground)
     table = m.rank_table()
     r = table[-1]
-    counts = {(r - ra, size - ra): count
-              for (size, ra), count in Counter(zip(popcounts(n), table)).items()}
-    xm1 = X - ONE
-    ym1 = Y - ONE
-    total = Polynomial.zero()
-    for (i, j), count in sorted(counts.items()):
-        total = total + count * xm1 ** i * ym1 ** j
-    return total
+    counts = Counter(zip(popcounts(n), table))
+    return Polynomial({Monomial.from_exponents({"x": r - ra, "y": size - ra}): count
+                       for (size, ra), count in counts.items()}).shifted({"x": -1, "y": -1})
 
 
 def bases(m: OrientedRealization) -> list[frozenset[int]]:

@@ -14,16 +14,15 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .matroid import (
-    Digraph,
     InputFormatError,
     MatroidError,
     OrientedRealization,
     _loop_table,
-    from_digraph,
+    _parse_payload,
     popcounts,
 )
 from .oriented import OrientedMatroid, SignedSubset
-from .poly import Polynomial, X, Y, Z, ONE
+from .poly import Monomial, Polynomial
 
 
 class PerspectiveError(MatroidError):
@@ -143,7 +142,7 @@ def tutte3_closed(p: Perspective) -> Polynomial:
     table_m, table_mp = m.rank_table(), p.mprime.realization.rank_table()
     r_mp = table_mp[-1]
     drop = table_m[-1] - r_mp
-    counts: dict[tuple[int, int, int], int] = {}
+    counts: dict[Monomial, int] = {}
     for (size, ra, rpa), count in Counter(zip(popcounts(n), table_m, table_mp)).items():
         zexp = drop - (ra - rpa)
         if zexp < 0:
@@ -151,13 +150,8 @@ def tutte3_closed(p: Perspective) -> Polynomial:
             raise PerspectiveError(
                 f"negative z exponent at subset {sorted(m.ground[i] for i in range(n) if first >> i & 1)}; "
                 "the pair violates the strong-map rank axiom")
-        counts[r_mp - rpa, size - ra, zexp] = count
-    xm1 = X - ONE
-    ym1 = Y - ONE
-    total = Polynomial.zero()
-    for (i, j, k), count in sorted(counts.items()):
-        total = total + count * xm1 ** i * ym1 ** j * Z ** k
-    return total
+        counts[Monomial.from_exponents({"x": r_mp - rpa, "y": size - ra, "z": zexp})] = count
+    return Polynomial(counts).shifted({"x": -1, "y": -1})
 
 
 def bounded_perspective(m: OrientedRealization, e: int) -> Perspective:
@@ -178,14 +172,6 @@ def bounded_perspective(m: OrientedRealization, e: int) -> Perspective:
 
 
 # -- perspective file format ----------------------------------------------------
-
-def _parse_payload(fmt: str, text: str) -> OrientedRealization:
-    if fmt == "digraph":
-        return from_digraph(Digraph.parse(text))
-    if fmt == "matrix":
-        return OrientedRealization.parse_matrix(text)
-    raise InputFormatError(f"unknown input format {fmt!r}; expected digraph or matrix")
-
 
 def parse_perspective(text: str, force: bool = False) -> Perspective:
     """Parse the perspective file format, admitting its roots' tables with ``force``.

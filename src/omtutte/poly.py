@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
+from math import comb
 from typing import Mapping, NamedTuple
 
 VARIABLES = ("x", "u", "y", "v", "z")
@@ -232,6 +234,29 @@ class Polynomial:
             result = result + term
         return result
 
+    def shifted(self, shifts: Mapping[str, "str | int"]) -> "Polynomial":
+        """Simultaneously replace each variable w in ``shifts`` by w + its shift, fully expanded.
+
+        A shift is a variable name or an integer.  Each power expands by its
+        binomial coefficients, so no polynomial product is formed.
+        """
+        moves = [(_check_variable(name), shift) for name, shift in shifts.items()]
+        for _, shift in moves:
+            if isinstance(shift, str):
+                _check_variable(shift)
+        out: dict[tuple[int, ...], int] = {}
+        for mono, coeff in self._terms.items():
+            fixed = list(mono.exps)
+            for i, _ in moves:
+                fixed[i] = 0
+            partial = [(tuple(fixed), coeff)]
+            for i, shift in moves:
+                partial = [(tuple(map(int.__add__, exps, step)), c * f)
+                           for exps, c in partial for step, f in _binomial(i, shift, mono.exps[i])]
+            for exps, c in partial:
+                out[exps] = out.get(exps, 0) + c
+        return Polynomial({Monomial(exps): c for exps, c in out.items()})
+
     def evaluate(self, assignment: Mapping[str, "Fraction | int"]) -> Fraction:
         """Exact value at a rational point; every present variable must be bound."""
         values: dict[int, Fraction] = {}
@@ -296,6 +321,26 @@ class Polynomial:
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
         return _parse(text)
+
+
+@cache
+def _binomial(i: int, shift: "str | int", e: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(w_i + shift)^e as (exponents, coefficient) pairs, zero coefficients dropped.
+
+    Cached: a closed sum expands the same few powers once per subset class.
+    """
+    out = []
+    for k in range(e + 1):
+        exps = [0] * _NVARS
+        exps[i] = k
+        if isinstance(shift, str):
+            exps[_VAR_INDEX[shift]] += e - k
+            coeff = comb(e, k)
+        else:
+            coeff = comb(e, k) * shift ** (e - k)
+        if coeff:
+            out.append((tuple(exps), coeff))
+    return tuple(out)
 
 
 def _coerce(value) -> "Polynomial":

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from omtutte.matroid import Digraph, OrientedRealization, from_digraph
 from omtutte.perspective import ValidationReport
+from omtutte.poly import ONE, U, V, X, Y, Z, Polynomial
 
 
 def determinant(rows: list[list[Fraction]]) -> Fraction:
@@ -320,3 +321,33 @@ def oracle_expansion(p) -> tuple[list[int], list[int], Counter]:
         histogram[((co & ~a).bit_count(), (co & a).bit_count(),
                    (act & ~a).bit_count(), (act & a).bit_count())] += 1
     return active, dual, histogram
+
+
+def _subset_counts(*tables: bytes) -> Counter:
+    """How many subsets S share (|S|, r_1(S), r_2(S), ...) over the given rank tables."""
+    return Counter((bin(s).count("1"), *(t[s] for t in tables)) for s in range(len(tables[0])))
+
+
+def oracle_tutte_closed(m: OrientedRealization) -> Polynomial:
+    """The corank-nullity sum by Polynomial powers and products, one term per class."""
+    table = m.rank_table()
+    total = Polynomial.zero()
+    for (size, ra), count in _subset_counts(table).items():
+        total = total + count * (X - ONE) ** (table[-1] - ra) * (Y - ONE) ** (size - ra)
+    return total
+
+
+def oracle_tutte3_closed(p) -> Polynomial:
+    """The 3-variable subset sum by Polynomial powers and products."""
+    table_m, table_mp = p.m.realization.rank_table(), p.mprime.realization.rank_table()
+    drop = table_m[-1] - table_mp[-1]
+    total = Polynomial.zero()
+    for (size, ra, rpa), count in _subset_counts(table_m, table_mp).items():
+        total = total + (count * (X - ONE) ** (table_mp[-1] - rpa) * (Y - ONE) ** (size - ra)
+                         * Z ** (drop - ra + rpa))
+    return total
+
+
+def oracle_reference(p) -> Polynomial:
+    """t(x+u, y+v, 1) by Polynomial substitution of the oracle's t(x, y, z)."""
+    return oracle_tutte3_closed(p).substitute({"z": 1}).substitute({"x": X + U, "y": Y + V})

@@ -1,11 +1,12 @@
 """Command line behaviour: outputs, formats, exit codes, determinism."""
 
+import io
 import json
 from collections import Counter
 
 import pytest
 
-from omtutte import cli, gallery, oriented, perspective
+from omtutte import cli, expansions, gallery, oriented, perspective
 from omtutte.expansions import ExpansionReport
 
 TRIANGLE = "1 a b\n2 b c\n3 c a\n"
@@ -199,7 +200,7 @@ def test_identity_failure_exits_one(tmp_path, capsys, monkeypatch):
     path = tmp_path / "d.dg"
     path.write_text(DOUBLED)
 
-    real = cli.expansion_sum
+    real = expansions.expansion_sum
 
     def falsified(p):
         # one extra A on the constant term: the sum no longer matches the reference
@@ -207,7 +208,7 @@ def test_identity_failure_exits_one(tmp_path, capsys, monkeypatch):
         return ExpansionReport(report.perspective, report.active, report.dual,
                                report.histogram + Counter({(0, 0, 0, 0): 1}))
 
-    monkeypatch.setattr(cli, "expansion_sum", falsified)
+    monkeypatch.setattr(expansions, "expansion_sum", falsified)
     code, out, _ = run_cli(capsys, "verify", "--input", str(path))
     assert code == 1
     diff = json.loads(out)
@@ -225,13 +226,13 @@ def test_count_disagreement_exits_one(tmp_path, capsys, monkeypatch, kind, sourc
     path.write_text(source)
     code, out, _ = run_cli(capsys, "count", kind, "--input", str(path), "--format", fmt)
     assert code == 0
-    real = getattr(cli, patched)
+    real = getattr(expansions, patched)
 
     def off_by_one(*args, **kwargs):
         value = real(*args, **kwargs)
         return (value[0] + 1, value[1]) if isinstance(value, tuple) else value + 1
 
-    monkeypatch.setattr(cli, patched, off_by_one)
+    monkeypatch.setattr(expansions, patched, off_by_one)
     code, skewed, _ = run_cli(capsys, "count", kind, "--input", str(path), "--format", fmt)
     assert code == 1
     assert skewed != out
@@ -263,3 +264,55 @@ def test_families_are_built_only_where_read(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out.endswith("deletion/contraction recursion: pass\n")
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("argv, source, expected", [
+    (["tutte"], DOUBLED, "x^2 + x*y + y^2 + x + y"),
+    (["tutte3", "--format", "perspective"], MAJOR, "x*z + z + 1"),
+    (["count", "acyclic"], TRIANGLE, {"value": 6, "sides": {"t(2,0)": [6]}, "agree": True}),
+    (["count", "bounded", "--format", "perspective"], MAJOR,
+     {"value": 2, "sides": {"t(0,0,1)": [2], "signed sum": [2]}, "agree": True}),
+    (["count", "bases"], DOUBLED,
+     {"value": 5, "sides": {"t(1,1)": [5], "basic orientations": [5, 5]}, "agree": True}),
+])
+def test_json_output_of_tutte_tutte3_and_count(tmp_path, capsys, argv, source, expected):
+    path = tmp_path / "input"
+    path.write_text(source)
+    code, out, _ = run_cli(capsys, *argv, "--input", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == expected
+
+
+def test_json_count_reports_a_disagreement(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d.dg"
+    path.write_text(DOUBLED)
+    monkeypatch.setattr(expansions, "count_basic_orientations", lambda m: (5, 4))
+    code, out, _ = run_cli(capsys, "count", "bases", "--input", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {"value": 5, "agree": False,
+                               "sides": {"t(1,1)": [5], "basic orientations": [5, 4]}}
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_activities_streams_blocks_of_rows(tmp_path, monkeypatch):
+    # a wheel with 6 spokes: 12 arcs, a header and 4096 rows, written in two blocks
+    arcs = [("h", f"r{i}") for i in range(6)] + [(f"r{i}", f"r{(i + 1) % 6}") for i in range(6)]
+    path = tmp_path / "w6.dg"
+    path.write_text("".join(f"{label} {tail} {head}\n"
+                            for label, (tail, head) in enumerate(arcs, start=1)))
+    stdout = CountingStdout()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert cli.main(["activities", "--input", str(path)]) == 0
+    lines = stdout.getvalue().splitlines()
+    assert len(lines) == 4097
+    assert lines[0].startswith("A\tdual_active")
+    assert stdout.writes == 2

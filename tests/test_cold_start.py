@@ -1,8 +1,10 @@
-"""A fresh ``import omtutte.cli`` loads none of the slow-to-import stdlib modules.
+"""Each CLI process imports only what its command runs.
 
 Every CLI job is a fresh process, so start-up is paid on every run.
 ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
-``json`` is needed only when JSON is printed.
+``json`` is needed only when JSON is printed.  ``import omtutte`` loads no
+submodule, ``tutte`` runs on ``matroid`` and ``poly`` alone, and ``tutte3``
+adds ``oriented`` and ``perspective`` but never ``expansions``.
 """
 
 import os
@@ -10,20 +12,81 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import omtutte
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 AVOIDED = ("dataclasses", "inspect", "ast", "json")
-PROBE = (
-    "import sys\n"
-    "before = set(sys.modules)\n"
-    "import omtutte.cli\n"
-    "print(' '.join(sorted(set(sys.modules) - before)))\n"
-)
+SUBMODULES = ("poly", "matroid", "oriented", "perspective", "expansions")
+TABLE_MODULES = {"omtutte.oriented", "omtutte.perspective", "omtutte.expansions"}
+
+
+def loaded_after(code: str) -> set[str]:
+    """The modules that ``code`` adds to a fresh interpreter's ``sys.modules``."""
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             f"{code}\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    return set(out.splitlines()[-1].split())
 
 
 def test_cli_import_avoids_slow_modules():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    loaded = set(out.split())
+    loaded = loaded_after("import omtutte.cli")
     assert "omtutte.cli" in loaded
     assert sorted(loaded.intersection(AVOIDED)) == []
+
+
+def test_cli_import_loads_no_table_module():
+    assert sorted(loaded_after("import omtutte.cli") & TABLE_MODULES) == []
+
+
+def test_bare_package_import_loads_no_submodule():
+    loaded = loaded_after("import omtutte")
+    assert "omtutte" in loaded
+    assert sorted(name for name in loaded if name.startswith("omtutte.")) == []
+    # a submodule name still works after the bare import, and loads its module
+    assert "omtutte.matroid" in loaded_after(
+        "import omtutte\nassert omtutte.matroid.ENUMERATION_GUARD == 20")
+
+
+def run_main(tmp_path, name: str, text: str, *argv: str) -> set[str]:
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return loaded_after("from omtutte import cli\n"
+                        f"assert cli.main([*{list(argv)!r}, '--input', {str(path)!r}]) == 0")
+
+
+def test_tutte_runs_without_the_table_modules(tmp_path):
+    loaded = run_main(tmp_path, "triangle.dg", "1 a b\n2 b c\n3 c a\n", "tutte")
+    assert {"omtutte.matroid", "omtutte.poly"} <= loaded
+    assert sorted(loaded & TABLE_MODULES) == []
+
+
+def test_tutte3_on_a_major_runs_without_expansions(tmp_path):
+    loaded = run_main(tmp_path, "major.persp",
+                      "major: digraph\n1 a b\n2 b c\n3 c a\ncontract: 3\n",
+                      "tutte3", "--format", "perspective")
+    assert {"omtutte.oriented", "omtutte.perspective"} <= loaded
+    assert "omtutte.expansions" not in loaded
+
+
+def test_every_public_name_is_its_submodules_object():
+    modules = [getattr(omtutte, name) for name in SUBMODULES]
+    for name in omtutte.__all__:
+        value = getattr(omtutte, name)
+        owners = [module for module in modules if name in vars(module)]
+        assert owners, name
+        assert all(vars(module)[name] is value for module in owners), name
+    assert omtutte.IdentityError is omtutte.expansions.IdentityError \
+        is omtutte.matroid.IdentityError
+
+
+def test_dir_covers_all_and_unknown_names_raise():
+    assert set(omtutte.__all__) | set(SUBMODULES) <= set(dir(omtutte))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        omtutte.no_such_name  # noqa: B018
+    assert not hasattr(omtutte, "no_such_name")

@@ -159,6 +159,26 @@ def test_evaluate_commutes_with_shift(p, a, b, c, d, e):
 
 
 @settings(deadline=None)
+@given(polynomials, st.sampled_from(["x", "u", "y", "v", "z", -2, -1, 0, 1, 3]),
+       st.sampled_from(["x", "u", "y", "v", "z", -1, 2]))
+def test_shifted_matches_substitution(p, first, second):
+    # x -> x + first and y -> y + second at once, by binomials and by products
+    as_poly = {name: Polynomial.variable(name) + (Polynomial.variable(shift) if isinstance(shift, str)
+                                                  else shift)
+               for name, shift in (("x", first), ("y", second))}
+    assert p.shifted({"x": first, "y": second}) == p.substitute(as_poly)
+
+
+def test_shifted_examples():
+    assert BASE.shifted({"x": "u", "y": "v"}) == shifted_base()
+    assert (X * Y ** 2).shifted({"x": -1, "y": -1}) == (X - ONE) * (Y - ONE) ** 2
+    assert (X ** 3 * Z).shifted({"z": 0}) == X ** 3 * Z
+    assert Polynomial.zero().shifted({"x": -1}) == Polynomial.zero()
+    with pytest.raises(ValueError, match="unknown variable 'w'"):
+        X.shifted({"x": "w"})
+
+
+@settings(deadline=None)
 @given(polynomials)
 def test_derivatives_commute(p):
     xy = p.partial_derivative("x").partial_derivative("y")
