@@ -19,7 +19,6 @@ from .matroid import (
     bases,
     tutte_closed,
 )
-from .poly import PolynomialParseError
 
 if TYPE_CHECKING:
     from .perspective import Perspective
@@ -75,137 +74,98 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _exact(value):
-    """An exact count: an int when it is integral, else the text of the Fraction."""
-    return int(value) if value.denominator == 1 else str(value)
+def _emit(args, text, payload) -> int:
+    """Print ``payload`` as JSON under ``--json``, else ``text``; its exit code is 0.
+
+    A table passes blocks of lines and its renderer, so only one form is rendered.
+    """
+    if args.json:
+        _print_json(payload() if callable(payload) else payload)
+    elif isinstance(text, str):
+        print(text)
+    else:
+        sys.stdout.writelines(text)
+    return 0
+
+
+def _fail(check: str, expected, actual) -> int:
+    """Print the JSON diff of a failed verify check; its exit code is 1."""
+    _print_json({"check": check, "expected": str(expected), "actual": str(actual)})
+    return 1
 
 
 def run(args) -> int:
-    # import only the modules this command runs (start-up dominates small jobs), before any work
-    if args.command != "tutte":
-        from .perspective import identity_perspective, tutte3_closed
-    if args.command not in ("tutte", "tutte3"):
-        from .expansions import (
-            DichotomyCase,
-            count_acyclic,
-            count_basic_orientations,
-            count_bounded,
-            deletion_contraction_check,
-            derivative_expansion,
-            dichotomy_case,
-            expansion_sum,
-            signed_sum,
-            specialization_suite,
-        )
+    # each command imports only the modules it runs (start-up dominates small jobs)
     realization, perspective = _load(args)
-
     if args.command == "tutte":
         if realization is None:
             raise MatroidError("tutte needs a digraph or matrix input; "
                                "use tutte3 for perspectives")
-        t = tutte_closed(realization)
-        if args.json:
-            _print_json(str(t))
-        else:
-            print(t)
-        return 0
+        t = str(tutte_closed(realization))
+        return _emit(args, t, t)
+
+    from .perspective import identity_perspective, tutte3_closed
 
     # every other command reads a validated perspective; a matroid input is M -> M
     if perspective is None:
         perspective = identity_perspective(realization)
-
     if args.command == "tutte3":
-        t = tutte3_closed(perspective)
-        if args.json:
-            _print_json(str(t))
-        else:
-            print(t)
-        return 0
+        t = str(tutte3_closed(perspective))
+        return _emit(args, t, t)
 
-    if args.command == "activities":
-        report = expansion_sum(perspective)
-        if args.json:
-            _print_json(report.to_json_dict())
-        else:
-            sys.stdout.writelines(report.tsv_blocks())
-        return 0
-
-    if args.command == "verify":
-        report = expansion_sum(perspective)
-        if not report.passed:
-            _print_json({"check": "expansion identity",
-                         "expected": str(report.reference),
-                         "actual": str(report.total)})
-            return 1
-        suite = specialization_suite(perspective, report=report)
-        if not suite.passed:
-            _print_json({"check": "specialization suite",
-                         "expected": str(suite.tutte),
-                         "actual": str(suite.interpolation)})
-            return 1
-        case = dichotomy_case(perspective) if perspective.ground else DichotomyCase.BOTH
-        dc_ok = deletion_contraction_check(perspective, report=report)
-        if not dc_ok:
-            _print_json({"check": "deletion/contraction recursion",
-                         "expected": "minor sums to match",
-                         "actual": "mismatch"})
-            return 1
-        lines = [
-            "expansion identity: pass",
-            "specialization suite: pass",
-            f"dichotomy: case {case.value}",
-            "deletion/contraction recursion: pass",
-        ]
-        if args.json:
-            _print_json({"pass": True, "dichotomy_case": case.value,
-                         "sum": str(report.total), "reference": str(report.reference)})
-        else:
-            print("\n".join(lines))
-        return 0
+    from .expansions import (DichotomyCase, count_acyclic, count_basic_orientations,
+                             count_bounded, deletion_contraction_check, derivative_expansion,
+                             dichotomy_case, expansion_sum, signed_sum, specialization_suite)
 
     if args.command == "count":
         # each side is a tuple of exact values that must all equal the count
-        if args.kind == "acyclic":
-            if realization is None:
-                raise MatroidError("count acyclic needs a digraph or matrix input")
-            value = count_acyclic(perspective.m)
-            sides = {"t(2,0)": (tutte_closed(realization).evaluate({"x": 2, "y": 0}),)}
-        elif args.kind == "bounded":
+        if args.kind == "bounded":
             report = expansion_sum(perspective)
             value = count_bounded(perspective, report=report)
-            sides = {"t(0,0,1)": (tutte3_closed(perspective).evaluate({"x": 0, "y": 0, "z": 1}),),
+            sides = {"t(0,0,1)": (report.tutte.evaluate({"x": 0, "y": 0}),),
                      "signed sum": (signed_sum(perspective, report=report),)}
+        elif realization is None:
+            raise MatroidError(f"count {args.kind} needs a digraph or matrix input")
+        elif args.kind == "acyclic":
+            value = count_acyclic(perspective.m)
+            sides = {"t(2,0)": (tutte_closed(realization).evaluate({"x": 2, "y": 0}),)}
         else:
-            if realization is None:
-                raise MatroidError("count bases needs a digraph or matrix input")
             value = len(bases(realization))
             sides = {"t(1,1)": (tutte_closed(realization).evaluate({"x": 1, "y": 1}),),
                      "basic orientations": count_basic_orientations(perspective.m)}
         agree = all(side == value for values in sides.values() for side in values)
-        exact = {name: [_exact(side) for side in values] for name, values in sides.items()}
-        if args.json:
-            _print_json({"value": value, "sides": exact, "agree": agree})
-        else:
-            shown = (f"{name}={','.join(map(str, values))}" for name, values in exact.items())
-            print(f"{value} ({', '.join(shown)})")
+        # an exact value is shown as an int when it is integral, else as its Fraction
+        exact = {name: [int(side) if side.denominator == 1 else str(side) for side in values]
+                 for name, values in sides.items()}
+        shown = ", ".join(f"{name}={','.join(map(str, values))}" for name, values in exact.items())
+        _emit(args, f"{value} ({shown})", {"value": value, "sides": exact, "agree": agree})
         return 0 if agree else 1
 
-    if args.command == "derivative":
-        report = expansion_sum(perspective)
-        activity_side = derivative_expansion(perspective, args.p, args.q, report=report)
-        formal = tutte3_closed(perspective).substitute({"z": 1})
-        formal = formal.partial_derivative("x", args.p).partial_derivative("y", args.q)
-        if args.json:
-            _print_json({"activity": str(activity_side), "formal": str(formal),
-                         "equal": activity_side == formal})
-        else:
-            print(f"activity side: {activity_side}")
-            print(f"formal derivative: {formal}")
-        if activity_side != formal:
-            return 1
-        return 0
+    report = expansion_sum(perspective)
+    if args.command == "activities":
+        return _emit(args, report.tsv_blocks(), report.to_json_dict)
 
-    raise AssertionError(f"unhandled command {args.command}")
+    if args.command == "derivative":
+        activity_side = derivative_expansion(perspective, args.p, args.q, report=report)
+        formal = report.tutte.partial_derivative("x", args.p).partial_derivative("y", args.q)
+        equal = activity_side == formal
+        _emit(args, f"activity side: {activity_side}\nformal derivative: {formal}",
+              {"activity": str(activity_side), "formal": str(formal), "equal": equal})
+        return 0 if equal else 1
+
+    # verify: the checks run in this order, and the first that fails is reported
+    if not report.passed:
+        return _fail("expansion identity", report.reference, report.total)
+    suite = specialization_suite(perspective, report=report)
+    if not suite.passed:
+        return _fail("specialization suite", suite.tutte, suite.interpolation)
+    case = dichotomy_case(perspective) if perspective.ground else DichotomyCase.BOTH
+    if not deletion_contraction_check(perspective, report=report):
+        return _fail("deletion/contraction recursion", "minor sums to match", "mismatch")
+    return _emit(args, "expansion identity: pass\nspecialization suite: pass\n"
+                 f"dichotomy: case {case.value}\ndeletion/contraction recursion: pass",
+                 {"pass": True, "dichotomy_case": case.value,
+                  "sum": str(report.total), "reference": str(report.reference)})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -218,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     except IdentityError as exc:
         _print_json({"check": "exact identity", "error": str(exc)})
         return 1
-    except (MatroidError, PolynomialParseError, OSError, UnicodeDecodeError) as exc:
+    except (MatroidError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

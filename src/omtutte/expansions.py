@@ -307,7 +307,7 @@ def specialization_suite(p: Perspective,
     hist = report.histogram
     tutte = report.tutte
     interpolation = _collect(hist, lambda d_out, d_in, a_out, a_in: (d_out, a_out)
-                             ).substitute({"x": X - ONE, "y": Y - ONE})
+                             ).shifted({"x": -1, "y": -1})
     restricted = _collect(hist, lambda d_out, d_in, a_out, a_in:
                           None if d_in or a_in else (d_out, a_out))
     restricted_swap = _collect(hist, lambda d_out, d_in, a_out, a_in:

@@ -10,6 +10,7 @@ tables of its minors and its dual, are read off it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -101,6 +102,7 @@ def _rank_table(columns: Sequence[IntVector]) -> bytearray:
     return table
 
 
+@functools.cache
 def _shifted(k: int) -> bytes:
     """Translation table adding k (mod 256) to every byte."""
     return bytes((v + k) & 255 for v in range(256))
@@ -178,11 +180,10 @@ class Digraph(NamedTuple):
     arcs: tuple[tuple[int, str, str], ...]
 
     @classmethod
-    def from_arcs(cls, arcs: Iterable[tuple[int, object, object]],
-                  vertices: Iterable[object] = ()) -> "Digraph":
+    def from_arcs(cls, arcs: Iterable[tuple[int, object, object]]) -> "Digraph":
         arc_list = []
         seen = set()
-        verts = set(vertices)
+        verts = set()
         for label, tail, head in arcs:
             label = int(label)
             if label <= 0:

@@ -142,13 +142,6 @@ class Polynomial:
             out.update(mono.exponents())
         return out
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def total_degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":

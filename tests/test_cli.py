@@ -216,6 +216,39 @@ def test_identity_failure_exits_one(tmp_path, capsys, monkeypatch):
     assert diff["expected"] != diff["actual"]
 
 
+def test_verify_on_empty_ground_set(tmp_path, capsys):
+    path = tmp_path / "empty.mat"
+    path.write_text("0 0\n")
+    code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--format", "matrix")
+    assert code == 0
+    assert "dichotomy: case both" in out.splitlines()
+
+
+def _skewed_suite(real):
+    def skewed(*args, **kwargs):
+        suite = real(*args, **kwargs)
+        return suite._replace(interpolation=suite.interpolation + 1, interpolation_ok=False)
+    return skewed
+
+
+@pytest.mark.parametrize("patched, falsify, expected", [
+    ("specialization_suite", _skewed_suite,
+     {"check": "specialization suite", "expected": "x^2 + x*y + y^2 + x + y",
+      "actual": "x^2 + x*y + y^2 + x + y + 1"}),
+    ("deletion_contraction_check", lambda real: lambda *args, **kwargs: False,
+     {"check": "deletion/contraction recursion", "expected": "minor sums to match",
+      "actual": "mismatch"}),
+], ids=["suite", "recursion"])
+def test_verify_check_failure_exits_one(tmp_path, capsys, monkeypatch, patched, falsify,
+                                        expected):
+    path = tmp_path / "d.dg"
+    path.write_text(DOUBLED)
+    monkeypatch.setattr(expansions, patched, falsify(getattr(expansions, patched)))
+    code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert json.loads(out) == expected
+
+
 @pytest.mark.parametrize("kind, source, fmt, patched", [
     ("acyclic", TRIANGLE, "digraph", "count_acyclic"),
     ("bounded", MAJOR, "perspective", "signed_sum"),
@@ -274,6 +307,12 @@ def test_families_are_built_only_where_read(tmp_path, capsys, monkeypatch):
      {"value": 2, "sides": {"t(0,0,1)": [2], "signed sum": [2]}, "agree": True}),
     (["count", "bases"], DOUBLED,
      {"value": 5, "sides": {"t(1,1)": [5], "basic orientations": [5, 5]}, "agree": True}),
+    (["verify"], DOUBLED,
+     {"pass": True, "dichotomy_case": "i",
+      "sum": "x^2 + 2*x*u + x*y + x*v + u^2 + u*y + u*v + y^2 + 2*y*v + v^2 + x + u + y + v",
+      "reference": "x^2 + 2*x*u + x*y + x*v + u^2 + u*y + u*v + y^2 + 2*y*v + v^2 + x + u + y + v"}),
+    (["derivative", "-p", "1", "-q", "0"], DOUBLED,
+     {"activity": "2*x + y + 1", "formal": "2*x + y + 1", "equal": True}),
 ])
 def test_json_output_of_tutte_tutte3_and_count(tmp_path, capsys, argv, source, expected):
     path = tmp_path / "input"
