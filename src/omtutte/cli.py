@@ -1,15 +1,16 @@
 """Command line front end.
 
 Exit codes: 0 all checks pass, 1 an exact identity failed (a JSON diff of the
-two polynomials is printed, or the two sides of a count disagree), 2 input
-could not be parsed or validated.  Output is byte-identical across runs.
+two polynomials is printed, or the two sides of a count disagree), 2 the
+arguments or the input could not be parsed or validated.  Output is
+byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn
 
 from .matroid import (
     IdentityError,
@@ -24,32 +25,104 @@ if TYPE_CHECKING:
     from .perspective import Perspective
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="omtutte",
-        description="Exact Tutte polynomials of oriented matroids and perspectives.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_USAGE = """\
+usage: omtutte {tutte,tutte3,activities,verify} --input PATH [options]
+       omtutte count {acyclic,bounded,bases} --input PATH [options]
+       omtutte derivative [-p P] [-q Q] --input PATH [options]
+"""
 
-    def common(p):
-        p.add_argument("--input", required=True, help="input file path")
-        p.add_argument("--format", choices=["digraph", "matrix", "perspective"],
-                       default="digraph", help="input file format")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--force", action="store_true",
-                       help="override the enumeration guard")
+_HELP = _USAGE + """
+commands:
+  tutte        print t(M;x,y)
+  tutte3       print t(M,M';x,y,z)
+  activities   print the per-reorientation activity table
+  verify       run all identity checks; exit 0 iff they pass
+  count        counting identities: acyclic, bounded or bases
+  derivative   activity expansion of a partial derivative
 
-    common(sub.add_parser("tutte", help="print t(M;x,y)"))
-    common(sub.add_parser("tutte3", help="print t(M,M';x,y,z)"))
-    common(sub.add_parser("activities", help="print the per-reorientation activity table"))
-    common(sub.add_parser("verify", help="run all identity checks; exit 0 iff they pass"))
-    count = sub.add_parser("count", help="counting identities")
-    count.add_argument("kind", choices=["acyclic", "bounded", "bases"])
-    common(count)
-    deriv = sub.add_parser("derivative", help="activity expansion of a partial derivative")
-    deriv.add_argument("-p", type=int, default=0, help="order in x")
-    deriv.add_argument("-q", type=int, default=0, help="order in y")
-    common(deriv)
-    return parser
+options (spelled in full; --opt VALUE or --opt=VALUE):
+  -h, --help       show this help and exit
+  --input PATH     input file path (required)
+  --format FORMAT  digraph (default), matrix or perspective
+  --json           machine-readable output
+  --force          override the enumeration guard
+  -p P, -q Q       derivative only: the orders in x and y (default 0)
+
+exit codes: 0 checks pass, 1 an exact identity failed, 2 usage, parse or validation error
+"""
+
+_COMMANDS = ("tutte", "tutte3", "activities", "verify", "count", "derivative")
+_KINDS = ("acyclic", "bounded", "bases")
+_FORMATS = ("digraph", "matrix", "perspective")
+# option -> (attribute, value type or None for a flag, the only command that takes it)
+_OPTIONS = {"--input": ("input", str, None), "--format": ("format", str, None),
+            "--json": ("json", None, None), "--force": ("force", None, None),
+            "-p": ("p", int, "derivative"), "-q": ("q", int, "derivative")}
+
+
+def _usage_error(reason: str) -> NoReturn:
+    sys.stderr.write(f"{_USAGE}omtutte: error: {reason}\n")
+    raise SystemExit(2)
+
+
+def _choice(name: str, value: str, choices: tuple[str, ...]) -> str:
+    if value not in choices:
+        _usage_error(f"argument {name}: invalid choice: {value!r} "
+                     f"(choose from {', '.join(choices)})")
+    return value
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command, kind and options in ``argv``, checked against the tables above.
+
+    A usage error prints the usage and its reason on stderr and exits 2.
+    """
+    args = SimpleNamespace(command=None, kind=None, input=None, format="digraph",
+                           json=False, force=False, p=0, q=0)
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        if not token.startswith("-") or token == "-":
+            if args.command is None:
+                args.command = _choice("command", token, _COMMANDS)
+            elif args.command == "count" and args.kind is None:
+                args.kind = _choice("kind", token, _KINDS)
+            else:
+                _usage_error(f"unrecognized arguments: {token}")
+            continue
+        if token.startswith("--"):
+            name, eq, value = token.partition("=")
+        else:  # a short option's value may be attached: -p1 or -p=1
+            name, eq, value = token[:2], token[2:], token[2:].removeprefix("=")
+        if name not in _OPTIONS or _OPTIONS[name][2] not in (None, args.command):
+            _usage_error(f"unrecognized arguments: {token}")
+        attr, value_type, _ = _OPTIONS[name]
+        if value_type is None:
+            if eq:
+                _usage_error(f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(f"argument {name}: expected one argument")
+        if value_type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {name}: invalid int value: {value!r}")
+            if value < 0:
+                _usage_error(f"argument {name}: derivative orders must be non-negative")
+        setattr(args, attr, value)
+    if args.command is None:
+        _usage_error("the following arguments are required: command")
+    if args.command == "count" and args.kind is None:
+        _usage_error("the following arguments are required: kind")
+    if args.input is None:
+        _usage_error("the following arguments are required: --input")
+    _choice("--format", args.format, _FORMATS)
+    return args
 
 
 def _load(args) -> tuple[OrientedRealization | None, Perspective | None]:
@@ -169,10 +242,7 @@ def run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "derivative" and min(args.p, args.q) < 0:
-        parser.error("derivative orders must be non-negative")
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return run(args)
     except IdentityError as exc:

@@ -46,18 +46,20 @@ def _in_sets(n: int) -> list[int]:
 
 
 def _active_sets(masks: Sequence[tuple[int, int]], ground: Sequence[int],
-                 in_a: Sequence[int], full: int) -> list[int]:
+                 in_a: Sequence[int], out_a: Sequence[int], full: int) -> list[int]:
     """Per ground index e, the A for which -_A has a positive member with smallest element e.
 
     ``masks`` are a negation-closed family's (positive, support) pairs.  A
     member turns positive exactly when A meets its support in its negative part.
+    ``out_a[i]`` is ``full ^ in_a[i]``: an AND with it is an order of magnitude
+    cheaper than with ``~in_a[i]``, a negative int of the same width.
     """
     out = [0] * len(ground)
     for pos, sup in masks:
         support = [i for i in range(len(ground)) if sup >> i & 1]
         positive = full
         for i in support:
-            positive &= ~in_a[i] if pos >> i & 1 else in_a[i]
+            positive &= out_a[i] if pos >> i & 1 else in_a[i]
         out[min(support, key=ground.__getitem__)] |= positive
     return out
 
@@ -241,12 +243,13 @@ def expansion_sum(p: Perspective) -> ExpansionReport:
     n = len(p.ground)
     full = (1 << (1 << n)) - 1
     in_a = _in_sets(n)
-    active = _active_sets(p.m.circuit_pairs, p.ground, in_a, full)
-    dual = _active_sets(p.mprime.cocircuit_pairs, p.ground, in_a, full)
+    out_a = [full ^ inside for inside in in_a]
+    active = _active_sets(p.m.circuit_pairs, p.ground, in_a, out_a, full)
+    dual = _active_sets(p.mprime.cocircuit_pairs, p.ground, in_a, out_a, full)
     counters: list[list[int]] = [[], [], [], []]  # dual_out, dual_in, active_out, active_in
-    for i, inside in enumerate(in_a):
-        for planes, bits in zip(counters, (dual[i] & ~inside, dual[i] & inside,
-                                           active[i] & ~inside, active[i] & inside)):
+    for i, (inside, outside) in enumerate(zip(in_a, out_a)):
+        for planes, bits in zip(counters, (dual[i] & outside, dual[i] & inside,
+                                           active[i] & outside, active[i] & inside)):
             _count(planes, bits)
     histogram: Counter = Counter()
     _split(full, [(k, 1 << w, plane) for k, planes in enumerate(counters)

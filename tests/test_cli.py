@@ -355,3 +355,52 @@ def test_activities_streams_blocks_of_rows(tmp_path, monkeypatch):
     assert len(lines) == 4097
     assert lines[0].startswith("A\tdual_active")
     assert stdout.writes == 2
+
+
+@pytest.mark.parametrize("argv, token", [
+    ([], "command"),
+    (["bogus", "--input", "{path}"], "bogus"),
+    (["tutte"], "--input"),
+    (["tutte", "--input", "{path}", "--format", "bogus"], "bogus"),
+    (["count", "--input", "{path}"], "kind"),
+    (["count", "wrong", "--input", "{path}"], "wrong"),
+    (["derivative", "-p", "x", "--input", "{path}"], "'x'"),
+    (["tutte", "-p", "1", "--input", "{path}"], "-p"),
+    (["tutte", "--input", "{path}", "--bogus"], "--bogus"),
+], ids=["no-arguments", "unknown-command", "missing-input", "bad-format", "count-no-kind",
+        "count-bad-kind", "p-not-int", "p-on-tutte", "unknown-option"])
+def test_usage_errors_exit_two(tmp_path, capsys, argv, token):
+    path = tmp_path / "d.dg"
+    path.write_text(DOUBLED)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(path=path) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert "error:" in captured.err
+    assert token in captured.err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("tutte", "tutte3", "activities", "verify", "count", "derivative"):
+        assert command in out
+
+
+@pytest.mark.parametrize("spaced, other", [
+    (["tutte", "--input", "{path}"], ["tutte", "--input={path}"]),
+    (["count", "bases", "--input", "{path}"], ["count", "--input", "{path}", "bases"]),
+    (["derivative", "-p", "1", "--input", "{path}"], ["derivative", "--input={path}", "-p=1"]),
+])
+def test_equals_form_and_trailing_positional(tmp_path, capsys, spaced, other):
+    path = tmp_path / "d.dg"
+    path.write_text(DOUBLED)
+    outputs = [run_cli(capsys, *[arg.format(path=path) for arg in argv])
+               for argv in (spaced, other)]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]

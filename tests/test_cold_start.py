@@ -2,9 +2,12 @@
 
 Every CLI job is a fresh process, so start-up is paid on every run.
 ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
-``json`` is needed only when JSON is printed.  ``import omtutte`` loads no
-submodule, ``tutte`` runs on ``matroid`` and ``poly`` alone, and ``tutte3``
-adds ``oriented`` and ``perspective`` but never ``expansions``.
+``json`` is needed only when JSON is printed.  ``argparse`` (with ``gettext``
+and ``locale``) is replaced by a table-driven argv parser, and the polynomial
+text parser ``omtutte._polytext`` loads only when ``Polynomial.parse`` runs.
+``import omtutte`` loads no submodule, ``tutte`` runs on ``matroid`` and
+``poly`` alone, and ``tutte3`` adds ``oriented`` and ``perspective`` but never
+``expansions``.
 """
 
 import os
@@ -17,7 +20,8 @@ import pytest
 import omtutte
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-AVOIDED = ("dataclasses", "inspect", "ast", "json")
+AVOIDED = ("dataclasses", "inspect", "ast", "json", "argparse", "gettext", "locale",
+           "omtutte._polytext")
 SUBMODULES = ("poly", "matroid", "oriented", "perspective", "expansions")
 TABLE_MODULES = {"omtutte.oriented", "omtutte.perspective", "omtutte.expansions"}
 
@@ -64,6 +68,7 @@ def test_tutte_runs_without_the_table_modules(tmp_path):
     loaded = run_main(tmp_path, "triangle.dg", "1 a b\n2 b c\n3 c a\n", "tutte")
     assert {"omtutte.matroid", "omtutte.poly"} <= loaded
     assert sorted(loaded & TABLE_MODULES) == []
+    assert sorted(loaded.intersection(AVOIDED)) == []
 
 
 def test_tutte3_on_a_major_runs_without_expansions(tmp_path):
@@ -72,6 +77,13 @@ def test_tutte3_on_a_major_runs_without_expansions(tmp_path):
                       "tutte3", "--format", "perspective")
     assert {"omtutte.oriented", "omtutte.perspective"} <= loaded
     assert "omtutte.expansions" not in loaded
+    assert sorted(loaded.intersection(AVOIDED)) == []
+
+
+def test_polynomial_parse_loads_the_text_parser():
+    assert "omtutte._polytext" in loaded_after(
+        "from omtutte.poly import Polynomial\n"
+        "assert str(Polynomial.parse('x + 1')) == 'x + 1'")
 
 
 def test_every_public_name_is_its_submodules_object():
