@@ -1,11 +1,13 @@
 """Ordered ground sets, rational realizations, ranks, bases, and Tutte polynomials.
 
 A matroid is always given by a realization: a matrix of exact rationals with
-one column per ground element, in ground order.  Digraphs are ingested via
-their signed vertex-arc incidence matrices, so graphic instances get signed
-circuits for free.  Each realization holds one exact rank table, r(S) for
-every subset S as a bitmask (bit i = ground[i]); every rank question, and the
-tables of its minors and its dual, are read off it.
+one column per ground element, in ground order.  It is held as integer
+columns, each the rational column times a positive scale (the lcm of its
+denominators), so no arithmetic below the input parser needs ``Fraction``.
+Digraphs are ingested via their signed vertex-arc incidence matrices, so
+graphic instances get signed circuits for free.  Each realization holds one
+exact rank table, r(S) for every subset S as a bitmask (bit i = ground[i]);
+every rank question, and the tables of its minors and its dual, are read off it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import itertools
 import math
 import operator
 from collections import Counter
-from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .poly import Monomial, Polynomial, X, Y
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ENUMERATION_GUARD = 20
 
@@ -41,14 +45,40 @@ class InputFormatError(MatroidError):
 
 # -- exact integer elimination and the rank table --------------------------------
 
-Vector = tuple[Fraction, ...]
+Vector = tuple["Fraction", ...]
 IntVector = Sequence[int]
+Ratio = tuple[int, int]  # (numerator, positive denominator)
 
 
-def _cleared(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """``values`` times the lcm of their denominators."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values)
+def _ratio(value) -> Ratio:
+    """An int, or any value or text that ``Fraction`` accepts, as a Ratio.
+
+    Ints and ASCII ``-?[0-9]+(/[0-9]+)?`` text skip ``Fraction``; every other
+    value goes through it, so what is accepted, and each error, is its own.
+    """
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        den = den if slash else "1"
+        if all(s.isascii() and s.isdigit() for s in (num.removeprefix("-"), den)) and int(den):
+            g = math.gcd(int(num), int(den))
+            return int(num) // g, int(den) // g
+    from fractions import Fraction
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _transposed(rows: Sequence[Sequence], ncols: int) -> list[tuple]:
+    """The columns of ``rows``, which has ``ncols`` columns even when it has no rows."""
+    return list(zip(*rows)) if rows else [()] * ncols
+
+
+def _cleared(rows: Sequence[Sequence[Ratio]], ncols: int) -> tuple[list, list[int]]:
+    """Integer columns of Ratio rows and their scales, the lcm of each column's denominators."""
+    columns = _transposed(rows, ncols)
+    scales = [math.lcm(*(q for _, q in column)) for column in columns]
+    return [tuple(p * (s // q) for p, q in column) for column, s in zip(columns, scales)], scales
 
 
 def _pivot(v: IntVector) -> int:
@@ -74,7 +104,7 @@ def _rank_table(columns: Sequence[IntVector]) -> bytearray:
     """
     n = len(columns)
     size = 1 << n
-    full = n - len(_integer_kernel(list(zip(*columns)), n))
+    full = len(_echelon(list(zip(*columns)), n)[1])
     table = bytearray(size)
 
     def visit(mask: int, start: int, rank: int, pending: list[tuple[IntVector, int]]) -> None:
@@ -138,12 +168,11 @@ def _loop_table(table: bytes, i: int) -> bytearray:
     return out.translate(_shifted(-table[low]))
 
 
-def _integer_kernel(rows: Sequence[IntVector], ncols: int) -> list[list[int]]:
-    """Integer basis of the right kernel, one vector per non-pivot column.
+def _echelon(rows: Sequence[IntVector], ncols: int) -> tuple[list[list[int]], list[tuple]]:
+    """Fraction-free Gauss-Jordan form: the reduced rows and each pivot's (row, column).
 
-    Fraction-free Gauss-Jordan leaves pivot row r reading
-    p_r x_c + sum over free f of a_rf x_f = 0; the vector of free column f
-    sets x_f to the lcm of the pivots and solves each x_c exactly.
+    Pivots are taken left to right, and each pivot column is zero outside its
+    pivot row, so pivot row r reads p_r x_c + sum over free f of a_rf x_f = 0.
     """
     rows = [list(r) for r in rows]
     unused = list(range(len(rows)))
@@ -158,6 +187,16 @@ def _integer_kernel(rows: Sequence[IntVector], ncols: int) -> list[list[int]]:
             if o != r and row[c]:
                 rows[o] = _eliminate(row, pivot, c)
         pivots.append((r, c))
+    return rows, pivots
+
+
+def _integer_kernel(rows: Sequence[IntVector], ncols: int) -> list[list[int]]:
+    """Integer basis of the right kernel, one vector per non-pivot column.
+
+    The vector of free column f sets x_f to the lcm of the echelon form's
+    pivots and solves each pivot row for its x_c exactly.
+    """
+    rows, pivots = _echelon(rows, ncols)
     scale = math.lcm(*(rows[r][c] for r, c in pivots))
     pivot_columns = {c for _, c in pivots}
     basis = []
@@ -220,26 +259,34 @@ class Digraph(NamedTuple):
 # -- realizations -------------------------------------------------------------
 
 class OrientedRealization:
-    """Rational matrix whose columns realize the matroid, in ground order."""
+    """Rational matrix whose columns realize the matroid, in ground order, as integer columns."""
 
-    __slots__ = ("ground", "matrix", "integer_columns", "_index", "_table", "_parent")
+    __slots__ = ("ground", "integer_columns", "_scales", "_nrows", "_index", "_table", "_parent")
 
-    def __init__(self, ground: Sequence[int], matrix: Sequence[Sequence[Fraction]]):
+    def __init__(self, ground: Sequence[int], matrix: Sequence[Sequence["Fraction | int"]]):
         ground = tuple(int(g) for g in ground)
         if len(set(ground)) != len(ground):
             raise MatroidError("ground labels must be distinct")
-        rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+        rows = [[_ratio(v) for v in row] for row in matrix]
         for row in rows:
             if len(row) != len(ground):
                 raise MatroidError(
                     f"matrix row has {len(row)} entries for {len(ground)} ground elements")
-        self.ground = ground
-        self.matrix = rows
-        self.integer_columns = tuple(_cleared(col) for col in zip(*rows)) if rows \
-            else ((),) * len(ground)
-        self._index = {e: i for i, e in enumerate(ground)}
+        self._hold(ground, *_cleared(rows, len(ground)), len(rows))
+
+    def _hold(self, ground, columns, scales, nrows: int, parent=None) -> None:
+        """Set every slot; ``parent`` is (realization, derive) for a table derive(its table)."""
+        self.ground, self.integer_columns = tuple(ground), tuple(columns)
+        self._scales, self._nrows = tuple(scales), nrows
+        self._index = {e: i for i, e in enumerate(self.ground)}
         self._table: bytearray | None = None
-        self._parent: tuple[OrientedRealization, Callable[[bytes], bytearray]] | None = None
+        self._parent: tuple[OrientedRealization, Callable[[bytes], bytearray]] | None = parent
+
+    def _derived(self, ground, columns, scales, nrows: int, derive) -> "OrientedRealization":
+        """A realization of integer columns whose rank table ``derive`` reads off this one's."""
+        out = OrientedRealization.__new__(OrientedRealization)
+        out._hold(ground, columns, scales, nrows, (self, derive))
+        return out
 
     # -- basic queries ----------------------------------------------------
 
@@ -259,11 +306,17 @@ class OrientedRealization:
         return mask
 
     def column(self, label: int) -> Vector:
+        from fractions import Fraction
         i = self.index_of(label)
-        return tuple(row[i] for row in self.matrix)
+        return tuple(Fraction(x, self._scales[i]) for x in self.integer_columns[i])
 
     def columns(self, labels: Iterable[int]) -> list[Vector]:
         return [self.column(e) for e in labels]
+
+    @property
+    def matrix(self) -> tuple[Vector, ...]:
+        """The rational rows; a parsed or constructed root gives back its own entries."""
+        return tuple(_transposed(self.columns(self.ground), self._nrows))
 
     def rank_table(self, force: bool = False) -> bytearray:
         """r(S) for every mask S (bit i = ground[i]); built on first use, never mutated.
@@ -300,37 +353,40 @@ class OrientedRealization:
         return self.rank(rest) < self.rank()
 
     # -- minors, duality, reorientation -------------------------------------
-
-    def _derived(self, ground: Sequence[int], matrix, derive) -> "OrientedRealization":
-        """A realization whose rank table ``derive`` reads off this one's."""
-        out = OrientedRealization(ground, matrix)
-        out._parent = (self, derive)
-        return out
+    # All of them work on integer columns.  Scaling a column by a positive
+    # number, or a row by any nonzero one, changes no rank and no sign.
 
     def delete(self, e: int) -> "OrientedRealization":
         i = self.index_of(e)
-        ground = self.ground[:i] + self.ground[i + 1:]
-        matrix = [row[:i] + row[i + 1:] for row in self.matrix]
-        return self._derived(ground, matrix, lambda t: _minor_table(t, i, contract=False))
+        ground, columns, scales = (t[:i] + t[i + 1:] for t in (self.ground, self.integer_columns,
+                                                                self._scales))
+        return self._derived(ground, columns, scales, self._nrows,
+                             lambda t: _minor_table(t, i, contract=False))
 
     def contract(self, e: int) -> "OrientedRealization":
-        """Quotient of the column space by column e; a loop contracts as a delete."""
+        """Quotient of the column space by column e; a loop contracts as a delete.
+
+        Row o becomes pivot * row_o - col[o] * pivot_row, a row-scaled quotient.
+        """
         i = self.index_of(e)
-        col = self.column(e)
-        pivot_row = next((r for r, v in enumerate(col) if v != 0), None)
-        if pivot_row is None:
+        r = _pivot(self.integer_columns[i])
+        if r < 0:
             return self.delete(e)
-        pivot = col[pivot_row]
-        pivot_vals = self.matrix[pivot_row]
-        ground = self.ground[:i] + self.ground[i + 1:]
-        new_rows = []
-        for r, row in enumerate(self.matrix):
-            if r == pivot_row:
-                continue
-            new_row = [row[j] - pivot_vals[j] / pivot * col[r]
-                       for j in range(len(row)) if j != i]
-            new_rows.append(tuple(new_row))
-        return self._derived(ground, new_rows, lambda t: _minor_table(t, i, contract=True))
+        rows = list(zip(*self.integer_columns))
+        reduced = [_eliminate(row, rows[r], i) for o, row in enumerate(rows) if o != r]
+        ground, columns, scales = (t[:i] + t[i + 1:] for t in (
+            self.ground, _transposed(reduced, len(rows[0])), self._scales))
+        return self._derived(ground, columns, scales, len(reduced),
+                             lambda t: _minor_table(t, i, contract=True))
+
+    def contract_as_loop(self, e: int) -> "OrientedRealization":
+        """The contraction by ``e`` on the same ground, e's slot a loop."""
+        i = self.index_of(e)
+        c = self.contract(e)
+        loop = ((0,) * c._nrows,)
+        return self._derived(self.ground, c.integer_columns[:i] + loop + c.integer_columns[i:],
+                             c._scales[:i] + (1,) + c._scales[i:], c._nrows,
+                             lambda t: _loop_table(t, i))
 
     def delete_many(self, labels: Iterable[int]) -> "OrientedRealization":
         m = self
@@ -346,19 +402,19 @@ class OrientedRealization:
 
     def dual(self) -> "OrientedRealization":
         """Realization whose row space is the orthogonal complement of this one's."""
-        basis = _integer_kernel([_cleared(row) for row in self.matrix], len(self.ground))
-        return self._derived(self.ground, basis, _dual_table)
+        n = len(self.ground)
+        basis = _integer_kernel(list(zip(*self.integer_columns)), n)
+        return self._derived(self.ground, _transposed(basis, n), (1,) * n, len(basis), _dual_table)
 
     def negate_columns(self, labels: Iterable[int]) -> "OrientedRealization":
         idx = {self.index_of(e) for e in labels}
-        matrix = [tuple(-v if j in idx else v for j, v in enumerate(row))
-                  for row in self.matrix]
-        return self._derived(self.ground, matrix, lambda t: t)
+        columns = [tuple(-x for x in col) if j in idx else col
+                   for j, col in enumerate(self.integer_columns)]
+        return self._derived(self.ground, columns, self._scales, self._nrows, lambda t: t)
 
     def __repr__(self) -> str:
         # the rank of the matrix itself: a repr neither builds the 2^|E| table nor is guarded
-        n = len(self.ground)
-        rank = n - len(_integer_kernel([_cleared(row) for row in self.matrix], n))
+        rank = len(_echelon(list(zip(*self.integer_columns)), len(self.ground))[1])
         return f"OrientedRealization(ground={self.ground}, rank={rank})"
 
     @classmethod
@@ -379,12 +435,11 @@ class OrientedRealization:
         if len(entries) != nrows * ncols:
             raise InputFormatError(
                 f"expected {nrows * ncols} matrix entries, got {len(entries)}")
-        try:
-            values = [Fraction(t) for t in entries]
+        rows = [entries[r * ncols:(r + 1) * ncols] for r in range(nrows)]
+        try:  # the entries are the only part of a well-shaped matrix that can fail
+            return cls(range(1, ncols + 1), rows)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"bad rational entry: {exc}")
-        rows = [values[r * ncols:(r + 1) * ncols] for r in range(nrows)]
-        return cls(range(1, ncols + 1), rows)
 
 
 def _parse_payload(fmt: str, text: str) -> OrientedRealization:
@@ -399,7 +454,7 @@ def from_digraph(g: Digraph) -> OrientedRealization:
     """Signed incidence realization: +1 at the head row, -1 at the tail row."""
     vrow = {v: i for i, v in enumerate(g.vertices)}
     labels = [a[0] for a in g.arcs]
-    matrix = [[Fraction(0)] * len(labels) for _ in g.vertices]
+    matrix = [[0] * len(labels) for _ in g.vertices]
     for j, (_, tail, head) in enumerate(g.arcs):
         matrix[vrow[head]][j] += 1
         matrix[vrow[tail]][j] -= 1

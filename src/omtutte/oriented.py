@@ -3,9 +3,9 @@
 A family is held once, as (positive, support) bitmask pairs (bit i is
 ground[i]) sorted by support labels, then positive labels; ``SignedSubset``
 views them for witnesses and text.  Circuit supports are read off the rank
-table (rank |S|-1, every maximal proper subset independent), each support's
-signs off one small integer kernel of its columns; cocircuits are the
-circuits of the dual.  Reorientation only flips stored signs, so the 2^|E|
+table (rank |S|-1, every maximal proper subset independent), their signs off
+one fraction-free echelon form of the matrix; cocircuits are the circuits of
+the dual.  Reorientation only flips stored signs, so the 2^|E|
 sweep never re-runs linear algebra.  "Smallest" means in ascending label order.
 """
 
@@ -18,6 +18,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .matroid import (
     MatroidError,
     OrientedRealization,
+    _echelon,
     _integer_kernel,
     popcounts,
 )
@@ -85,17 +86,27 @@ def _circuit_supports(table: bytes) -> list[int]:
 def signed_circuits(m: OrientedRealization) -> Pairs:
     """(positive, support) bitmasks of all signed circuits, closed under negation.
 
-    Supports come off the rank table; the sign pattern is the kernel vector
-    of the support's columns.
+    Supports come off the rank table.  In the echelon form each pivot row reads
+    p x_c + sum over free f of a_f x_f = 0, so a support's free coordinates span
+    the kernel of the rows whose pivots lie outside it, and each of its pivot
+    coordinates has the sign of -p * sum a_f x_f.
     """
-    columns = m.integer_columns
+    n = len(m.ground)
+    rows, pivots = _echelon(list(zip(*m.integer_columns)), n)
+    echelon = [(c, rows[r]) for r, c in pivots]
+    bound = sum(1 << c for c, _ in echelon)
     family: list[tuple[int, int]] = []
     for support in _circuit_supports(m.rank_table()):
-        idx = [i for i in range(len(m.ground)) if support >> i & 1]
-        (kernel,) = _integer_kernel(list(zip(*(columns[i] for i in idx))), len(idx))
-        if not all(kernel):
+        free = [i for i in range(n) if (support & ~bound) >> i & 1]
+        (x,) = _integer_kernel([[row[f] for f in free] for c, row in echelon
+                                if not support >> c & 1], len(free))
+        signs = dict(zip(free, x))
+        for c, row in echelon:
+            if support >> c & 1:
+                signs[c] = -row[c] * sum(row[f] * v for f, v in zip(free, x))
+        if not all(signs.values()):
             raise MatroidError("internal error: zero coefficient on a circuit support")
-        positive = sum(1 << i for i, x in zip(idx, kernel) if x > 0)
+        positive = sum(1 << i for i, v in signs.items() if v > 0)
         family += [(positive, support), (support ^ positive, support)]
     return _in_family_order(m.ground, family)
 

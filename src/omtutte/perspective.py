@@ -10,14 +10,12 @@ shares a nonempty all-equal-sign intersection with a signed cocircuit of M'
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .matroid import (
     InputFormatError,
     MatroidError,
     OrientedRealization,
-    _loop_table,
     _parse_payload,
     popcounts,
 )
@@ -41,25 +39,30 @@ class ValidationReport(NamedTuple):
 
 
 def validate(m: OrientedMatroid, mprime: OrientedMatroid) -> ValidationReport:
-    """Pairwise strong-map checks; witnesses are the first failing pairs.
+    """Pairwise strong-map checks; witnesses are the first failing pairs in family order.
 
-    One scan over every (circuit of M, cocircuit of M') pair in family order,
-    on their (positive, support) bitmasks.  Both checks read only the shared
-    support, so each witness is the first pair failing its own check.
+    A family lists the two signs of each support next to each other, so one
+    scan pairs the first sign of each circuit of M with that of each cocircuit
+    of M' on their shared support.  Signs all equal there fail the oriented
+    check at that pair, all opposite at the pair with the cocircuit negated.
     """
     if m.ground != mprime.ground:
         raise PerspectiveError("the two matroids must share the same ordered ground set")
     circuits, cocircuits = m.circuit_pairs, mprime.cocircuit_pairs
+    firsts = cocircuits[::2]
     weak_at = oriented_at = None
-    for i, (c_pos, c_sup) in enumerate(circuits):
-        for j, (d_pos, d_sup) in enumerate(cocircuits):
+    for i in range(0, len(circuits), 2):
+        c_pos, c_sup = circuits[i]
+        for j, (d_pos, d_sup) in enumerate(firsts):
             shared = c_sup & d_sup
             if not shared:
                 continue
             if weak_at is None and not shared & (shared - 1):
-                weak_at = (i, j)
-            if oriented_at is None and not (c_pos ^ d_pos) & shared:
-                oriented_at = (i, j)
+                weak_at = (i, 2 * j)
+            if oriented_at is None:
+                differ = (c_pos ^ d_pos) & shared
+                if differ in (0, shared):
+                    oriented_at = (i, 2 * j + (differ != 0))
         if weak_at is not None and oriented_at is not None:
             break
 
@@ -164,11 +167,7 @@ def bounded_perspective(m: OrientedRealization, e: int) -> Perspective:
         raise PerspectiveError(f"element {e} is a loop; a non-factor element is required")
     if m.is_isthmus(e):
         raise PerspectiveError(f"element {e} is an isthmus; a non-factor element is required")
-    contracted = m.contract(e)
-    pos = m.index_of(e)
-    rows = [row[:pos] + (Fraction(0),) + row[pos:] for row in contracted.matrix]
-    mprime_real = m._derived(m.ground, rows, lambda t: _loop_table(t, pos))
-    return Perspective(OrientedMatroid(m), OrientedMatroid(mprime_real))
+    return Perspective(OrientedMatroid(m), OrientedMatroid(m.contract_as_loop(e)))
 
 
 # -- perspective file format ----------------------------------------------------

@@ -5,16 +5,19 @@ represented as a dictionary mapping monomials to arbitrary-precision integer
 coefficients.  Zero-coefficient terms are never stored, so structural
 equality is polynomial equality and the text rendering is deterministic.
 
-Evaluation returns exact rationals (fractions.Fraction); there is no
-floating point anywhere, so identity checks are fully reliable.
+Evaluation is exact too: an int at an integer point, a fractions.Fraction
+at any other; there is no floating point anywhere, so identity checks are
+fully reliable.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 VARIABLES = ("x", "u", "y", "v", "z")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -249,14 +252,18 @@ class Polynomial:
                 out[exps] = out.get(exps, 0) + c
         return Polynomial({Monomial(exps): c for exps, c in out.items()})
 
-    def evaluate(self, assignment: Mapping[str, "Fraction | int"]) -> Fraction:
-        """Exact value at a rational point; every present variable must be bound."""
-        values: dict[int, Fraction] = {}
-        for name, val in assignment.items():
-            values[_check_variable(name)] = Fraction(val)
-        total = Fraction(0)
+    def evaluate(self, assignment: Mapping[str, "Fraction | int"]) -> "Fraction | int":
+        """Exact value at a rational point: an int at an integer point, else a Fraction.
+
+        Every present variable must be bound.
+        """
+        values = {_check_variable(name): val for name, val in assignment.items()}
+        total = 0
+        if not all(isinstance(val, int) for val in values.values()):
+            from fractions import Fraction
+            values, total = {i: Fraction(val) for i, val in values.items()}, Fraction(0)
         for mono, coeff in self._terms.items():
-            term = Fraction(coeff)
+            term = coeff
             for i, e in enumerate(mono.exps):
                 if not e:
                     continue

@@ -7,7 +7,9 @@ and ``locale``) is replaced by a table-driven argv parser, and the polynomial
 text parser ``omtutte._polytext`` loads only when ``Polynomial.parse`` runs.
 ``import omtutte`` loads no submodule, ``tutte`` runs on ``matroid`` and
 ``poly`` alone, and ``tutte3`` adds ``oriented`` and ``perspective`` but never
-``expansions``.
+``expansions``.  Realizations are held as integer columns, so ``fractions``
+(with ``decimal`` and ``numbers``) loads only where a rational is shown or
+parsed off the plain ``p/q`` fast path.
 """
 
 import os
@@ -21,7 +23,7 @@ import omtutte
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 AVOIDED = ("dataclasses", "inspect", "ast", "json", "argparse", "gettext", "locale",
-           "omtutte._polytext")
+           "omtutte._polytext", "fractions", "decimal", "numbers")
 SUBMODULES = ("poly", "matroid", "oriented", "perspective", "expansions")
 TABLE_MODULES = {"omtutte.oriented", "omtutte.perspective", "omtutte.expansions"}
 
@@ -78,6 +80,39 @@ def test_tutte3_on_a_major_runs_without_expansions(tmp_path):
     assert {"omtutte.oriented", "omtutte.perspective"} <= loaded
     assert "omtutte.expansions" not in loaded
     assert sorted(loaded.intersection(AVOIDED)) == []
+
+
+def test_tutte_on_a_rational_matrix_avoids_fractions(tmp_path):
+    loaded = run_main(tmp_path, "m.txt", "2 4\n1 0 1/2 -3/4\n0 1 1 2/3\n",
+                      "tutte", "--format", "matrix")
+    assert sorted(loaded.intersection(AVOIDED)) == []
+
+
+def test_tutte3_on_a_major_matrix_avoids_fractions(tmp_path):
+    loaded = run_main(tmp_path, "major.persp",
+                      "major: matrix\n2 4\n1 0 1/2 1\n0 1 1 -2/5\ncontract: 4\n",
+                      "tutte3", "--format", "perspective")
+    assert sorted(loaded.intersection(AVOIDED)) == []
+
+
+def test_verify_on_a_digraph_avoids_fractions(tmp_path):
+    loaded = run_main(tmp_path, "square.dg", "1 a b\n2 b c\n3 c d\n4 d a\n5 a c\n", "verify")
+    assert "omtutte.expansions" in loaded
+    assert sorted(loaded.intersection(AVOIDED)) == []
+
+
+def test_rational_views_still_give_fractions():
+    loaded = loaded_after(
+        "from fractions import Fraction\n"
+        "from omtutte.matroid import OrientedRealization\n"
+        "from omtutte.poly import X\n"
+        "m = OrientedRealization.parse_matrix('1 2\\n1/2 -3\\n')\n"
+        "assert m.column(1) == (Fraction(1, 2),) and type(m.column(2)[0]) is Fraction\n"
+        "assert m.matrix == ((Fraction(1, 2), Fraction(-3)),)\n"
+        "assert all(type(v) is Fraction for v in m.matrix[0])\n"
+        "assert type((X + 1).evaluate({'x': Fraction(1, 3)})) is Fraction\n"
+        "assert type((X + 1).evaluate({'x': 2})) is int")
+    assert "fractions" in loaded
 
 
 def test_polynomial_parse_loads_the_text_parser():

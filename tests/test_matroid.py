@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omtutte.matroid import (
     Digraph,
@@ -70,6 +71,52 @@ def test_matrix_parse():
     assert m.column(3) == (Fraction(1, 2), Fraction(1))
     with pytest.raises(InputFormatError, match="entries"):
         OrientedRealization.parse_matrix("2 2\n1 0 0\n")
+
+
+def _parsed_or_error(text: str):
+    try:
+        return OrientedRealization.parse_matrix(text)
+    except InputFormatError as exc:
+        return str(exc)
+
+
+def _via_fraction(tokens: list[str]):
+    """What parsing a 1-row matrix of ``tokens`` gives when every entry goes through Fraction."""
+    try:
+        row = [Fraction(t) for t in tokens]
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"bad rational entry: {exc}"
+    return OrientedRealization(range(1, len(tokens) + 1), [row])
+
+
+def _assert_parses_like_fraction(tokens: list[str]):
+    parsed = _parsed_or_error(f"1 {len(tokens)}\n{' '.join(tokens)}\n")
+    expected = _via_fraction(tokens)
+    if isinstance(expected, str):
+        assert parsed == expected
+    else:
+        assert parsed.matrix == expected.matrix
+        assert parsed.integer_columns == expected.integer_columns
+
+
+PARSE_TOKENS = ["1/2", "-3", "+3", "1_000", "1.5", "1e3", "3/-2", "1/0", "\u0663", "--3",
+                "0", "-0", "007", "4/6", "-10/4", "0/5", "1/02", "/3", "-", "1/2/3",
+                "12345678901234567890/3"]
+
+
+def test_matrix_parse_fast_path_matches_fraction():
+    for token in PARSE_TOKENS:
+        _assert_parses_like_fraction([token])
+    valid = [t for t in PARSE_TOKENS if not isinstance(_via_fraction([t]), str)]
+    _assert_parses_like_fraction(valid)
+    _assert_parses_like_fraction(["1/2", "--3", "1/0"])  # the first bad entry is reported
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="0123456789-+/._e\u0663", min_size=1, max_size=6),
+                min_size=1, max_size=4))
+def test_matrix_parse_tokens_match_fraction(tokens):
+    _assert_parses_like_fraction(tokens)
 
 
 def test_matrix_parse_degenerate_shapes():

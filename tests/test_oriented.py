@@ -2,10 +2,11 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from omtutte.matroid import Digraph, MatroidError, from_digraph
+from omtutte.matroid import Digraph, MatroidError, OrientedRealization, from_digraph
 from omtutte.oriented import (
     OrientedMatroid,
     SignedSubset,
@@ -202,6 +203,34 @@ def test_minty_examples():
     for size in range(4):
         for combo in itertools.combinations(om.ground, size):
             assert minty_check(om.reorient(combo))
+
+
+def _echelon_cases(seed):
+    """Realizations whose echelon forms have zero, parallel and isthmus columns
+    in any position, more rows than rank, no rows, or no ground set."""
+    rng = random.Random(seed)
+    yield OrientedRealization((), [])
+    yield OrientedRealization.parse_matrix("2 0\n")
+    yield OrientedRealization((1, 2, 3), [])
+    for _ in range(10):
+        m = random_realization(rng, max_rows=3, max_cols=4)
+        j = rng.randrange(len(m.ground))
+        scale = rng.choice((-2, -1, Fraction(1, 2), 3))
+        rows = [[*row, 0, scale * row[j], 0] for row in m.matrix]
+        rows.append([0] * (len(rows[0]) - 1) + [1])  # the isthmus
+        rows.append([2 * v for v in rows[0]])  # a row beyond the rank
+        order = rng.sample(range(len(rows[0])), len(rows[0]))
+        yield OrientedRealization(range(1, len(order) + 1),
+                                  [[row[i] for i in order] for row in rows])
+
+
+def test_echelon_signs_match_cofactor_oracle():
+    rng = random.Random(1213)
+    for m in _echelon_cases(1212):
+        minors = [m, m.dual()] + [m.contract(e) for e in rng.sample(m.ground, min(1, len(m)))]
+        for r in minors:
+            assert family_set(r.ground, signed_circuits(r)) == oracle_signed_circuits(r)
+            assert family_set(r.ground, signed_cocircuits(r)) == oracle_signed_circuits(r.dual())
 
 
 # -- family-level properties -------------------------------------------------------
