@@ -191,7 +191,7 @@ def run(args) -> int:
                              dichotomy_case, expansion_sum, signed_sum, specialization_suite)
 
     if args.command == "count":
-        # each side is a tuple of exact values that must all equal the count
+        # each side is a tuple of ints that must all equal the count
         if args.kind == "bounded":
             report = expansion_sum(perspective)
             value = count_bounded(perspective, report=report)
@@ -207,11 +207,8 @@ def run(args) -> int:
             sides = {"t(1,1)": (tutte_closed(realization).evaluate({"x": 1, "y": 1}),),
                      "basic orientations": count_basic_orientations(perspective.m)}
         agree = all(side == value for values in sides.values() for side in values)
-        # an exact value is shown as an int when it is integral, else as its Fraction
-        exact = {name: [int(side) if side.denominator == 1 else str(side) for side in values]
-                 for name, values in sides.items()}
-        shown = ", ".join(f"{name}={','.join(map(str, values))}" for name, values in exact.items())
-        _emit(args, f"{value} ({shown})", {"value": value, "sides": exact, "agree": agree})
+        shown = ", ".join(f"{name}={','.join(map(str, values))}" for name, values in sides.items())
+        _emit(args, f"{value} ({shown})", {"value": value, "sides": sides, "agree": agree})
         return 0 if agree else 1
 
     report = expansion_sum(perspective)

@@ -45,8 +45,8 @@ def _in_sets(n: int) -> list[int]:
     return out
 
 
-def _active_sets(masks: Sequence[tuple[int, int]], ground: Sequence[int],
-                 in_a: Sequence[int], out_a: Sequence[int], full: int) -> list[int]:
+def _active_sets(masks: Sequence[tuple[int, int]], in_a: Sequence[int],
+                 out_a: Sequence[int], full: int) -> list[int]:
     """Per ground index e, the A for which -_A has a positive member with smallest element e.
 
     ``masks`` are a negation-closed family's (positive, support) pairs.  A
@@ -54,13 +54,13 @@ def _active_sets(masks: Sequence[tuple[int, int]], ground: Sequence[int],
     ``out_a[i]`` is ``full ^ in_a[i]``: an AND with it is an order of magnitude
     cheaper than with ``~in_a[i]``, a negative int of the same width.
     """
-    out = [0] * len(ground)
+    out = [0] * len(in_a)
     for pos, sup in masks:
-        support = [i for i in range(len(ground)) if sup >> i & 1]
+        support = [i for i in range(len(in_a)) if sup >> i & 1]
         positive = full
         for i in support:
             positive &= out_a[i] if pos >> i & 1 else in_a[i]
-        out[min(support, key=ground.__getitem__)] |= positive
+        out[support[0]] |= positive
     return out
 
 
@@ -177,15 +177,14 @@ class ExpansionReport:
     def _texts(self) -> Iterator[list[str]]:
         """The rendered columns of every row, read straight off the masks."""
         ground = self.perspective.ground
-        by_label = sorted(range(len(ground)), key=ground.__getitem__)
-        labels = [(1 << i, str(ground[i])) for i in by_label]
+        labels = [(1 << i, str(e)) for i, e in enumerate(ground)]
 
         @cache
         def text(mask: int) -> str:
             return "".join(label for bit, label in labels if mask & bit)
 
-        # A's 2^|E| masks are all distinct: join the texts of its low and high label halves
-        low = sum(1 << i for i in by_label[:len(by_label) // 2])
+        # A's 2^|E| masks are all distinct: join the texts of its low and high halves
+        low = (1 << len(ground) // 2) - 1
         high = ((1 << len(ground)) - 1) ^ low
         monomial = cache(lambda key: str(Monomial(key + (0,))))
         for a, (act, dual) in enumerate(zip(self.active, self.dual)):
@@ -244,8 +243,8 @@ def expansion_sum(p: Perspective) -> ExpansionReport:
     full = (1 << (1 << n)) - 1
     in_a = _in_sets(n)
     out_a = [full ^ inside for inside in in_a]
-    active = _active_sets(p.m.circuit_pairs, p.ground, in_a, out_a, full)
-    dual = _active_sets(p.mprime.cocircuit_pairs, p.ground, in_a, out_a, full)
+    active = _active_sets(p.m.circuit_pairs, in_a, out_a, full)
+    dual = _active_sets(p.mprime.cocircuit_pairs, in_a, out_a, full)
     counters: list[list[int]] = [[], [], [], []]  # dual_out, dual_in, active_out, active_in
     for i, (inside, outside) in enumerate(zip(in_a, out_a)):
         for planes, bits in zip(counters, (dual[i] & outside, dual[i] & inside,
@@ -319,7 +318,7 @@ def specialization_suite(p: Perspective,
                        in hist.items() if not (d_in or a_out or a_in))
     doubling_in = sum(count * 2 ** d_in for (d_out, d_in, a_out, a_in), count
                       in hist.items() if not (d_out or a_out or a_in))
-    two_zero = int(tutte.evaluate({"x": 2, "y": 0}))  # integer coefficients
+    two_zero = tutte.evaluate({"x": 2, "y": 0})
     return SpecializationReport(
         tutte, interpolation, restricted, restricted_swap, doubling_out, doubling_in,
         two_zero, interpolation == tutte, restricted == tutte, restricted_swap == tutte,
@@ -424,7 +423,7 @@ def dichotomy_case(p: Perspective) -> DichotomyCase:
     ground = p.ground
     if not ground:
         raise MatroidError("the dichotomy needs at least one ground element")
-    e = max(ground)
+    e = ground[-1]
     others = set(ground) - {e}
 
     # only M's circuits and M''s cocircuits are read, of each matroid below
@@ -470,7 +469,7 @@ def deletion_contraction_check(p: Perspective, report: ExpansionReport | None = 
     full = report.total
     if not p.ground:
         return full == ONE
-    e = max(p.ground)
+    e = p.ground[-1]
     deleted = expansion_sum(p.minor_delete(e)).total
     if p.mprime.realization.is_isthmus(e):
         return full == (X + U) * deleted

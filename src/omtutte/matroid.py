@@ -1,13 +1,14 @@
 """Ordered ground sets, rational realizations, ranks, bases, and Tutte polynomials.
 
 A matroid is always given by a realization: a matrix of exact rationals with
-one column per ground element, in ground order.  It is held as integer
-columns, each the rational column times a positive scale (the lcm of its
-denominators), so no arithmetic below the input parser needs ``Fraction``.
-Digraphs are ingested via their signed vertex-arc incidence matrices, so
-graphic instances get signed circuits for free.  Each realization holds one
-exact rank table, r(S) for every subset S as a bitmask (bit i = ground[i]);
-every rank question, and the tables of its minors and its dual, are read off it.
+one column per ground element, in ground order, whose labels strictly
+increase.  It is held as integer columns, each the rational column times a
+positive scale (the lcm of its denominators), so no arithmetic below the
+input parser needs ``Fraction``.  Digraphs are ingested via their signed
+vertex-arc incidence matrices, so graphic instances get signed circuits for
+free.  Each realization holds one exact rank table, r(S) for every subset S
+as a bitmask (bit i = ground[i], so bit order is label order); every rank
+question, and the tables of its minors and its dual, are read off it.
 """
 
 from __future__ import annotations
@@ -265,8 +266,8 @@ class OrientedRealization:
 
     def __init__(self, ground: Sequence[int], matrix: Sequence[Sequence["Fraction | int"]]):
         ground = tuple(int(g) for g in ground)
-        if len(set(ground)) != len(ground):
-            raise MatroidError("ground labels must be distinct")
+        if any(a >= b for a, b in zip(ground, ground[1:])):
+            raise MatroidError(f"ground labels must be strictly increasing, got {ground}")
         rows = [[_ratio(v) for v in row] for row in matrix]
         for row in rows:
             if len(row) != len(ground):
@@ -463,25 +464,27 @@ def from_digraph(g: Digraph) -> OrientedRealization:
 
 # -- subset sweeps ------------------------------------------------------------
 
-def subsets_in_order(ground: Sequence[int]):
-    """All subsets by binary counting on the ordered ground set (bit i = ground[i])."""
-    n = len(ground)
-    for mask in range(1 << n):
-        yield mask, frozenset(ground[i] for i in range(n) if mask >> i & 1)
+def _closed_sum(table: bytes, table_prime: bytes) -> Polynomial:
+    """Sum over S of (x-1)^(r'(E)-r'(S)) (y-1)^(|S|-r(S)) z^(r(E)-r'(E)-r(S)+r'(S)).
+
+    r and r' are the rank tables of M and M'; a negative z exponent raises ValueError.
+    """
+    n = len(table).bit_length() - 1
+    drop = table[-1] - table_prime[-1]
+    counts = Counter(zip(popcounts(n), table, table_prime))
+    return Polynomial({Monomial.from_exponents({"x": table_prime[-1] - rpa, "y": size - ra,
+                                                "z": drop - ra + rpa}): count
+                       for (size, ra, rpa), count in counts.items()}).shifted({"x": -1, "y": -1})
 
 
 def tutte_closed(m: OrientedRealization) -> Polynomial:
     """Tutte polynomial as the corank-nullity sum over all subsets of E."""
-    n = len(m.ground)
     table = m.rank_table()
-    r = table[-1]
-    counts = Counter(zip(popcounts(n), table))
-    return Polynomial({Monomial.from_exponents({"x": r - ra, "y": size - ra}): count
-                       for (size, ra), count in counts.items()}).shifted({"x": -1, "y": -1})
+    return _closed_sum(table, table)
 
 
 def bases(m: OrientedRealization) -> list[frozenset[int]]:
-    """All maximal independent sets, in ascending canonical order."""
+    """All maximal independent sets, in lexicographic order of their elements."""
     n = len(m.ground)
     table = m.rank_table()
     r = table[-1]

@@ -1,12 +1,13 @@
 """Signed circuits and cocircuits, reorientation, and orientation activities.
 
 A family is held once, as (positive, support) bitmask pairs (bit i is
-ground[i]) sorted by support labels, then positive labels; ``SignedSubset``
-views them for witnesses and text.  Circuit supports are read off the rank
-table (rank |S|-1, every maximal proper subset independent), their signs off
-one fraction-free echelon form of the matrix; cocircuits are the circuits of
-the dual.  Reorientation only flips stored signs, so the 2^|E|
-sweep never re-runs linear algebra.  "Smallest" means in ascending label order.
+ground[i]) ordered by support, then positive part, each lexicographically by
+its elements; ``SignedSubset`` views them for witnesses and text.  Circuit
+supports are read off the rank table (rank |S|-1, every maximal proper subset
+independent), their signs off one fraction-free echelon form of the matrix;
+cocircuits are the circuits of the dual.  Reorientation only flips stored
+signs, so the 2^|E| sweep never re-runs linear algebra.  "Smallest" is the
+lowest bit: the ground tuple is the ordered set E.
 """
 
 from __future__ import annotations
@@ -58,13 +59,18 @@ def conformal(y: SignedSubset, x: SignedSubset) -> bool:
 
 
 def _labels(ground: Sequence[int], mask: int) -> list[int]:
-    """The labels of the ground indices in ``mask``, ascending."""
-    return sorted(e for i, e in enumerate(ground) if mask >> i & 1)
+    """The labels of the ground indices in ``mask``."""
+    return [e for i, e in enumerate(ground) if mask >> i & 1]
 
 
-def _in_family_order(ground: Sequence[int], pairs: Iterable[tuple[int, int]]) -> Pairs:
-    return tuple(sorted(pairs, key=lambda pair: (_labels(ground, pair[1]),
-                                                 _labels(ground, pair[0]))))
+def _in_family_order(pairs: Iterable[tuple[int, int]]) -> Pairs:
+    """Both signs of each (positive, support) pair, supports as given, the positive part
+    with the lower lowest bit (lexicographically smaller; an empty one has none) first."""
+    out = []
+    for pos, sup in pairs:
+        neg = sup ^ pos
+        out += ((pos, sup), (neg, sup)) if pos & -pos < neg & -neg else ((neg, sup), (pos, sup))
+    return tuple(out)
 
 
 def _circuit_supports(table: bytes) -> list[int]:
@@ -96,7 +102,8 @@ def signed_circuits(m: OrientedRealization) -> Pairs:
     echelon = [(c, rows[r]) for r, c in pivots]
     bound = sum(1 << c for c, _ in echelon)
     family: list[tuple[int, int]] = []
-    for support in _circuit_supports(m.rank_table()):
+    for support in sorted(_circuit_supports(m.rank_table()),
+                          key=lambda s: [i for i in range(n) if s >> i & 1]):
         free = [i for i in range(n) if (support & ~bound) >> i & 1]
         (x,) = _integer_kernel([[row[f] for f in free] for c, row in echelon
                                 if not support >> c & 1], len(free))
@@ -106,9 +113,8 @@ def signed_circuits(m: OrientedRealization) -> Pairs:
                 signs[c] = -row[c] * sum(row[f] * v for f, v in zip(free, x))
         if not all(signs.values()):
             raise MatroidError("internal error: zero coefficient on a circuit support")
-        positive = sum(1 << i for i, v in signs.items() if v > 0)
-        family += [(positive, support), (support ^ positive, support)]
-    return _in_family_order(m.ground, family)
+        family.append((sum(1 << i for i, v in signs.items() if v > 0), support))
+    return _in_family_order(family)
 
 
 def signed_cocircuits(m: OrientedRealization) -> Pairs:
@@ -119,7 +125,7 @@ def signed_cocircuits(m: OrientedRealization) -> Pairs:
 class OrientedMatroid:
     """A realization with its signed circuit and cocircuit families, each built on first read.
 
-    ``build_circuits`` and ``build_cocircuits`` return the pairs; by default
+    ``build_circuits`` and ``build_cocircuits`` return the pairs in family order; by default
     they enumerate them from the realization.  ``reorient`` and ``dual`` derive theirs
     from this one's.  Values derived from it (its minors, its identity
     perspective) are built once and kept.
@@ -174,7 +180,7 @@ class OrientedMatroid:
             return self
 
         def flipped(pairs: Pairs) -> Pairs:
-            return _in_family_order(self.ground, ((pos ^ (sup & flip), sup) for pos, sup in pairs))
+            return _in_family_order((pos ^ (sup & flip), sup) for pos, sup in pairs[::2])
 
         return OrientedMatroid(
             self.realization.negate_columns(a),
@@ -199,8 +205,8 @@ class OrientedMatroid:
 
 
 def _positive_minima(ground: Sequence[int], pairs: Pairs) -> frozenset[int]:
-    """Smallest elements of the positive members (no negative part) of a family."""
-    return frozenset(_labels(ground, sup)[0] for pos, sup in pairs if pos == sup)
+    """Smallest elements (lowest bits) of the positive members (no negative part) of a family."""
+    return frozenset(ground[(sup & -sup).bit_length() - 1] for pos, sup in pairs if pos == sup)
 
 
 def _positive_cover(pairs: Pairs) -> int:

@@ -9,18 +9,17 @@ shares a nonempty all-equal-sign intersection with a signed cocircuit of M'
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .matroid import (
     InputFormatError,
     MatroidError,
     OrientedRealization,
+    _closed_sum,
     _parse_payload,
-    popcounts,
 )
 from .oriented import OrientedMatroid, SignedSubset
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 
 
 class PerspectiveError(MatroidError):
@@ -140,21 +139,15 @@ def from_major(n: OrientedRealization, c: Iterable[int]) -> Perspective:
 
 def tutte3_closed(p: Perspective) -> Polynomial:
     """3-variable Tutte polynomial of the perspective via the closed subset sum."""
-    m = p.m.realization
-    n = len(m.ground)
-    table_m, table_mp = m.rank_table(), p.mprime.realization.rank_table()
-    r_mp = table_mp[-1]
-    drop = table_m[-1] - r_mp
-    counts: dict[Monomial, int] = {}
-    for (size, ra, rpa), count in Counter(zip(popcounts(n), table_m, table_mp)).items():
-        zexp = drop - (ra - rpa)
-        if zexp < 0:
-            first = next(s for s in range(1 << n) if table_m[s] - table_mp[s] > drop)
-            raise PerspectiveError(
-                f"negative z exponent at subset {sorted(m.ground[i] for i in range(n) if first >> i & 1)}; "
-                "the pair violates the strong-map rank axiom")
-        counts[Monomial.from_exponents({"x": r_mp - rpa, "y": size - ra, "z": zexp})] = count
-    return Polynomial(counts).shifted({"x": -1, "y": -1})
+    table_m, table_mp = p.m.realization.rank_table(), p.mprime.realization.rank_table()
+    try:
+        return _closed_sum(table_m, table_mp)
+    except ValueError:  # a negative z exponent: r(S) - r'(S) exceeds r(E) - r'(E)
+        drop = table_m[-1] - table_mp[-1]
+        first = next(s for s in range(len(table_m)) if table_m[s] - table_mp[s] > drop)
+        subset = [e for i, e in enumerate(p.ground) if first >> i & 1]
+        raise PerspectiveError(f"negative z exponent at subset {subset}; "
+                               "the pair violates the strong-map rank axiom") from None
 
 
 def bounded_perspective(m: OrientedRealization, e: int) -> Perspective:

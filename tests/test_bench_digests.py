@@ -1,8 +1,8 @@
 """Every benchmark job's stdout against its recorded digest, run in-process.
 
 The bench harness runs each job as a fresh process and its smoke check only
-the smallest job of each workload; this runs every job of two input
-variants through ``omtutte.cli.main`` and reads ``bench/digests.json``
+the smallest job of each workload; this runs every job of every input
+variant through ``omtutte.cli.main`` and reads ``bench/digests.json``
 without writing it.
 """
 
@@ -32,7 +32,7 @@ DIGESTS = json.loads((BENCH / "digests.json").read_text())
 
 
 @pytest.mark.parametrize("workload", inputs.WORKLOADS)
-@pytest.mark.parametrize("variant", [0, 1])
+@pytest.mark.parametrize("variant", range(inputs.VARIANTS))
 def test_every_job_matches_its_digest(tmp_path, capsys, workload, variant):
     expected = DIGESTS[workload][str(variant)]
     jobs = inputs.write_inputs(workload, variant, tmp_path)

@@ -11,9 +11,18 @@ empty ground set.
 import random
 from fractions import Fraction
 
+import pytest
+
 from omtutte.expansions import expansion_sum
 from omtutte.matroid import OrientedRealization, from_digraph, tutte_closed
-from omtutte.perspective import from_major, identity_perspective, tutte3_closed
+from omtutte.oriented import OrientedMatroid
+from omtutte.perspective import (
+    Perspective,
+    PerspectiveError,
+    from_major,
+    identity_perspective,
+    tutte3_closed,
+)
 from omtutte.poly import ONE, X, Y
 
 from helpers import (
@@ -64,6 +73,16 @@ def test_closed_sums_of_the_empty_ground_set():
     assert tutte_closed(empty) == ONE == oracle_tutte_closed(empty)
     assert tutte3_closed(p) == ONE == oracle_tutte3_closed(p)
     assert expansion_sum(p).reference == ONE
+
+
+def test_negative_z_exponent_names_the_first_subset():
+    # M and M' both have rank 2, but M' makes 3 and 5 parallel: r - r' is 1 on {3, 5}
+    p = Perspective.__new__(Perspective)  # bypasses the strong-map scans, which reject the pair
+    p.m = OrientedMatroid(OrientedRealization((3, 5, 8), [[1, 0, 1], [0, 1, 1]]))
+    p.mprime = OrientedMatroid(OrientedRealization((3, 5, 8), [[1, 1, 0], [0, 0, 1]]))
+    with pytest.raises(PerspectiveError, match=r"^negative z exponent at subset \[3, 5\]; "
+                                               "the pair violates the strong-map rank axiom$"):
+        tutte3_closed(p)
 
 
 def test_loop_and_isthmus_factors():

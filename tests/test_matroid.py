@@ -16,7 +16,6 @@ from omtutte.matroid import (
     bases,
     basis_activities,
     from_digraph,
-    subsets_in_order,
     tutte_bases,
     tutte_closed,
 )
@@ -302,15 +301,6 @@ def test_dual_rank_complement():
 
 
 # -- enumeration plumbing ----------------------------------------------------------
-
-def test_subsets_follow_binary_counting():
-    order = list(subsets_in_order((1, 2, 3)))
-    assert order[0] == (0, frozenset())
-    assert order[1] == (1, frozenset({1}))
-    assert order[2] == (2, frozenset({2}))
-    assert order[5] == (5, frozenset({1, 3}))
-    assert len(order) == 8
-
 
 def test_enumeration_guard():
     wide = OrientedRealization(range(1, 22), [[Fraction(0)] * 21])

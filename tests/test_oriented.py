@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from omtutte.expansions import expansion_sum
 from omtutte.matroid import Digraph, MatroidError, OrientedRealization, from_digraph
 from omtutte.oriented import (
     OrientedMatroid,
@@ -20,6 +21,7 @@ from omtutte.oriented import (
     signed_cocircuits,
     activity_record,
 )
+from omtutte.perspective import bounded_perspective, identity_perspective
 from omtutte.poly import Monomial
 from omtutte import gallery
 
@@ -27,6 +29,7 @@ from helpers import (
     every_arc_on_directed_cycle,
     family_set,
     has_directed_cycle,
+    oracle_expansion,
     oracle_signed_circuits,
     random_digraph,
     random_realization,
@@ -330,3 +333,58 @@ def test_totally_cyclic_agrees_with_graph_oracle():
         for mask in range(1 << n):
             a = frozenset(om.ground[i] for i in range(n) if mask >> i & 1)
             assert is_totally_cyclic(om.reorient(a)) == every_arc_on_directed_cycle(g, a)
+
+
+# -- one element order: labels that are not indices ---------------------------------
+
+@pytest.mark.parametrize("ground", [(2, 1), (1, 1)])
+def test_ground_labels_must_be_strictly_increasing(ground):
+    with pytest.raises(MatroidError, match="strictly increasing"):
+        OrientedRealization(ground, [[1, 1]])
+
+
+def test_digraph_arcs_out_of_label_order_are_rejected():
+    g = Digraph(("a", "b", "c"), ((2, "a", "b"), (1, "b", "c")))
+    with pytest.raises(MatroidError, match="strictly increasing"):
+        from_digraph(g)
+
+
+def _gapped(rng):
+    """Realizations and digraph realizations whose labels are gapped and never indices."""
+    for _ in range(5):
+        m = random_realization(rng, max_rows=3, max_cols=6)
+        yield OrientedRealization(sorted(rng.sample(range(3, 40), len(m))), m.matrix)
+        g = random_digraph(rng, max_vertices=4, max_arcs=6)
+        labels = sorted(rng.sample(range(3, 40), len(g.arcs)))
+        yield from_digraph(Digraph.from_arcs(
+            (label, tail, head) for label, (_, tail, head) in zip(labels, g.arcs)))
+
+
+def _in_label_order(family):
+    """A (positive, negative) label-set family in family order: support labels, then positive."""
+    return sorted(family, key=lambda pn: (sorted(pn[0] | pn[1]), sorted(pn[0])))
+
+
+def _positive_minima(family):
+    return frozenset(min(pos) for pos, neg in family if not neg)
+
+
+def test_gapped_labels_match_label_oracles():
+    rng = random.Random(1414)
+    for m in _gapped(rng):
+        a = frozenset(e for e in m.ground if rng.random() < 0.5)
+        om = OrientedMatroid(m)
+        for om_a, real in ((om, m), (om.reorient(a), m.negate_columns(a))):
+            circuits = oracle_signed_circuits(real)
+            cocircuits = oracle_signed_circuits(real.dual())
+            assert [(s.positive, s.negative) for s in om_a.circuits] == _in_label_order(circuits)
+            assert [(s.positive, s.negative) for s in om_a.cocircuits] == \
+                _in_label_order(cocircuits)
+            assert orientation_active_sets(om_a) == (_positive_minima(circuits),
+                                                     _positive_minima(cocircuits))
+            p = identity_perspective(om_a)
+            assert expansion_sum(p).histogram == oracle_expansion(p)[2]
+        e = next((e for e in m.ground if not m.is_loop(e) and not m.is_isthmus(e)), None)
+        if e is not None:
+            p = bounded_perspective(m, e)
+            assert expansion_sum(p).histogram == oracle_expansion(p)[2]
