@@ -377,7 +377,7 @@ def derivative_expansion(p: Perspective, dp: int, dq: int,
                          report: ExpansionReport | None = None) -> Polynomial:
     """p! q! times the coefficient of u^p v^q in the expansion.
 
-    Equals the formal (p, q) partial derivative of t(x, y, 1).
+    Equals the formal (p, q) partial derivative of t(x, y, 1); 0, no factorial, past |E|.
     """
     if dp < 0 or dq < 0:
         raise ValueError("derivative orders must be non-negative")
@@ -385,7 +385,7 @@ def derivative_expansion(p: Perspective, dp: int, dq: int,
         report = expansion_sum(p)
     total = _collect(report.histogram, lambda d_out, d_in, a_out, a_in:
                      (d_out, a_out) if (d_in, a_in) == (dp, dq) else None)
-    return math.factorial(dp) * math.factorial(dq) * total
+    return math.factorial(dp) * math.factorial(dq) * total if total else total
 
 
 def derivative_diag(p: Perspective, dp: int,
@@ -397,7 +397,7 @@ def derivative_diag(p: Perspective, dp: int,
         report = expansion_sum(p)
     total = _collect(report.histogram, lambda d_out, d_in, a_out, a_in:
                      (d_out + a_out, 0) if d_in + a_in == dp else None)
-    return math.factorial(dp) * total
+    return math.factorial(dp) * total if total else total
 
 
 # -- the dichotomy and the minor recursion --------------------------------------

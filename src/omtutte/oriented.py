@@ -5,9 +5,9 @@ ground[i]) ordered by support, then positive part, each lexicographically by
 its elements; ``SignedSubset`` views them for witnesses and text.  Circuit
 supports are read off the rank table (rank |S|-1, every maximal proper subset
 independent), their signs off one fraction-free echelon form of the matrix;
-cocircuits are the circuits of the dual.  Reorientation only flips stored
-signs, so the 2^|E| sweep never re-runs linear algebra.  "Smallest" is the
-lowest bit: the ground tuple is the ordered set E.
+cocircuits are the circuits of the dual.  Reorientations, duals and minors read
+theirs off their parent's, so only a matroid built from a matrix runs linear
+algebra.  "Smallest" is the lowest bit: the ground tuple is the ordered set E.
 """
 
 from __future__ import annotations
@@ -102,8 +102,7 @@ def signed_circuits(m: OrientedRealization) -> Pairs:
     echelon = [(c, rows[r]) for r, c in pivots]
     bound = sum(1 << c for c, _ in echelon)
     family: list[tuple[int, int]] = []
-    for support in sorted(_circuit_supports(m.rank_table()),
-                          key=lambda s: [i for i in range(n) if s >> i & 1]):
+    for support in sorted(_circuit_supports(m.rank_table()), key=lambda s: _labels(range(n), s)):
         free = [i for i in range(n) if (support & ~bound) >> i & 1]
         (x,) = _integer_kernel([[row[f] for f in free] for c, row in echelon
                                 if not support >> c & 1], len(free))
@@ -122,26 +121,39 @@ def signed_cocircuits(m: OrientedRealization) -> Pairs:
     return signed_circuits(m.dual())
 
 
+def _minor_family(pairs: Pairs, i: int, spans: Callable[[int], bool] | None = None) -> Pairs:
+    """Delete ground index i: keep the members avoiding it.  Contract it when ``spans`` is
+    given: keep each member through i, minus i, and drop each S avoiding i with spans(S), i in
+    its span; a loop, spanned by nothing, contracts as a deletion.  Bit i is squeezed out,
+    which can reorder the supports, so they are sorted again."""
+    low = 1 << i
+    contract = spans is not None and not spans(0)
+    kept = [p for p in pairs[::2] if (contract if p[1] & low else not (contract and spans(p[1])))]
+    squeezed = [tuple(s & low - 1 | s >> 1 & -low for s in pair) for pair in kept]
+    return _in_family_order(sorted(squeezed, key=lambda p: _labels(range(p[1].bit_length()), p[1])))
+
+
 class OrientedMatroid:
     """A realization with its signed circuit and cocircuit families, each built on first read.
 
-    ``build_circuits`` and ``build_cocircuits`` return the pairs in family order; by default
-    they enumerate them from the realization.  ``reorient`` and ``dual`` derive theirs
-    from this one's.  Values derived from it (its minors, its identity
-    perspective) are built once and kept.
+    ``OrientedMatroid(realization)`` enumerates them from the realization; ``reorient``,
+    ``dual`` and the minors read theirs off this one's, and the minors are kept.
     """
 
     __slots__ = ("realization", "reorientation", "_builds", "_memo")
 
-    def __init__(self, realization: OrientedRealization,
-                 build_circuits: Callable[[], Pairs] | None = None,
-                 build_cocircuits: Callable[[], Pairs] | None = None,
-                 reorientation: frozenset[int] = frozenset()):
-        self.realization = realization
-        self.reorientation = reorientation
-        self._builds = (build_circuits or (lambda: signed_circuits(realization)),
-                        build_cocircuits or (lambda: signed_cocircuits(realization)))
+    def __init__(self, realization: OrientedRealization):
+        self.realization, self.reorientation = realization, frozenset()
+        self._builds = (lambda: signed_circuits(realization),
+                        lambda: signed_cocircuits(realization))
         self._memo: dict = {}
+
+    def _derived(self, realization: OrientedRealization, circuits: Callable[[], Pairs],
+                 cocircuits: Callable[[], Pairs], reorientation=frozenset()) -> "OrientedMatroid":
+        """An oriented matroid whose families ``circuits`` and ``cocircuits`` build."""
+        out = OrientedMatroid(realization)
+        out._builds, out.reorientation = (circuits, cocircuits), reorientation
+        return out
 
     @property
     def ground(self) -> tuple[int, ...]:
@@ -182,22 +194,32 @@ class OrientedMatroid:
         def flipped(pairs: Pairs) -> Pairs:
             return _in_family_order((pos ^ (sup & flip), sup) for pos, sup in pairs[::2])
 
-        return OrientedMatroid(
-            self.realization.negate_columns(a),
-            lambda: flipped(self.circuit_pairs),
-            lambda: flipped(self.cocircuit_pairs),
-            self.reorientation ^ a,
-        )
+        return self._derived(self.realization.negate_columns(a),
+                             lambda: flipped(self.circuit_pairs),
+                             lambda: flipped(self.cocircuit_pairs), self.reorientation ^ a)
 
     def dual(self) -> "OrientedMatroid":
-        return OrientedMatroid(self.realization.dual(), lambda: self.cocircuit_pairs,
-                               lambda: self.circuit_pairs, self.reorientation)
+        return self._derived(self.realization.dual(), lambda: self.cocircuit_pairs,
+                             lambda: self.circuit_pairs, self.reorientation)
 
     def minor_delete(self, e: int) -> "OrientedMatroid":
-        return self.memo(("delete", e), lambda: OrientedMatroid(self.realization.delete(e)))
+        return self.memo(("delete", e), lambda: self._minor(e, contract=False))
 
     def minor_contract(self, e: int) -> "OrientedMatroid":
-        return self.memo(("contract", e), lambda: OrientedMatroid(self.realization.contract(e)))
+        return self.memo(("contract", e), lambda: self._minor(e, contract=True))
+
+    def _minor(self, e: int, contract: bool) -> "OrientedMatroid":
+        """M/e, whose circuits contract e and cocircuits delete it, or M minus e, the reverse."""
+        real, i = self.realization, self.realization.index_of(e)
+
+        def spans(s: int) -> bool:  # e in the span of s in M, or in M*: r(E-s-e) < r(E-s)
+            t = real.rank_table()  # t[~s] is t[E minus s]
+            return t[s | 1 << i] == t[s] if contract else t[~(s | 1 << i)] < t[~s]
+
+        by_circuits, by_cocircuits = (spans, None) if contract else (None, spans)
+        return self._derived(real.contract(e) if contract else real.delete(e),
+                             lambda: _minor_family(self.circuit_pairs, i, by_circuits),
+                             lambda: _minor_family(self.cocircuit_pairs, i, by_cocircuits))
 
     def __repr__(self) -> str:
         # like the realization's repr, this builds neither a rank table nor a family

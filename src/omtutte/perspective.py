@@ -94,23 +94,14 @@ class Perspective:
     def ground(self) -> tuple[int, ...]:
         return self.m.ground
 
-    def is_identity(self) -> bool:
-        return self.m is self.mprime
-
     def rank_drop(self) -> int:
         return self.m.realization.rank() - self.mprime.realization.rank()
 
     def minor_delete(self, e: int) -> "Perspective":
-        m = self.m.minor_delete(e)
-        if self.is_identity():
-            return identity_perspective(m)
-        return Perspective(m, self.mprime.minor_delete(e))
+        return Perspective(self.m.minor_delete(e), self.mprime.minor_delete(e))
 
     def minor_contract(self, e: int) -> "Perspective":
-        m = self.m.minor_contract(e)
-        if self.is_identity():
-            return identity_perspective(m)
-        return Perspective(m, self.mprime.minor_contract(e))
+        return Perspective(self.m.minor_contract(e), self.mprime.minor_contract(e))
 
     def __repr__(self) -> str:
         return f"Perspective(|E|={len(self.ground)}, rank_drop={self.rank_drop()})"

@@ -278,8 +278,9 @@ class Polynomial:
         if not isinstance(order, int) or order < 0:
             raise ValueError("derivative order must be a non-negative integer")
         idx = _check_variable(var)
+        degree = max((mono.exps[idx] for mono in self._terms), default=-1)
         poly = self
-        for _ in range(order):
+        for _ in range(min(order, degree + 1)):  # past its degree in var it is 0
             out: dict[Monomial, int] = {}
             for mono, coeff in poly._terms.items():
                 e = mono.exps[idx]

@@ -1,5 +1,6 @@
 """Signed circuits/cocircuits, reorientation, activities, consistency oracles."""
 
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -388,3 +389,39 @@ def test_gapped_labels_match_label_oracles():
         if e is not None:
             p = bounded_perspective(m, e)
             assert expansion_sum(p).histogram == oracle_expansion(p)[2]
+
+
+# -- minors read their families off the parent -------------------------------------
+
+def _minor_roots(rng):
+    """Realizations with loops, isthmi, parallel classes and zero rows, and random digraphs."""
+    yield OrientedRealization((1,), [[0]])  # a lone loop: either minor leaves E empty
+    yield OrientedRealization((1,), [[2]])  # a lone isthmus
+    yield OrientedRealization((1, 2, 3), [[0, 0, 0]])  # rank 0
+    # 2 a loop, 1 and 3 anti-parallel, 6 an isthmus, the second row zero
+    yield OrientedRealization(range(1, 7), [[1, 0, -2, 0, 1, 0], [0] * 6,
+                                            [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 3]])
+    yield from_digraph(gallery.doubled_triangle())
+    for _ in range(8):
+        yield random_realization(rng, max_rows=3, max_cols=6)
+        yield from_digraph(random_digraph(rng, max_vertices=4, max_arcs=6))
+
+
+def test_minor_families_match_linear_algebra_on_the_minor_matrix():
+    # the reference side enumerates each minor's families from its own matrix
+    rng = random.Random(1515)
+    for m in _minor_roots(rng):
+        root = OrientedMatroid(m)
+        a = [e for e in m.ground if rng.random() < 0.5]
+        xs = [root, root.reorient(a), root.dual(), root.reorient(a).dual()]
+        xs += [minor for e in m.ground for minor in (root.minor_delete(e), root.minor_contract(e))]
+        for x in xs:
+            for e in x.ground:
+                for minor, real in ((x.minor_delete(e), x.realization.delete(e)),
+                                    (x.minor_contract(e), x.realization.contract(e))):
+                    assert minor.circuit_pairs == signed_circuits(real), (m, e)
+                    assert minor.cocircuit_pairs == signed_cocircuits(real), (m, e)
+
+
+def test_oriented_matroid_is_built_from_a_realization_only():
+    assert list(inspect.signature(OrientedMatroid).parameters) == ["realization"]
