@@ -96,12 +96,13 @@ def _eliminate(w: IntVector, v: IntVector, p: int) -> list[int]:
 
 
 def _rank_table(columns: Sequence[IntVector]) -> bytearray:
-    """r(S) for every mask S (bit i = column i), by one DFS over the subset tree.
+    """r(S) for every mask S (bit i = column i), by one DFS over the independent sets.
 
     A node S carries the columns after max(S), each already reduced against the
     echelon basis of S and paired with its pivot, so adding column j costs one
-    elimination per later column; a column reduced to zero lies in the span.
-    Once a node reaches full rank, all its supersets are filled in one slice.
+    elimination per later column.  Children S + j are visited from the last j
+    down, each filling its subtree S + j + T (T after j): a column in the span
+    copies the filled r(S + T), and one reaching full rank fills r(E) in a slice.
     """
     n = len(columns)
     size = 1 << n
@@ -109,14 +110,12 @@ def _rank_table(columns: Sequence[IntVector]) -> bytearray:
     table = bytearray(size)
 
     def visit(mask: int, start: int, rank: int, pending: list[tuple[IntVector, int]]) -> None:
-        for offset, (v, p) in enumerate(pending):
-            j = start + offset
-            child = mask | 1 << j
+        for offset in reversed(range(len(pending))):
+            (v, p), j = pending[offset], start + offset
+            child, step = mask | 1 << j, 1 << (j + 1)
             if p < 0:
-                table[child] = rank
-                visit(child, j + 1, rank, pending[offset + 1:])
+                table[child::step] = table[mask::step]
             elif rank + 1 == full:
-                step = 1 << (j + 1)
                 table[child::step] = bytes((full,)) * len(range(child, size, step))
             else:
                 table[child] = rank + 1
@@ -241,18 +240,16 @@ class Digraph(NamedTuple):
     def parse(cls, text: str) -> "Digraph":
         """One arc per line: ``<label> <tail> <head>``; ``#`` starts a comment."""
         arcs = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        lines = text.splitlines()
+        for i, line in _content(lines):
             parts = line.split()
             if len(parts) != 3:
                 raise InputFormatError(
-                    f"line {lineno}: expected '<label> <tail> <head>', got {raw!r}")
+                    f"line {i + 1}: expected '<label> <tail> <head>', got {lines[i]!r}")
             try:
                 label = int(parts[0])
             except ValueError:
-                raise InputFormatError(f"line {lineno}: arc label {parts[0]!r} is not an integer")
+                raise InputFormatError(f"line {i + 1}: arc label {parts[0]!r} is not an integer")
             arcs.append((label, parts[1], parts[2]))
         return cls.from_arcs(arcs)
 
@@ -421,9 +418,7 @@ class OrientedRealization:
     @classmethod
     def parse_matrix(cls, text: str) -> "OrientedRealization":
         """First line ``<rows> <cols>``, then row-major rational entries."""
-        tokens = []
-        for raw in text.splitlines():
-            tokens.extend(raw.split("#", 1)[0].split())
+        tokens = [t for _, line in _content(text.splitlines()) for t in line.split()]
         if len(tokens) < 2:
             raise InputFormatError("matrix text must start with '<rows> <cols>'")
         try:
@@ -441,6 +436,11 @@ class OrientedRealization:
             return cls(range(1, ncols + 1), rows)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"bad rational entry: {exc}")
+
+
+def _content(lines: Sequence[str]) -> list[tuple[int, str]]:
+    """(index, text before any ``#``, stripped) of each line that has such text."""
+    return [(i, text) for i, raw in enumerate(lines) if (text := raw.split("#", 1)[0].strip())]
 
 
 def _parse_payload(fmt: str, text: str) -> OrientedRealization:

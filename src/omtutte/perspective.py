@@ -16,6 +16,7 @@ from .matroid import (
     MatroidError,
     OrientedRealization,
     _closed_sum,
+    _content,
     _parse_payload,
 )
 from .oriented import OrientedMatroid, SignedSubset
@@ -173,35 +174,29 @@ def parse_perspective(text: str, force: bool = False) -> Perspective:
         ...payload two...
     """
     lines = text.splitlines()
-    header = None
-    header_at = 0
-    for i, raw in enumerate(lines):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            header = stripped
-            header_at = i
-            break
-    if header is None:
+    content = _content(lines)
+    if not content:
         raise InputFormatError("empty perspective file")
-    body = lines[header_at + 1:]
+    (header_at, header), body = content[0], content[1:]
+
+    def payload(fmt: str, keep: range | set[int]) -> OrientedRealization:
+        # the file's own text, every line outside the payload blank, so errors cite file lines
+        return _parse_payload(fmt, "\n".join(s if i in keep else "" for i, s in enumerate(lines)))
+
     if header.startswith("major:"):
-        fmt = header.split(":", 1)[1].strip()
-        contract_line = None
-        payload: list[str] = []
-        for raw in body:
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped.startswith("contract:"):
-                contract_line = stripped
-            else:
-                payload.append(raw)
-        if contract_line is None:
+        contracts = [(i, line) for i, line in body if line.startswith("contract:")]
+        if not contracts:
             raise InputFormatError("major-form perspective needs a 'contract:' line")
+        if len(contracts) > 1:
+            raise InputFormatError(f"line {contracts[1][0] + 1}: a second 'contract:' line")
+        contract_at, contract_line = contracts[0]
         labels_text = contract_line.split(":", 1)[1].split()
         try:
             labels = frozenset(int(t) for t in labels_text)
         except ValueError:
             raise InputFormatError(f"bad contract labels {labels_text!r}")
-        major = _parse_payload(fmt, "\n".join(payload))
+        major = payload(header.split(":", 1)[1].strip(),
+                        set(range(header_at + 1, len(lines))) - {contract_at})
         labels = _contraction_set(major, labels)  # a bad label is reported before the guard
         major.rank_table(force)
         return from_major(major, labels)
@@ -211,16 +206,11 @@ def parse_perspective(text: str, force: bool = False) -> Perspective:
             fmts = fmts * 2
         if len(fmts) != 2:
             raise InputFormatError("pair header needs one or two format words")
-        chunks: list[list[str]] = [[]]
-        for raw in body:
-            if raw.strip() == "---":
-                chunks.append([])
-            else:
-                chunks[-1].append(raw)
-        if len(chunks) != 2:
+        separators = [i for i, line in body if line == "---"]
+        if len(separators) != 1:
             raise InputFormatError("pair-form perspective needs exactly one '---' separator")
-        m_real = _parse_payload(fmts[0], "\n".join(chunks[0]))
-        mp_real = _parse_payload(fmts[1], "\n".join(chunks[1]))
+        m_real = payload(fmts[0], range(header_at + 1, separators[0]))
+        mp_real = payload(fmts[1], range(separators[0] + 1, len(lines)))
         if m_real.ground != mp_real.ground:
             raise PerspectiveError("the two inputs must share the same ordered ground set")
         m_real.rank_table(force)

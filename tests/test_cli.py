@@ -123,10 +123,18 @@ def test_derivative_prints_both_sides(tmp_path, capsys):
 
 def test_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.dg"
-    for content, message in [(b"1 a\n", "line 1"),
-                             (b"1 a b\n2 b \xff\n", "'utf-8' codec can't decode byte 0xff")]:
+    tutte3 = ("tutte3", "--format", "perspective")
+    # a payload error cites its line in the file, not in the payload
+    for argv, content, message in [
+            (("tutte",), b"1 a\n", "line 1"),
+            (("tutte",), b"1 a b\n2 b \xff\n", "'utf-8' codec can't decode byte 0xff"),
+            (tutte3, b"major: digraph\n1 a b\n2 b\n3 c a\ncontract: 3\n",
+             "line 3: expected '<label> <tail> <head>', got '2 b'"),
+            (tutte3, b"pair: digraph digraph\n1 a b\n2 a b\n---\n1 a b\n\n2 a\n",
+             "line 7: expected '<label> <tail> <head>', got '2 a'"),
+            (tutte3, MAJOR.encode() + b"contract: 1\n", "line 6: a second 'contract:' line")]:
         path.write_bytes(content)
-        code, out, err = run_cli(capsys, "tutte", "--input", str(path))
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")

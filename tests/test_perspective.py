@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from omtutte.matroid import Digraph, OrientedRealization, from_digraph, tutte_closed
+from omtutte.matroid import (
+    Digraph,
+    InputFormatError,
+    OrientedRealization,
+    from_digraph,
+    tutte_closed,
+)
 from omtutte.oriented import OrientedMatroid, conformal
 from omtutte.perspective import (
     Perspective,
@@ -319,9 +325,11 @@ def test_parse_major_form():
 
 
 def test_parse_pair_form():
-    p = parse_perspective(PAIR_TEXT)
-    assert p.ground == (1, 2)
-    assert tutte3_closed(p) == tutte_closed(from_digraph(gallery.parallel_pair()))
+    # a comment after the separator leaves it a separator
+    for text in (PAIR_TEXT, PAIR_TEXT.replace("---", "--- # second")):
+        p = parse_perspective(text)
+        assert p.ground == (1, 2)
+        assert tutte3_closed(p) == tutte_closed(from_digraph(gallery.parallel_pair()))
 
 
 def test_parse_major_matrix_form():
@@ -347,5 +355,7 @@ pair: digraph matrix
 def test_parse_perspective_errors():
     with pytest.raises(Exception, match="contract"):
         parse_perspective("major: digraph\n1 a b\n")
+    with pytest.raises(InputFormatError, match="line 7: a second 'contract:' line"):
+        parse_perspective(MAJOR_TEXT + "contract: 1\n")
     with pytest.raises(Exception, match="header|major|pair"):
         parse_perspective("1 a b\n")

@@ -51,9 +51,26 @@ def test_signed_families_match_subset_scan_oracle():
         assert family_set(m.ground, signed_cocircuits(m)) == oracle_signed_circuits(m.dual())
 
 
+def hand_built():
+    """Columns in the span of earlier ones, whose subtrees the table copies, in
+    shapes the seeded instances rarely hit; each is checked on every mask."""
+    return [
+        # a zero column first and another last
+        OrientedRealization(range(1, 7), [[0, 1, 0, 1, 2, 0], [0, 0, 1, 1, -1, 0]]),
+        # an anti-parallel pair, column 2 = -column 1
+        OrientedRealization(range(1, 6), [[1, -1, 0, 1, 0], [2, -2, 1, 0, 0], [0, 0, 0, 3, 1]]),
+        # column 3 = 1 + 2, then columns outside that span
+        OrientedRealization(range(1, 7), [[1, 0, 1, 0, 1, 2], [0, 1, 1, 0, 1, 0],
+                                          [0, 0, 0, 1, 1, -1]]),
+        OrientedRealization(range(1, 4), [[0, 0, 0], [0, 0, 0]]),  # rank 0
+        OrientedRealization(range(1, 4), []),  # no rows
+        OrientedRealization((), []),  # the empty ground set
+    ]
+
+
 def test_rank_table_matches_minor_oracle():
     rng, instances = seeded_instances(9002)
-    for m in instances:
+    for m in instances + hand_built():
         table = m.rank_table()
         assert len(table) == 1 << len(m.ground)
         masks = range(len(table))
