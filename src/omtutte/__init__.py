@@ -20,10 +20,8 @@ _EXPORTS = {
         "InputFormatError", "MatroidError", "OrientedRealization",
         "bases", "basis_activities", "from_digraph", "tutte_bases", "tutte_closed"),
     "oriented": (
-        "OrientedMatroid", "SignedSubset", "ActivityRecord", "conformal",
-        "element_indicators", "is_acyclic", "is_totally_cyclic", "minty_check",
-        "orientation_active_sets", "signed_circuits", "signed_cocircuits",
-        "activity_record"),
+        "OrientedMatroid", "SignedSubset", "ActivityRecord", "minty_check",
+        "orientation_active_sets", "signed_circuits", "signed_cocircuits"),
     "perspective": (
         "Perspective", "PerspectiveError", "ValidationReport",
         "bounded_perspective", "from_major", "identity_perspective",
@@ -33,7 +31,7 @@ _EXPORTS = {
         "SpecializationReport", "count_acyclic", "count_basic_orientations",
         "count_bounded", "deletion_contraction_check", "derivative_diag",
         "derivative_expansion", "expansion_sum", "dichotomy_case", "doubling_expansion",
-        "monomial_of", "signed_sum", "specialization_suite"),
+        "signed_sum", "specialization_suite"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli", "gallery")

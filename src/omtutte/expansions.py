@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import Sequence
 from enum import Enum
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .matroid import IdentityError, MatroidError, OrientedRealization
 from .oriented import (
@@ -223,14 +223,6 @@ class _Rows(Sequence):
         masks = (picked, report.active[picked], report.dual[picked])
         return ActivityRecord.build(*(frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
                                       for mask in masks))
-
-
-def monomial_of(p: Perspective, A: Iterable[int]) -> ActivityRecord:
-    """Activity record of one reorientation: dual data in M', primal in M."""
-    a = frozenset(A)
-    active = _positive_minima(p.ground, p.m.reorient(a).circuit_pairs)
-    dual_active = _positive_minima(p.ground, p.mprime.reorient(a).cocircuit_pairs)
-    return ActivityRecord.build(a, active, dual_active)
 
 
 def expansion_sum(p: Perspective) -> ExpansionReport:
@@ -471,9 +463,9 @@ def deletion_contraction_check(p: Perspective, report: ExpansionReport | None = 
         return full == ONE
     e = p.ground[-1]
     deleted = expansion_sum(p.minor_delete(e)).total
-    if p.mprime.realization.is_isthmus(e):
+    if p.mprime.is_isthmus(e):
         return full == (X + U) * deleted
-    if p.m.realization.is_loop(e):
+    if p.m.is_loop(e):
         return full == (Y + V) * deleted
     contracted = expansion_sum(p.minor_contract(e)).total
     return full == deleted + contracted

@@ -256,10 +256,32 @@ class Digraph(NamedTuple):
 
 # -- realizations -------------------------------------------------------------
 
-class OrientedRealization:
+class _Ground:
+    """An ordered ground set: bit i of a mask is ground[i]."""
+
+    __slots__ = ("ground", "_index")
+
+    def _set_ground(self, ground: Iterable[int]) -> None:
+        self.ground = tuple(ground)
+        self._index = {e: i for i, e in enumerate(self.ground)}
+
+    def index_of(self, label: int) -> int:
+        try:
+            return self._index[label]
+        except KeyError:
+            raise MatroidError(f"unknown ground element {label}") from None
+
+    def mask_of(self, labels: Iterable[int]) -> int:
+        mask = 0
+        for e in labels:
+            mask |= 1 << self.index_of(e)
+        return mask
+
+
+class OrientedRealization(_Ground):
     """Rational matrix whose columns realize the matroid, in ground order, as integer columns."""
 
-    __slots__ = ("ground", "integer_columns", "_scales", "_nrows", "_index", "_table", "_parent")
+    __slots__ = ("integer_columns", "_scales", "_nrows", "_table", "_parent")
 
     def __init__(self, ground: Sequence[int], matrix: Sequence[Sequence["Fraction | int"]]):
         ground = tuple(int(g) for g in ground)
@@ -274,9 +296,8 @@ class OrientedRealization:
 
     def _hold(self, ground, columns, scales, nrows: int, parent=None) -> None:
         """Set every slot; ``parent`` is (realization, derive) for a table derive(its table)."""
-        self.ground, self.integer_columns = tuple(ground), tuple(columns)
-        self._scales, self._nrows = tuple(scales), nrows
-        self._index = {e: i for i, e in enumerate(self.ground)}
+        self._set_ground(ground)
+        self.integer_columns, self._scales, self._nrows = tuple(columns), tuple(scales), nrows
         self._table: bytearray | None = None
         self._parent: tuple[OrientedRealization, Callable[[bytes], bytearray]] | None = parent
 
@@ -290,18 +311,6 @@ class OrientedRealization:
 
     def __len__(self) -> int:
         return len(self.ground)
-
-    def index_of(self, label: int) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise MatroidError(f"unknown ground element {label}") from None
-
-    def mask_of(self, labels: Iterable[int]) -> int:
-        mask = 0
-        for e in labels:
-            mask |= 1 << self.index_of(e)
-        return mask
 
     def column(self, label: int) -> Vector:
         from fractions import Fraction
@@ -342,14 +351,6 @@ class OrientedRealization:
         table = self.rank_table()
         return table[-1] if subset is None else table[self.mask_of(subset)]
 
-    def is_loop(self, e: int) -> bool:
-        return self.rank({e}) == 0
-
-    def is_isthmus(self, e: int) -> bool:
-        rest = set(self.ground) - {e}
-        self.index_of(e)
-        return self.rank(rest) < self.rank()
-
     # -- minors, duality, reorientation -------------------------------------
     # All of them work on integer columns.  Scaling a column by a positive
     # number, or a row by any nonzero one, changes no rank and no sign.
@@ -376,15 +377,6 @@ class OrientedRealization:
             self.ground, _transposed(reduced, len(rows[0])), self._scales))
         return self._derived(ground, columns, scales, len(reduced),
                              lambda t: _minor_table(t, i, contract=True))
-
-    def contract_as_loop(self, e: int) -> "OrientedRealization":
-        """The contraction by ``e`` on the same ground, e's slot a loop."""
-        i = self.index_of(e)
-        c = self.contract(e)
-        loop = ((0,) * c._nrows,)
-        return self._derived(self.ground, c.integer_columns[:i] + loop + c.integer_columns[i:],
-                             c._scales[:i] + (1,) + c._scales[i:], c._nrows,
-                             lambda t: _loop_table(t, i))
 
     def delete_many(self, labels: Iterable[int]) -> "OrientedRealization":
         m = self

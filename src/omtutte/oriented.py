@@ -6,8 +6,9 @@ its elements; ``SignedSubset`` views them for witnesses and text.  Circuit
 supports are read off the rank table (rank |S|-1, every maximal proper subset
 independent), their signs off one fraction-free echelon form of the matrix;
 cocircuits are the circuits of the dual.  Reorientations, duals and minors read
-theirs off their parent's, so only a matroid built from a matrix runs linear
-algebra.  "Smallest" is the lowest bit: the ground tuple is the ordered set E.
+their rank tables and families off their parent's, so only a matroid built from
+a matrix runs linear algebra.  "Smallest" is the lowest bit: the ground tuple is
+the ordered set E.
 """
 
 from __future__ import annotations
@@ -19,8 +20,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .matroid import (
     MatroidError,
     OrientedRealization,
+    _dual_table,
     _echelon,
+    _Ground,
     _integer_kernel,
+    _loop_table,
+    _minor_table,
     popcounts,
 )
 from .poly import Monomial
@@ -51,11 +56,6 @@ class SignedSubset(NamedTuple("SignedSubset", [("positive", frozenset[int]),
         parts = [f"+{e}" for e in sorted(self.positive)]
         parts += [f"-{e}" for e in sorted(self.negative)]
         return "{" + ",".join(parts) + "}"
-
-
-def conformal(y: SignedSubset, x: SignedSubset) -> bool:
-    """True when y's signs sit inside x's: Y+ within X+ and Y- within X-."""
-    return y.positive <= x.positive and y.negative <= x.negative
 
 
 def _labels(ground: Sequence[int], mask: int) -> list[int]:
@@ -129,35 +129,45 @@ def _minor_family(pairs: Pairs, i: int, spans: Callable[[int], bool] | None = No
     low = 1 << i
     contract = spans is not None and not spans(0)
     kept = [p for p in pairs[::2] if (contract if p[1] & low else not (contract and spans(p[1])))]
-    squeezed = [tuple(s & low - 1 | s >> 1 & -low for s in pair) for pair in kept]
-    return _in_family_order(sorted(squeezed, key=lambda p: _labels(range(p[1].bit_length()), p[1])))
+    return _sorted_family([tuple(s & low - 1 | s >> 1 & -low for s in pair) for pair in kept])
 
 
-class OrientedMatroid:
-    """A realization with its signed circuit and cocircuit families, each built on first read.
+def _sorted_family(pairs: list[tuple[int, int]]) -> Pairs:
+    """``pairs``, one sign of each member, in family order: by support labels, both signs each."""
+    return _in_family_order(sorted(pairs, key=lambda p: _labels(range(p[1].bit_length()), p[1])))
 
-    ``OrientedMatroid(realization)`` enumerates them from the realization; ``reorient``,
-    ``dual`` and the minors read theirs off this one's, and the minors are kept.
+
+class OrientedMatroid(_Ground):
+    """An ordered ground set with its rank table and signed circuit and cocircuit families,
+    each built on first read.
+
+    ``OrientedMatroid(realization)`` is a root: it reads all three off the matrix, and is the
+    only kind that holds a realization.  ``reorient``, ``dual``, the minors and
+    ``contract_as_loop`` read theirs off this one's and hold ``realization = None``; the
+    minors are kept.
     """
 
     __slots__ = ("realization", "reorientation", "_builds", "_memo")
 
     def __init__(self, realization: OrientedRealization):
-        self.realization, self.reorientation = realization, frozenset()
-        self._builds = (lambda: signed_circuits(realization),
-                        lambda: signed_cocircuits(realization))
+        self._hold(realization.ground, realization, realization.rank_table,
+                   lambda: signed_circuits(realization), lambda: signed_cocircuits(realization))
+
+    def _hold(self, ground: Sequence[int], realization: OrientedRealization | None,
+              table: Callable[[], bytes], circuits: Callable[[], Pairs],
+              cocircuits: Callable[[], Pairs], reorientation=frozenset()) -> None:
+        self._set_ground(ground)
+        self.realization, self.reorientation = realization, reorientation
+        self._builds = {"table": table, "circuits": circuits, "cocircuits": cocircuits}
         self._memo: dict = {}
 
-    def _derived(self, realization: OrientedRealization, circuits: Callable[[], Pairs],
+    @staticmethod
+    def _derived(ground: Sequence[int], table: Callable[[], bytes], circuits: Callable[[], Pairs],
                  cocircuits: Callable[[], Pairs], reorientation=frozenset()) -> "OrientedMatroid":
-        """An oriented matroid whose families ``circuits`` and ``cocircuits`` build."""
-        out = OrientedMatroid(realization)
-        out._builds, out.reorientation = (circuits, cocircuits), reorientation
+        """An oriented matroid without a realization, whose table and families the thunks build."""
+        out = OrientedMatroid.__new__(OrientedMatroid)
+        out._hold(ground, None, table, circuits, cocircuits, reorientation)
         return out
-
-    @property
-    def ground(self) -> tuple[int, ...]:
-        return self.realization.ground
 
     def memo(self, key, build: Callable[[], object]):
         """The value kept under ``key``, built by ``build`` on first request."""
@@ -165,15 +175,26 @@ class OrientedMatroid:
             self._memo[key] = build()
         return self._memo[key]
 
+    def rank_table(self) -> bytes:
+        """r(S) for every mask S (bit i is ground[i]); a root's is its realization's."""
+        return self.memo("table", self._builds["table"])
+
+    def is_loop(self, e: int) -> bool:
+        return self.rank_table()[1 << self.index_of(e)] == 0
+
+    def is_isthmus(self, e: int) -> bool:
+        table = self.rank_table()  # table[~s] is r(E minus s)
+        return table[~(1 << self.index_of(e))] < table[-1]
+
     @property
     def circuit_pairs(self) -> Pairs:
         """(positive, support) bitmasks of the signed circuits; bit i is ground[i]."""
-        return self.memo("circuits", self._builds[0])
+        return self.memo("circuits", self._builds["circuits"])
 
     @property
     def cocircuit_pairs(self) -> Pairs:
         """(positive, support) bitmasks of the signed cocircuits; bit i is ground[i]."""
-        return self.memo("cocircuits", self._builds[1])
+        return self.memo("cocircuits", self._builds["cocircuits"])
 
     def signed(self, pair: tuple[int, int]) -> SignedSubset:
         """The SignedSubset of one (positive, support) pair."""
@@ -187,20 +208,20 @@ class OrientedMatroid:
 
     def reorient(self, labels: Iterable[int]) -> "OrientedMatroid":
         a = frozenset(labels)
-        flip = self.realization.mask_of(a)
+        flip = self.mask_of(a)
         if not a:
             return self
 
         def flipped(pairs: Pairs) -> Pairs:
             return _in_family_order((pos ^ (sup & flip), sup) for pos, sup in pairs[::2])
 
-        return self._derived(self.realization.negate_columns(a),
-                             lambda: flipped(self.circuit_pairs),
+        return self._derived(self.ground, self.rank_table, lambda: flipped(self.circuit_pairs),
                              lambda: flipped(self.cocircuit_pairs), self.reorientation ^ a)
 
     def dual(self) -> "OrientedMatroid":
-        return self._derived(self.realization.dual(), lambda: self.cocircuit_pairs,
-                             lambda: self.circuit_pairs, self.reorientation)
+        return self._derived(self.ground, lambda: _dual_table(self.rank_table()),
+                             lambda: self.cocircuit_pairs, lambda: self.circuit_pairs,
+                             self.reorientation)
 
     def minor_delete(self, e: int) -> "OrientedMatroid":
         return self.memo(("delete", e), lambda: self._minor(e, contract=False))
@@ -210,16 +231,32 @@ class OrientedMatroid:
 
     def _minor(self, e: int, contract: bool) -> "OrientedMatroid":
         """M/e, whose circuits contract e and cocircuits delete it, or M minus e, the reverse."""
-        real, i = self.realization, self.realization.index_of(e)
+        i = self.index_of(e)
 
         def spans(s: int) -> bool:  # e in the span of s in M, or in M*: r(E-s-e) < r(E-s)
-            t = real.rank_table()  # t[~s] is t[E minus s]
+            t = self.rank_table()  # t[~s] is t[E minus s]
             return t[s | 1 << i] == t[s] if contract else t[~(s | 1 << i)] < t[~s]
 
         by_circuits, by_cocircuits = (spans, None) if contract else (None, spans)
-        return self._derived(real.contract(e) if contract else real.delete(e),
+        return self._derived(self.ground[:i] + self.ground[i + 1:],
+                             lambda: _minor_table(self.rank_table(), i, contract),
                              lambda: _minor_family(self.circuit_pairs, i, by_circuits),
                              lambda: _minor_family(self.cocircuit_pairs, i, by_cocircuits))
+
+    def contract_as_loop(self, e: int) -> "OrientedMatroid":
+        """M/e on this ground set, e's slot a loop: M/e's families with slot e kept empty,
+        plus the loop's two signs among the circuits."""
+        i = self.index_of(e)
+        low = 1 << i
+        con = self.minor_contract(e)
+
+        def spread(pairs: Pairs, loop: list[tuple[int, int]]) -> Pairs:
+            kept = [tuple(s & low - 1 | (s & -low) << 1 for s in pair) for pair in pairs[::2]]
+            return _sorted_family(kept + loop)
+
+        return self._derived(self.ground, lambda: _loop_table(self.rank_table(), i),
+                             lambda: spread(con.circuit_pairs, [(low, low)]),
+                             lambda: spread(con.cocircuit_pairs, []))
 
     def __repr__(self) -> str:
         # like the realization's repr, this builds neither a rank table nor a family
@@ -240,23 +277,6 @@ def orientation_active_sets(om: OrientedMatroid) -> tuple[frozenset[int], frozen
     """(active, dual-active): smallest elements of positive circuits resp. cocircuits."""
     return (_positive_minima(om.ground, om.circuit_pairs),
             _positive_minima(om.ground, om.cocircuit_pairs))
-
-
-def element_indicators(om: OrientedMatroid, a: int) -> tuple[int, int]:
-    """Membership indicators of ``a`` in the active and dual-active sets."""
-    om.realization.index_of(a)
-    active, dual_active = orientation_active_sets(om)
-    return (1 if a in active else 0, 1 if a in dual_active else 0)
-
-
-def is_acyclic(om: OrientedMatroid) -> bool:
-    """No positive circuit exists."""
-    return not _positive_cover(om.circuit_pairs)
-
-
-def is_totally_cyclic(om: OrientedMatroid) -> bool:
-    """Every element of E lies in some positive circuit."""
-    return _positive_cover(om.circuit_pairs) == (1 << len(om.ground)) - 1
 
 
 def minty_check(om: OrientedMatroid) -> bool:
@@ -299,10 +319,3 @@ class ActivityRecord(NamedTuple):
         })
         return cls(A, active, dual_active, active_out, active_in,
                    dual_out, dual_in, mono)
-
-
-def activity_record(om_base: OrientedMatroid, A: Iterable[int]) -> ActivityRecord:
-    """Activity record of the reorientation of ``om_base`` on ``A``."""
-    a = frozenset(A)
-    active, dual_active = orientation_active_sets(om_base.reorient(a))
-    return ActivityRecord.build(a, active, dual_active)

@@ -86,7 +86,7 @@ class Perspective:
             raise PerspectiveError(
                 f"pair fails the {kind} strong-map check; witness circuit "
                 f"{witness[0]} against cocircuit {witness[1]}")
-        if mprime.realization.rank() > m.realization.rank():
+        if mprime.rank_table()[-1] > m.rank_table()[-1]:
             raise PerspectiveError("rank of M' exceeds rank of M")
         self.m = m
         self.mprime = mprime
@@ -96,7 +96,7 @@ class Perspective:
         return self.m.ground
 
     def rank_drop(self) -> int:
-        return self.m.realization.rank() - self.mprime.realization.rank()
+        return self.m.rank_table()[-1] - self.mprime.rank_table()[-1]
 
     def minor_delete(self, e: int) -> "Perspective":
         return Perspective(self.m.minor_delete(e), self.mprime.minor_delete(e))
@@ -131,7 +131,7 @@ def from_major(n: OrientedRealization, c: Iterable[int]) -> Perspective:
 
 def tutte3_closed(p: Perspective) -> Polynomial:
     """3-variable Tutte polynomial of the perspective via the closed subset sum."""
-    table_m, table_mp = p.m.realization.rank_table(), p.mprime.realization.rank_table()
+    table_m, table_mp = p.m.rank_table(), p.mprime.rank_table()
     try:
         return _closed_sum(table_m, table_mp)
     except ValueError:  # a negative z exponent: r(S) - r'(S) exceeds r(E) - r'(E)
@@ -148,11 +148,12 @@ def bounded_perspective(m: OrientedRealization, e: int) -> Perspective:
     Requires e to be neither a loop nor an isthmus, mirroring the
     bounded-region / bipolar-orientation construction.
     """
-    if m.is_loop(e):
+    om = OrientedMatroid(m)
+    if om.is_loop(e):
         raise PerspectiveError(f"element {e} is a loop; a non-factor element is required")
-    if m.is_isthmus(e):
+    if om.is_isthmus(e):
         raise PerspectiveError(f"element {e} is an isthmus; a non-factor element is required")
-    return Perspective(OrientedMatroid(m), OrientedMatroid(m.contract_as_loop(e)))
+    return Perspective(om, om.contract_as_loop(e))
 
 
 # -- perspective file format ----------------------------------------------------

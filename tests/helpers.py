@@ -14,6 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 from omtutte.matroid import Digraph, OrientedRealization, from_digraph
+from omtutte.oriented import ActivityRecord, OrientedMatroid, SignedSubset, orientation_active_sets
 from omtutte.perspective import ValidationReport
 from omtutte.poly import ONE, U, V, X, Y, Z, Polynomial
 
@@ -86,6 +87,56 @@ def family_set(ground, pairs) -> set[tuple[frozenset, frozenset]]:
         return frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
 
     return {(labels(pos), labels(sup ^ pos)) for pos, sup in pairs}
+
+
+def loop_at_contraction(m: OrientedRealization, e: int) -> OrientedRealization:
+    """The matrix of bounded M': m/e's matrix with a zero column put back at e's slot."""
+    i = m.ground.index(e)
+    rows = m.contract(e).matrix
+    return OrientedRealization(m.ground, [row[:i] + (0,) + row[i:] for row in rows])
+
+
+# -- per-reorientation references: one A at a time, through SignedSubset views ----------
+
+def conformal(y: SignedSubset, x: SignedSubset) -> bool:
+    """True when y's signs sit inside x's: Y+ within X+ and Y- within X-."""
+    return y.positive <= x.positive and y.negative <= x.negative
+
+
+def is_acyclic(om: OrientedMatroid) -> bool:
+    """No positive circuit exists."""
+    return all(c.negative for c in om.circuits)
+
+
+def is_totally_cyclic(om: OrientedMatroid) -> bool:
+    """Every element of E lies in some positive circuit."""
+    return frozenset().union(*(c.positive for c in om.circuits if not c.negative)) == \
+        frozenset(om.ground)
+
+
+def element_indicators(om: OrientedMatroid, a: int) -> tuple[int, int]:
+    """Membership indicators of ``a`` in the active and dual-active sets."""
+    om.index_of(a)
+    active, dual_active = orientation_active_sets(om)
+    return (1 if a in active else 0, 1 if a in dual_active else 0)
+
+
+def activity_record(om_base: OrientedMatroid, A) -> ActivityRecord:
+    """Activity record of the reorientation of ``om_base`` on ``A``."""
+    a = frozenset(A)
+    active, dual_active = orientation_active_sets(om_base.reorient(a))
+    return ActivityRecord.build(a, active, dual_active)
+
+
+def monomial_of(p, A) -> ActivityRecord:
+    """Activity record of one reorientation of a perspective: dual data in M', primal in M."""
+    a = frozenset(A)
+
+    def minima(family):  # the smallest element of each positive member
+        return frozenset(min(s.positive) for s in family if not s.negative)
+
+    return ActivityRecord.build(a, minima(p.m.reorient(a).circuits),
+                                minima(p.mprime.reorient(a).cocircuits))
 
 
 def oracle_validate(m, mprime) -> ValidationReport:
@@ -339,7 +390,7 @@ def oracle_tutte_closed(m: OrientedRealization) -> Polynomial:
 
 def oracle_tutte3_closed(p) -> Polynomial:
     """The 3-variable subset sum by Polynomial powers and products."""
-    table_m, table_mp = p.m.realization.rank_table(), p.mprime.realization.rank_table()
+    table_m, table_mp = p.m.rank_table(), p.mprime.rank_table()
     drop = table_m[-1] - table_mp[-1]
     total = Polynomial.zero()
     for (size, ra, rpa), count in _subset_counts(table_m, table_mp).items():

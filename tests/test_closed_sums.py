@@ -89,5 +89,6 @@ def test_loop_and_isthmus_factors():
     # an isthmus multiplies t by x, a loop by y
     m = random_realization(random.Random(5424), max_rows=3, max_cols=5)
     extended = with_loop_and_isthmus(m)
-    assert extended.is_loop(len(m.ground) + 1) and extended.is_isthmus(len(m.ground) + 2)
+    om = OrientedMatroid(extended)
+    assert om.is_loop(len(m.ground) + 1) and om.is_isthmus(len(m.ground) + 2)
     assert tutte_closed(extended) == tutte_closed(m) * X * Y

@@ -21,11 +21,10 @@ from omtutte.expansions import (
     expansion_sum,
     dichotomy_case,
     doubling_expansion,
-    monomial_of,
     signed_sum,
     specialization_suite,
 )
-from omtutte.oriented import ActivityRecord, is_acyclic, is_totally_cyclic
+from omtutte.oriented import ActivityRecord
 from omtutte.perspective import (
     bounded_perspective,
     from_major,
@@ -40,7 +39,10 @@ from helpers import (
     TWO_GRAPH_ROWS,
     every_arc_on_directed_cycle,
     has_directed_cycle,
+    is_acyclic,
+    is_totally_cyclic,
     labels_of as _labels,
+    monomial_of,
     oracle_expansion,
     random_digraph,
     random_realization,

@@ -12,24 +12,25 @@ from omtutte.matroid import Digraph, MatroidError, OrientedRealization, from_dig
 from omtutte.oriented import (
     OrientedMatroid,
     SignedSubset,
-    conformal,
-    element_indicators,
-    is_acyclic,
-    is_totally_cyclic,
     minty_check,
     orientation_active_sets,
     signed_circuits,
     signed_cocircuits,
-    activity_record,
 )
 from omtutte.perspective import bounded_perspective, identity_perspective
 from omtutte.poly import Monomial
 from omtutte import gallery
 
 from helpers import (
+    activity_record,
+    conformal,
+    element_indicators,
     every_arc_on_directed_cycle,
     family_set,
     has_directed_cycle,
+    is_acyclic,
+    is_totally_cyclic,
+    loop_at_contraction,
     oracle_expansion,
     oracle_signed_circuits,
     random_digraph,
@@ -385,7 +386,7 @@ def test_gapped_labels_match_label_oracles():
                                                      _positive_minima(cocircuits))
             p = identity_perspective(om_a)
             assert expansion_sum(p).histogram == oracle_expansion(p)[2]
-        e = next((e for e in m.ground if not m.is_loop(e) and not m.is_isthmus(e)), None)
+        e = next((e for e in m.ground if not om.is_loop(e) and not om.is_isthmus(e)), None)
         if e is not None:
             p = bounded_perspective(m, e)
             assert expansion_sum(p).histogram == oracle_expansion(p)[2]
@@ -413,14 +414,79 @@ def test_minor_families_match_linear_algebra_on_the_minor_matrix():
     for m in _minor_roots(rng):
         root = OrientedMatroid(m)
         a = [e for e in m.ground if rng.random() < 0.5]
-        xs = [root, root.reorient(a), root.dual(), root.reorient(a).dual()]
-        xs += [minor for e in m.ground for minor in (root.minor_delete(e), root.minor_contract(e))]
-        for x in xs:
+        xs = [(root, m), (root.reorient(a), m.negate_columns(a)), (root.dual(), m.dual()),
+              (root.reorient(a).dual(), m.negate_columns(a).dual())]
+        xs += [pair for e in m.ground for pair in ((root.minor_delete(e), m.delete(e)),
+                                                   (root.minor_contract(e), m.contract(e)))]
+        for x, x_real in xs:
             for e in x.ground:
-                for minor, real in ((x.minor_delete(e), x.realization.delete(e)),
-                                    (x.minor_contract(e), x.realization.contract(e))):
+                for minor, real in ((x.minor_delete(e), x_real.delete(e)),
+                                    (x.minor_contract(e), x_real.contract(e))):
                     assert minor.circuit_pairs == signed_circuits(real), (m, e)
                     assert minor.cocircuit_pairs == signed_cocircuits(real), (m, e)
+
+
+# -- only a root reads a matrix ------------------------------------------------------
+
+def _derived_with_oracles(m, rng):
+    """(derived oriented matroid, matrix oracle) pairs, every oracle built from the root's
+    matrix by negate_columns, dual, delete and contract, or loop_at_contraction for M'."""
+    root = OrientedMatroid(m)
+    a = [e for e in m.ground if rng.random() < 0.5] or list(m.ground[:1])
+    out = [(root.dual(), m.dual())]
+    if a:
+        out += [(root.reorient(a), m.negate_columns(a)),
+                (root.reorient(a).dual(), m.negate_columns(a).dual())]
+    for e in m.ground:
+        out += [(root.minor_delete(e), m.delete(e)), (root.minor_contract(e), m.contract(e)),
+                (root.contract_as_loop(e), loop_at_contraction(m, e)),
+                (root.dual().minor_contract(e), m.dual().contract(e))]
+        f = rng.choice([f for f in m.ground if f != e] or [None])
+        if f is not None:
+            out += [(root.minor_delete(e).minor_contract(f), m.delete(e).contract(f)),
+                    (root.minor_contract(e).minor_delete(f), m.contract(e).delete(f)),
+                    (root.minor_contract(e).minor_contract(f), m.contract(e).contract(f))]
+    return out
+
+
+def test_derived_oriented_matroids_match_matrix_oracles():
+    # the oracle is a fresh root: its table is its own DFS, its families its own echelon form
+    rng = random.Random(1616)
+    checked = 0
+    for m in [OrientedRealization((), []), *_minor_roots(rng)]:
+        for derived, oracle in _derived_with_oracles(m, rng):
+            fresh = OrientedRealization(oracle.ground, oracle.matrix)
+            assert derived.ground == fresh.ground
+            assert derived.rank_table() == fresh.rank_table(), (m, oracle)
+            assert derived.circuit_pairs == signed_circuits(fresh), (m, oracle)
+            assert derived.cocircuit_pairs == signed_cocircuits(fresh), (m, oracle)
+            checked += 1
+    assert checked > 500
+
+
+def test_derived_oriented_matroids_run_no_matrix_method(monkeypatch):
+    roots = [OrientedMatroid(m) for m in [OrientedRealization((), []),
+                                          *_minor_roots(random.Random(1717))]]
+    for root in roots:  # a root reads its table and both families off its matrix
+        root.rank_table(), root.circuit_pairs, root.cocircuit_pairs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a derived oriented matroid ran a matrix method")
+
+    for name in ("negate_columns", "dual", "delete", "contract"):
+        monkeypatch.setattr(OrientedRealization, name, refuse)
+    for root in roots:
+        derived = [root.dual()]
+        if root.ground:
+            derived += [root.reorient(root.ground[::2]), root.reorient(root.ground[::2]).dual()]
+        for e in root.ground:
+            derived += [root.minor_delete(e), root.minor_contract(e), root.contract_as_loop(e)]
+        for x in derived[:]:
+            derived += [minor for f in x.ground for minor in (
+                x.minor_delete(f), x.minor_contract(f), x.contract_as_loop(f))]
+        for x in derived:
+            assert x.realization is None
+            x.rank_table(), x.circuit_pairs, x.cocircuit_pairs
 
 
 def test_oriented_matroid_is_built_from_a_realization_only():

@@ -13,7 +13,7 @@ from omtutte.matroid import (
     from_digraph,
     tutte_closed,
 )
-from omtutte.oriented import OrientedMatroid, conformal
+from omtutte.oriented import OrientedMatroid
 from omtutte.perspective import (
     Perspective,
     PerspectiveError,
@@ -27,7 +27,7 @@ from omtutte.perspective import (
 from omtutte.poly import Polynomial, X, Y, Z, ONE
 from omtutte import gallery
 
-from helpers import oracle_validate, random_digraph, random_realization
+from helpers import conformal, oracle_validate, random_digraph, random_realization
 
 
 def triangle():
@@ -182,10 +182,10 @@ def test_rank_interval_property_on_nested_pairs():
 def test_bounded_perspective_triangle():
     bp = bounded_perspective(triangle(), 3)
     assert bp.ground == (1, 2, 3)
-    mp = bp.mprime.realization
-    assert mp.rank() == 1
+    mp = bp.mprime
+    assert mp.rank_table()[-1] == 1
     assert mp.is_loop(3)
-    assert mp.rank({1, 2}) == 1
+    assert mp.rank_table()[mp.mask_of({1, 2})] == 1
     assert bp.rank_drop() == 1
     assert validate(bp.m, bp.mprime).passed
 
