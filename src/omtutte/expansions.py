@@ -18,15 +18,11 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Iterator, NamedTuple
 
 from .matroid import IdentityError, MatroidError, OrientedRealization
-from .oriented import (
-    ActivityRecord,
-    OrientedMatroid,
-    _positive_minima,
-)
+from .oriented import ActivityRecord, OrientedMatroid, _labels, _positive_minima
 from .perspective import Perspective, identity_perspective, tutte3_closed
 from .poly import Monomial, Polynomial, X, U, Y, V, ONE
 
@@ -221,8 +217,7 @@ class _Rows(Sequence):
             return [self[a] for a in picked]
         report, ground = self._report, self._report.perspective.ground
         masks = (picked, report.active[picked], report.dual[picked])
-        return ActivityRecord.build(*(frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
-                                      for mask in masks))
+        return ActivityRecord.build(*(frozenset(_labels(ground, mask)) for mask in masks))
 
 
 def expansion_sum(p: Perspective) -> ExpansionReport:
@@ -416,37 +411,31 @@ def dichotomy_case(p: Perspective) -> DichotomyCase:
     if not ground:
         raise MatroidError("the dichotomy needs at least one ground element")
     e = ground[-1]
-    others = set(ground) - {e}
+    others = (1 << len(ground) - 1) - 1  # M\e and M/e drop only e, the top bit
 
-    # only M's circuits and M''s cocircuits are read, of each matroid below
-    def active(om: OrientedMatroid) -> frozenset[int]:
-        return _positive_minima(om.ground, om.circuit_pairs) & others
+    def minima(derive: Callable[[OrientedMatroid], OrientedMatroid]) -> tuple[int, int]:
+        """Masks below e: the active set of derive(M) and the dual-active set of derive(M')."""
+        return (_positive_minima(derive(p.m).circuit_pairs) & others,
+                _positive_minima(derive(p.mprime).cocircuit_pairs) & others)
 
-    def dual_active(om: OrientedMatroid) -> frozenset[int]:
-        return _positive_minima(om.ground, om.cocircuit_pairs) & others
-
-    m, mp = p.m, p.mprime
-    act_m, act_m_flip = active(m), active(m.reorient({e}))
-    act_m_del, act_m_con = active(m.minor_delete(e)), active(m.minor_contract(e))
-    dual_mp, dual_mp_flip = dual_active(mp), dual_active(mp.reorient({e}))
-    dual_mp_del, dual_mp_con = dual_active(mp.minor_delete(e)), dual_active(mp.minor_contract(e))
-
-    case_i = (dual_mp == dual_mp_del and act_m == act_m_del
-              and dual_mp_flip == dual_mp_con and act_m_flip == act_m_con)
-    case_ii = (dual_mp == dual_mp_con and act_m == act_m_con
-               and dual_mp_flip == dual_mp_del and act_m_flip == act_m_del)
+    base, flipped = minima(lambda om: om), minima(lambda om: om.reorient((e,)))
+    deleted = minima(lambda om: om.minor_delete(e))
+    contracted = minima(lambda om: om.minor_contract(e))
+    case_i = base == deleted and flipped == contracted
+    case_ii = base == contracted and flipped == deleted
     if case_i and case_ii:
         return DichotomyCase.BOTH
     if case_i:
         return DichotomyCase.CASE_I
     if case_ii:
         return DichotomyCase.CASE_II
+    labels = partial(_labels, ground)
     raise DichotomyError(
         f"neither dichotomy case holds at greatest element {e}: "
-        f"active(M)={sorted(act_m)}, active(M\\e)={sorted(act_m_del)}, "
-        f"active(M/e)={sorted(act_m_con)}, active(-eM)={sorted(act_m_flip)}; "
-        f"dual(M')={sorted(dual_mp)}, dual(M'\\e)={sorted(dual_mp_del)}, "
-        f"dual(M'/e)={sorted(dual_mp_con)}, dual(-eM')={sorted(dual_mp_flip)}")
+        f"active(M)={labels(base[0])}, active(M\\e)={labels(deleted[0])}, "
+        f"active(M/e)={labels(contracted[0])}, active(-eM)={labels(flipped[0])}; "
+        f"dual(M')={labels(base[1])}, dual(M'\\e)={labels(deleted[1])}, "
+        f"dual(M'/e)={labels(contracted[1])}, dual(-eM')={labels(flipped[1])}")
 
 
 def deletion_contraction_check(p: Perspective, report: ExpansionReport | None = None) -> bool:

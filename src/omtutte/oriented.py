@@ -59,7 +59,7 @@ class SignedSubset(NamedTuple("SignedSubset", [("positive", frozenset[int]),
 
 
 def _labels(ground: Sequence[int], mask: int) -> list[int]:
-    """The labels of the ground indices in ``mask``."""
+    """The labels of the ground indices in ``mask``, in order: where a mask becomes labels."""
     return [e for i, e in enumerate(ground) if mask >> i & 1]
 
 
@@ -147,7 +147,7 @@ class OrientedMatroid(_Ground):
     minors are kept.
     """
 
-    __slots__ = ("realization", "reorientation", "_builds", "_memo")
+    __slots__ = ("realization", "_builds", "_memo")
 
     def __init__(self, realization: OrientedRealization):
         self._hold(realization.ground, realization, realization.rank_table,
@@ -155,18 +155,18 @@ class OrientedMatroid(_Ground):
 
     def _hold(self, ground: Sequence[int], realization: OrientedRealization | None,
               table: Callable[[], bytes], circuits: Callable[[], Pairs],
-              cocircuits: Callable[[], Pairs], reorientation=frozenset()) -> None:
+              cocircuits: Callable[[], Pairs]) -> None:
         self._set_ground(ground)
-        self.realization, self.reorientation = realization, reorientation
+        self.realization = realization
         self._builds = {"table": table, "circuits": circuits, "cocircuits": cocircuits}
         self._memo: dict = {}
 
     @staticmethod
     def _derived(ground: Sequence[int], table: Callable[[], bytes], circuits: Callable[[], Pairs],
-                 cocircuits: Callable[[], Pairs], reorientation=frozenset()) -> "OrientedMatroid":
+                 cocircuits: Callable[[], Pairs]) -> "OrientedMatroid":
         """An oriented matroid without a realization, whose table and families the thunks build."""
         out = OrientedMatroid.__new__(OrientedMatroid)
-        out._hold(ground, None, table, circuits, cocircuits, reorientation)
+        out._hold(ground, None, table, circuits, cocircuits)
         return out
 
     def memo(self, key, build: Callable[[], object]):
@@ -207,21 +207,19 @@ class OrientedMatroid(_Ground):
     cocircuits = property(lambda self: tuple(map(self.signed, self.cocircuit_pairs)))
 
     def reorient(self, labels: Iterable[int]) -> "OrientedMatroid":
-        a = frozenset(labels)
-        flip = self.mask_of(a)
-        if not a:
+        flip = self.mask_of(labels)
+        if not flip:
             return self
 
         def flipped(pairs: Pairs) -> Pairs:
             return _in_family_order((pos ^ (sup & flip), sup) for pos, sup in pairs[::2])
 
         return self._derived(self.ground, self.rank_table, lambda: flipped(self.circuit_pairs),
-                             lambda: flipped(self.cocircuit_pairs), self.reorientation ^ a)
+                             lambda: flipped(self.cocircuit_pairs))
 
     def dual(self) -> "OrientedMatroid":
         return self._derived(self.ground, lambda: _dual_table(self.rank_table()),
-                             lambda: self.cocircuit_pairs, lambda: self.circuit_pairs,
-                             self.reorientation)
+                             lambda: self.cocircuit_pairs, lambda: self.circuit_pairs)
 
     def minor_delete(self, e: int) -> "OrientedMatroid":
         return self.memo(("delete", e), lambda: self._minor(e, contract=False))
@@ -260,12 +258,12 @@ class OrientedMatroid(_Ground):
 
     def __repr__(self) -> str:
         # like the realization's repr, this builds neither a rank table nor a family
-        return f"OrientedMatroid(|E|={len(self.ground)}, reoriented={sorted(self.reorientation)})"
+        return f"OrientedMatroid(|E|={len(self.ground)})"
 
 
-def _positive_minima(ground: Sequence[int], pairs: Pairs) -> frozenset[int]:
-    """Smallest elements (lowest bits) of the positive members (no negative part) of a family."""
-    return frozenset(ground[(sup & -sup).bit_length() - 1] for pos, sup in pairs if pos == sup)
+def _positive_minima(pairs: Pairs) -> int:
+    """Mask of the smallest elements (lowest bits) of the positive members of a family."""
+    return functools.reduce(operator.or_, (sup & -sup for pos, sup in pairs if pos == sup), 0)
 
 
 def _positive_cover(pairs: Pairs) -> int:
@@ -275,8 +273,8 @@ def _positive_cover(pairs: Pairs) -> int:
 
 def orientation_active_sets(om: OrientedMatroid) -> tuple[frozenset[int], frozenset[int]]:
     """(active, dual-active): smallest elements of positive circuits resp. cocircuits."""
-    return (_positive_minima(om.ground, om.circuit_pairs),
-            _positive_minima(om.ground, om.cocircuit_pairs))
+    return (frozenset(_labels(om.ground, _positive_minima(om.circuit_pairs))),
+            frozenset(_labels(om.ground, _positive_minima(om.cocircuit_pairs))))
 
 
 def minty_check(om: OrientedMatroid) -> bool:

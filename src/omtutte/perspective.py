@@ -19,7 +19,7 @@ from .matroid import (
     _content,
     _parse_payload,
 )
-from .oriented import OrientedMatroid, SignedSubset
+from .oriented import OrientedMatroid, SignedSubset, _labels
 from .poly import Polynomial
 
 
@@ -137,8 +137,7 @@ def tutte3_closed(p: Perspective) -> Polynomial:
     except ValueError:  # a negative z exponent: r(S) - r'(S) exceeds r(E) - r'(E)
         drop = table_m[-1] - table_mp[-1]
         first = next(s for s in range(len(table_m)) if table_m[s] - table_mp[s] > drop)
-        subset = [e for i, e in enumerate(p.ground) if first >> i & 1]
-        raise PerspectiveError(f"negative z exponent at subset {subset}; "
+        raise PerspectiveError(f"negative z exponent at subset {_labels(p.ground, first)}; "
                                "the pair violates the strong-map rank axiom") from None
 
 

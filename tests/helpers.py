@@ -13,6 +13,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from omtutte.expansions import DichotomyCase
 from omtutte.matroid import Digraph, OrientedRealization, from_digraph
 from omtutte.oriented import ActivityRecord, OrientedMatroid, SignedSubset, orientation_active_sets
 from omtutte.perspective import ValidationReport
@@ -94,6 +95,32 @@ def loop_at_contraction(m: OrientedRealization, e: int) -> OrientedRealization:
     i = m.ground.index(e)
     rows = m.contract(e).matrix
     return OrientedRealization(m.ground, [row[:i] + (0,) + row[i:] for row in rows])
+
+
+def oracle_dichotomy_case(real_m: OrientedRealization,
+                          real_mp: OrientedRealization) -> DichotomyCase | None:
+    """The dichotomy case at the greatest element e of M -> M', on matrices and label sets.
+
+    Active sets are the smallest elements of the positive circuits of M, M\\e, M/e
+    and -_e M, each read by ``oracle_signed_circuits`` off the matrix minor
+    (``delete``, ``contract``, ``negate_columns``); dual-active sets are the same of
+    M' through ``.dual()``.  None when neither case holds.
+    """
+    e = real_m.ground[-1]
+
+    def minima(real: OrientedRealization) -> frozenset:
+        return frozenset(min(pos) for pos, neg in oracle_signed_circuits(real) if not neg) - {e}
+
+    def sets(real: OrientedRealization, dual: bool) -> list[frozenset]:
+        derived = (real, real.delete(e), real.contract(e), real.negate_columns({e}))
+        return [minima(x.dual() if dual else x) for x in derived]
+
+    act, act_del, act_con, act_flip = sets(real_m, False)
+    dual, dual_del, dual_con, dual_flip = sets(real_mp, True)
+    case_i = act == act_del and dual == dual_del and act_flip == act_con and dual_flip == dual_con
+    case_ii = act == act_con and dual == dual_con and act_flip == act_del and dual_flip == dual_del
+    return {(True, True): DichotomyCase.BOTH, (True, False): DichotomyCase.CASE_I,
+            (False, True): DichotomyCase.CASE_II}.get((case_i, case_ii))
 
 
 # -- per-reorientation references: one A at a time, through SignedSubset views ----------

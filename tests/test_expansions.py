@@ -24,7 +24,7 @@ from omtutte.expansions import (
     signed_sum,
     specialization_suite,
 )
-from omtutte.oriented import ActivityRecord
+from omtutte.oriented import ActivityRecord, OrientedMatroid
 from omtutte.perspective import (
     bounded_perspective,
     from_major,
@@ -42,7 +42,9 @@ from helpers import (
     is_acyclic,
     is_totally_cyclic,
     labels_of as _labels,
+    loop_at_contraction,
     monomial_of,
+    oracle_dichotomy_case,
     oracle_expansion,
     random_digraph,
     random_realization,
@@ -432,6 +434,45 @@ def test_dichotomy_never_fails_on_valid_perspectives():
             c = frozenset()
         p = from_major(n, c)
         assert dichotomy_case(p) in set(DichotomyCase)
+
+
+def _dichotomy_instances(rng):
+    """(kind, perspective, matrix of M, matrix of M'): from_major on seeded majors,
+    and the identity and every bounded perspective of seeded matrices and digraphs, each
+    digraph also with one more arc on top that is a loop or an isthmus."""
+    for _ in range(60):
+        n = random_realization(rng, max_rows=3, max_cols=6)
+        c = frozenset(e for e in n.ground if rng.random() < 0.3)
+        if c == set(n.ground):
+            c = frozenset()
+        yield "from_major", from_major(n, c), n.delete_many(c), n.contract_many(c)
+    matrices = [random_realization(rng, max_rows=3, max_cols=5) for _ in range(12)]
+    for _ in range(12):
+        g = random_digraph(rng, max_vertices=4, max_arcs=5)
+        top, v = len(g.arcs) + 1, rng.choice(g.vertices)
+        matrices += [from_digraph(Digraph.from_arcs(g.arcs + extra))
+                     for extra in ((), ((top, v, v),), ((top, v, "pendant"),))]
+    for m in matrices:
+        yield "identity", identity_perspective(m), m, m
+        om = OrientedMatroid(m)
+        for e in m.ground:
+            if not (om.is_loop(e) or om.is_isthmus(e)):
+                yield "bounded", bounded_perspective(m, e), m, loop_at_contraction(m, e)
+
+
+def test_dichotomy_case_matches_the_matrix_oracle():
+    seen, tops = Counter(), Counter()
+    for kind, p, real_m, real_mp in _dichotomy_instances(random.Random(97)):
+        case = dichotomy_case(p)
+        assert case == oracle_dichotomy_case(real_m, real_mp), (kind, real_m, real_mp)
+        seen[kind, case] += 1
+        top = p.ground[-1]
+        tops["loop"] += p.m.is_loop(top) or p.mprime.is_loop(top)
+        tops["isthmus"] += p.m.is_isthmus(top) or p.mprime.is_isthmus(top)
+    # each case comes out on each kind
+    assert set(seen) == {(kind, case) for kind in ("from_major", "identity", "bounded")
+                         for case in DichotomyCase}
+    assert tops["loop"] and tops["isthmus"]
 
 
 def test_deletion_contraction_general_case():

@@ -112,7 +112,6 @@ def test_reorient_twice_is_identity():
     twice = om.reorient({1, 3}).reorient({1, 3})
     assert twice.circuit_pairs == om.circuit_pairs
     assert twice.cocircuit_pairs == om.cocircuit_pairs
-    assert twice.reorientation == frozenset()
 
 
 def test_reorient_full_ground_preserves_families():
