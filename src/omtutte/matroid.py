@@ -1,14 +1,13 @@
-"""Ordered ground sets, rational realizations, ranks, bases, and Tutte polynomials.
+"""Ordered ground sets, integer realizations, ranks, bases, and Tutte polynomials.
 
-A matroid is always given by a realization: a matrix of exact rationals with
-one column per ground element, in ground order, whose labels strictly
-increase.  It is held as integer columns, each the rational column times a
-positive scale (the lcm of its denominators), so no arithmetic below the
-input parser needs ``Fraction``.  Digraphs are ingested via their signed
-vertex-arc incidence matrices, so graphic instances get signed circuits for
-free.  Each realization holds one exact rank table, r(S) for every subset S
-as a bitmask (bit i = ground[i], so bit order is label order); every rank
-question, and the tables of its minors and its dual, are read off it.
+A matroid is always given by a realization: one integer column per ground
+element, in ground order, whose labels strictly increase.  Rationals exist only
+in the input parser, which clears each column by the lcm of its denominators, a
+positive factor that changes no rank and no sign.  Digraphs are ingested via
+their signed vertex-arc incidence matrices, so graphic instances get signed
+circuits for free.  Each realization holds one exact rank table, r(S) for every
+subset S as a bitmask (bit i = ground[i], so bit order is label order); every
+rank question, and the tables of its minors and its dual, are read off it.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class InputFormatError(MatroidError):
 
 # -- exact integer elimination and the rank table --------------------------------
 
-Vector = tuple["Fraction", ...]
 IntVector = Sequence[int]
 Ratio = tuple[int, int]  # (numerator, positive denominator)
 
@@ -75,11 +73,11 @@ def _transposed(rows: Sequence[Sequence], ncols: int) -> list[tuple]:
     return list(zip(*rows)) if rows else [()] * ncols
 
 
-def _cleared(rows: Sequence[Sequence[Ratio]], ncols: int) -> tuple[list, list[int]]:
-    """Integer columns of Ratio rows and their scales, the lcm of each column's denominators."""
+def _cleared(rows: Sequence[Sequence[Ratio]], ncols: int) -> list[tuple[int, ...]]:
+    """Integer columns of Ratio rows, each cleared by the lcm of its denominators."""
     columns = _transposed(rows, ncols)
     scales = [math.lcm(*(q for _, q in column)) for column in columns]
-    return [tuple(p * (s // q) for p, q in column) for column, s in zip(columns, scales)], scales
+    return [tuple(p * (s // q) for p, q in column) for column, s in zip(columns, scales)]
 
 
 def _pivot(v: IntVector) -> int:
@@ -279,11 +277,11 @@ class _Ground:
 
 
 class OrientedRealization(_Ground):
-    """Rational matrix whose columns realize the matroid, in ground order, as integer columns."""
+    """Integer columns that realize the matroid, in ground order."""
 
-    __slots__ = ("integer_columns", "_scales", "_nrows", "_table", "_parent")
+    __slots__ = ("integer_columns", "_table", "_parent")
 
-    def __init__(self, ground: Sequence[int], matrix: Sequence[Sequence["Fraction | int"]]):
+    def __init__(self, ground: Sequence[int], matrix: Sequence[Sequence["Fraction | int | str"]]):
         ground = tuple(int(g) for g in ground)
         if any(a >= b for a, b in zip(ground, ground[1:])):
             raise MatroidError(f"ground labels must be strictly increasing, got {ground}")
@@ -292,38 +290,25 @@ class OrientedRealization(_Ground):
             if len(row) != len(ground):
                 raise MatroidError(
                     f"matrix row has {len(row)} entries for {len(ground)} ground elements")
-        self._hold(ground, *_cleared(rows, len(ground)), len(rows))
+        self._hold(ground, _cleared(rows, len(ground)))
 
-    def _hold(self, ground, columns, scales, nrows: int, parent=None) -> None:
+    def _hold(self, ground, columns, parent=None) -> None:
         """Set every slot; ``parent`` is (realization, derive) for a table derive(its table)."""
         self._set_ground(ground)
-        self.integer_columns, self._scales, self._nrows = tuple(columns), tuple(scales), nrows
+        self.integer_columns = tuple(columns)
         self._table: bytearray | None = None
         self._parent: tuple[OrientedRealization, Callable[[bytes], bytearray]] | None = parent
 
-    def _derived(self, ground, columns, scales, nrows: int, derive) -> "OrientedRealization":
+    def _derived(self, ground, columns, derive) -> "OrientedRealization":
         """A realization of integer columns whose rank table ``derive`` reads off this one's."""
         out = OrientedRealization.__new__(OrientedRealization)
-        out._hold(ground, columns, scales, nrows, (self, derive))
+        out._hold(ground, columns, (self, derive))
         return out
 
     # -- basic queries ----------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.ground)
-
-    def column(self, label: int) -> Vector:
-        from fractions import Fraction
-        i = self.index_of(label)
-        return tuple(Fraction(x, self._scales[i]) for x in self.integer_columns[i])
-
-    def columns(self, labels: Iterable[int]) -> list[Vector]:
-        return [self.column(e) for e in labels]
-
-    @property
-    def matrix(self) -> tuple[Vector, ...]:
-        """The rational rows; a parsed or constructed root gives back its own entries."""
-        return tuple(_transposed(self.columns(self.ground), self._nrows))
 
     def rank_table(self, force: bool = False) -> bytearray:
         """r(S) for every mask S (bit i = ground[i]); built on first use, never mutated.
@@ -352,15 +337,13 @@ class OrientedRealization(_Ground):
         return table[-1] if subset is None else table[self.mask_of(subset)]
 
     # -- minors, duality, reorientation -------------------------------------
-    # All of them work on integer columns.  Scaling a column by a positive
-    # number, or a row by any nonzero one, changes no rank and no sign.
+    # Scaling a column by a positive number, or a row by any nonzero one,
+    # changes no rank and no sign.
 
     def delete(self, e: int) -> "OrientedRealization":
         i = self.index_of(e)
-        ground, columns, scales = (t[:i] + t[i + 1:] for t in (self.ground, self.integer_columns,
-                                                                self._scales))
-        return self._derived(ground, columns, scales, self._nrows,
-                             lambda t: _minor_table(t, i, contract=False))
+        ground, columns = (t[:i] + t[i + 1:] for t in (self.ground, self.integer_columns))
+        return self._derived(ground, columns, lambda t: _minor_table(t, i, contract=False))
 
     def contract(self, e: int) -> "OrientedRealization":
         """Quotient of the column space by column e; a loop contracts as a delete.
@@ -373,10 +356,9 @@ class OrientedRealization(_Ground):
             return self.delete(e)
         rows = list(zip(*self.integer_columns))
         reduced = [_eliminate(row, rows[r], i) for o, row in enumerate(rows) if o != r]
-        ground, columns, scales = (t[:i] + t[i + 1:] for t in (
-            self.ground, _transposed(reduced, len(rows[0])), self._scales))
-        return self._derived(ground, columns, scales, len(reduced),
-                             lambda t: _minor_table(t, i, contract=True))
+        ground, columns = (t[:i] + t[i + 1:] for t in (self.ground,
+                                                        _transposed(reduced, len(rows[0]))))
+        return self._derived(ground, columns, lambda t: _minor_table(t, i, contract=True))
 
     def delete_many(self, labels: Iterable[int]) -> "OrientedRealization":
         m = self
@@ -394,13 +376,13 @@ class OrientedRealization(_Ground):
         """Realization whose row space is the orthogonal complement of this one's."""
         n = len(self.ground)
         basis = _integer_kernel(list(zip(*self.integer_columns)), n)
-        return self._derived(self.ground, _transposed(basis, n), (1,) * n, len(basis), _dual_table)
+        return self._derived(self.ground, _transposed(basis, n), _dual_table)
 
     def negate_columns(self, labels: Iterable[int]) -> "OrientedRealization":
         idx = {self.index_of(e) for e in labels}
         columns = [tuple(-x for x in col) if j in idx else col
                    for j, col in enumerate(self.integer_columns)]
-        return self._derived(self.ground, columns, self._scales, self._nrows, lambda t: t)
+        return self._derived(self.ground, columns, lambda t: t)
 
     def __repr__(self) -> str:
         # the rank of the matrix itself: a repr neither builds the 2^|E| table nor is guarded

@@ -36,6 +36,16 @@ def determinant(rows: list[list[Fraction]]) -> Fraction:
     return total
 
 
+def rows_of(m: OrientedRealization) -> list[tuple[int, ...]]:
+    """The integer rows of a realization; none when its ground set is empty."""
+    return list(zip(*m.integer_columns))
+
+
+def columns_of(m: OrientedRealization, labels) -> list[tuple[int, ...]]:
+    """The integer columns of ``labels``, in the order given."""
+    return [m.integer_columns[m.index_of(e)] for e in labels]
+
+
 def oracle_rank(cols: list[tuple[Fraction, ...]]) -> int:
     """Largest k admitting a nonsingular k-by-k minor."""
     if not cols or not cols[0]:
@@ -58,14 +68,14 @@ def oracle_signed_circuits(m: OrientedRealization) -> set[tuple[frozenset, froze
     cofactor vector of k-1 rows of full rank, x_i = (-1)^i det(rows minus
     column i), which spans the kernel of the k support columns.
     """
-    nrows = len(m.matrix)
+    nrows = len(rows_of(m))
     found: list[frozenset] = []
     family = set()
     for size in range(1, len(m.ground) + 1):
         for combo in itertools.combinations(m.ground, size):
             if any(s <= set(combo) for s in found):
                 continue
-            cols = m.columns(combo)
+            cols = columns_of(m, combo)
             if oracle_rank(cols) == size:
                 continue
             found.append(frozenset(combo))
@@ -93,7 +103,7 @@ def family_set(ground, pairs) -> set[tuple[frozenset, frozenset]]:
 def loop_at_contraction(m: OrientedRealization, e: int) -> OrientedRealization:
     """The matrix of bounded M': m/e's matrix with a zero column put back at e's slot."""
     i = m.ground.index(e)
-    rows = m.contract(e).matrix
+    rows = rows_of(m.contract(e))
     return OrientedRealization(m.ground, [row[:i] + (0,) + row[i:] for row in rows])
 
 

@@ -15,6 +15,8 @@ from omtutte.perspective import identity_perspective
 TRIANGLE = "1 a b\n2 b c\n3 c a\n"
 DOUBLED = "1 a b\n2 a b\n3 c b\n4 c a\n"
 MAJOR = "major: digraph\n1 a b\n2 b c\n3 c a\ncontract: 3\n"
+# one format word for both payloads: M the directed triangle, M' = M/3 with arc 3 kept as a loop
+PAIR = "pair: digraph\n1 a b\n2 b c\n3 c a\n---\n1 a b\n2 b a\n3 a a\n"
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +80,18 @@ def test_count_bases_and_bounded(tmp_path, capsys):
     assert out == "2 (t(0,0,1)=2, signed sum=2)\n"
 
 
+def test_pair_header_with_one_format_word(tmp_path, capsys):
+    path = tmp_path / "pair.persp"
+    path.write_text(PAIR)
+    code, out, _ = run_cli(capsys, "count", "bounded", "--input", str(path),
+                           "--format", "perspective")
+    assert code == 0
+    assert out == "2 (t(0,0,1)=2, signed sum=2)\n"  # 2(n-2)! bounded orientations at n = 3
+    code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--format", "perspective")
+    assert code == 0
+    assert "dichotomy: case ii" in out.splitlines()
+
+
 def test_verify_passes(tmp_path, capsys):
     path = tmp_path / "p.persp"
     path.write_text(MAJOR)
@@ -124,14 +138,34 @@ def test_derivative_prints_both_sides(tmp_path, capsys):
 def test_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.dg"
     tutte3 = ("tutte3", "--format", "perspective")
+    matrix = ("tutte", "--format", "matrix")
     # a payload error cites its line in the file, not in the payload
     for argv, content, message in [
             (("tutte",), b"1 a\n", "line 1"),
             (("tutte",), b"1 a b\n2 b \xff\n", "'utf-8' codec can't decode byte 0xff"),
+            (("tutte",), b"1 a b\nx b c\n", "line 2: arc label 'x' is not an integer"),
+            (("tutte",), b"1 a b\n0 b c\n", "arc labels must be positive integers, got 0"),
+            (matrix, b"2\n", "matrix text must start with '<rows> <cols>'"),
+            (matrix, b"2 x\n1 0\n", "bad matrix header '2' 'x'"),
+            (tutte3, b"# a comment and blank lines only\n\n", "empty perspective file"),
             (tutte3, b"major: digraph\n1 a b\n2 b\n3 c a\ncontract: 3\n",
              "line 3: expected '<label> <tail> <head>', got '2 b'"),
+            (tutte3, MAJOR.replace("contract: 3", "contract: 3 x").encode(),
+             "bad contract labels ['3', 'x']"),
+            (tutte3, b"major: foo\n1 a b\ncontract: 1\n",
+             "unknown input format 'foo'; expected digraph or matrix"),
             (tutte3, b"pair: digraph digraph\n1 a b\n2 a b\n---\n1 a b\n\n2 a\n",
              "line 7: expected '<label> <tail> <head>', got '2 a'"),
+            (tutte3, b"pair: digraph digraph digraph\n1 a b\n---\n1 a b\n",
+             "pair header needs one or two format words"),
+            (tutte3, b"pair: digraph\n1 a b\n1 a b\n",
+             "pair-form perspective needs exactly one '---' separator"),
+            (tutte3, b"pair: digraph\n1 a b\n---\n1 a b\n---\n1 a b\n",
+             "pair-form perspective needs exactly one '---' separator"),
+            (tutte3, b"pair: digraph\n1 a b\n---\n2 a b\n",
+             "the two inputs must share the same ordered ground set"),
+            (("count", "acyclic", "--format", "perspective"), MAJOR.encode(),
+             "count acyclic needs a digraph or matrix input"),
             (tutte3, MAJOR.encode() + b"contract: 1\n", "line 6: a second 'contract:' line")]:
         path.write_bytes(content)
         code, out, err = run_cli(capsys, *argv, "--input", str(path))
@@ -280,6 +314,21 @@ def test_verify_check_failure_exits_one(tmp_path, capsys, monkeypatch, patched, 
     assert json.loads(out) == expected
 
 
+def test_identity_error_exits_one_with_its_text(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d.dg"
+    path.write_text(DOUBLED)
+
+    def neither(p):
+        raise expansions.DichotomyError("neither dichotomy case holds at greatest element 4")
+
+    monkeypatch.setattr(expansions, "dichotomy_case", neither)
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert json.loads(out) == {"check": "exact identity",
+                               "error": "neither dichotomy case holds at greatest element 4"}
+    assert err == ""
+
+
 @pytest.mark.parametrize("kind, source, fmt, patched", [
     ("acyclic", TRIANGLE, "digraph", "count_acyclic"),
     ("bounded", MAJOR, "perspective", "signed_sum"),
@@ -399,8 +448,13 @@ def test_activities_streams_blocks_of_rows(tmp_path, monkeypatch):
     (["derivative", "-p", "x", "--input", "{path}"], "'x'"),
     (["tutte", "-p", "1", "--input", "{path}"], "-p"),
     (["tutte", "--input", "{path}", "--bogus"], "--bogus"),
+    (["tutte", "--input", "{path}", "extra"], "unrecognized arguments: extra"),
+    (["tutte", "--input", "{path}", "--force=1"],
+     "argument --force: ignored explicit argument '1'"),
+    (["tutte", "--input"], "argument --input: expected one argument"),
 ], ids=["no-arguments", "unknown-command", "missing-input", "bad-format", "count-no-kind",
-        "count-bad-kind", "p-not-int", "p-on-tutte", "unknown-option"])
+        "count-bad-kind", "p-not-int", "p-on-tutte", "unknown-option", "stray-positional",
+        "flag-with-value", "trailing-input"])
 def test_usage_errors_exit_two(tmp_path, capsys, argv, token):
     path = tmp_path / "d.dg"
     path.write_text(DOUBLED)

@@ -31,13 +31,14 @@ from helpers import (
     oracle_tutte_closed,
     random_digraph,
     random_realization,
+    rows_of,
 )
 
 
 def with_loop_and_isthmus(m: OrientedRealization) -> OrientedRealization:
     """m plus a zero column (a loop) and a column alone in a new row (an isthmus)."""
     zero = Fraction(0)
-    rows = [[*row, zero, zero] for row in m.matrix]
+    rows = [[*row, zero, zero] for row in rows_of(m)]
     rows.append([zero] * (len(m.ground) + 1) + [Fraction(1)])
     return OrientedRealization(range(1, len(m.ground) + 3), rows)
 

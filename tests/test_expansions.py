@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omtutte.matroid import Digraph, OrientedRealization, from_digraph
+from omtutte.matroid import Digraph, MatroidError, OrientedRealization, from_digraph
 from omtutte.expansions import (
     IdentityError,
     DichotomyCase,
+    DichotomyError,
     count_acyclic,
     count_basic_orientations,
     count_bounded,
@@ -26,10 +27,12 @@ from omtutte.expansions import (
 )
 from omtutte.oriented import ActivityRecord, OrientedMatroid
 from omtutte.perspective import (
+    Perspective,
     bounded_perspective,
     from_major,
     identity_perspective,
     tutte3_closed,
+    validate,
 )
 from omtutte.poly import Monomial, Polynomial, ONE, U, V, X, Y
 from omtutte import gallery
@@ -48,6 +51,7 @@ from helpers import (
     oracle_expansion,
     random_digraph,
     random_realization,
+    rows_of,
 )
 
 
@@ -186,7 +190,7 @@ def differential_perspectives(rng):
     for _ in range(3):
         # a zero column (a loop) and a column alone in its own row (an isthmus)
         m = random_realization(rng, max_rows=3, max_cols=6)
-        rows = [list(row) + [0, 0] for row in m.matrix] + [[0] * len(m.ground) + [0, 1]]
+        rows = [list(row) + [0, 0] for row in rows_of(m)] + [[0] * len(m.ground) + [0, 1]]
         out.append(identity_perspective(OrientedRealization(range(1, len(m.ground) + 3), rows)))
     return out
 
@@ -423,6 +427,29 @@ def test_dichotomy_examples():
     assert dichotomy_case(two_coloops) == DichotomyCase.BOTH
     single = identity_of(gallery.single_arc())
     assert dichotomy_case(single) == DichotomyCase.BOTH
+
+
+def test_dichotomy_error_names_every_minimum_on_an_unvalidated_pair():
+    # 3 and 5 parallel in M, anti-parallel in M': no strong map, and no case holds at 5.
+    # By hand: M/5 makes 3 a loop and -5 M makes {3, 5} a positive circuit; M'\5 leaves
+    # the cocircuit {3} and -5 M' makes {3, 5} a positive cocircuit.
+    real_m = OrientedRealization((3, 5), [[1, 1]])
+    real_mp = OrientedRealization((3, 5), [[-1, 1]])
+    p = Perspective.__new__(Perspective)  # bypasses the strong-map scans, which reject the pair
+    p.m, p.mprime = OrientedMatroid(real_m), OrientedMatroid(real_mp)
+    assert not validate(p.m, p.mprime).passed
+    assert oracle_dichotomy_case(real_m, real_mp) is None
+    with pytest.raises(DichotomyError) as raised:
+        dichotomy_case(p)
+    assert str(raised.value) == (
+        "neither dichotomy case holds at greatest element 5: "
+        "active(M)=[], active(M\\e)=[], active(M/e)=[3], active(-eM)=[3]; "
+        "dual(M')=[], dual(M'\\e)=[3], dual(M'/e)=[], dual(-eM')=[3]")
+
+
+def test_dichotomy_needs_a_ground_element():
+    with pytest.raises(MatroidError, match="^the dichotomy needs at least one ground element$"):
+        dichotomy_case(identity_perspective(OrientedRealization((), [])))
 
 
 def test_dichotomy_never_fails_on_valid_perspectives():

@@ -35,6 +35,7 @@ from helpers import (
     oracle_signed_circuits,
     random_digraph,
     random_realization,
+    rows_of,
 )
 
 
@@ -220,7 +221,7 @@ def _echelon_cases(seed):
         m = random_realization(rng, max_rows=3, max_cols=4)
         j = rng.randrange(len(m.ground))
         scale = rng.choice((-2, -1, Fraction(1, 2), 3))
-        rows = [[*row, 0, scale * row[j], 0] for row in m.matrix]
+        rows = [[*row, 0, scale * row[j], 0] for row in rows_of(m)]
         rows.append([0] * (len(rows[0]) - 1) + [1])  # the isthmus
         rows.append([2 * v for v in rows[0]])  # a row beyond the rank
         order = rng.sample(range(len(rows[0])), len(rows[0]))
@@ -354,7 +355,7 @@ def _gapped(rng):
     """Realizations and digraph realizations whose labels are gapped and never indices."""
     for _ in range(5):
         m = random_realization(rng, max_rows=3, max_cols=6)
-        yield OrientedRealization(sorted(rng.sample(range(3, 40), len(m))), m.matrix)
+        yield OrientedRealization(sorted(rng.sample(range(3, 40), len(m))), rows_of(m))
         g = random_digraph(rng, max_vertices=4, max_arcs=6)
         labels = sorted(rng.sample(range(3, 40), len(g.arcs)))
         yield from_digraph(Digraph.from_arcs(
@@ -454,7 +455,7 @@ def test_derived_oriented_matroids_match_matrix_oracles():
     checked = 0
     for m in [OrientedRealization((), []), *_minor_roots(rng)]:
         for derived, oracle in _derived_with_oracles(m, rng):
-            fresh = OrientedRealization(oracle.ground, oracle.matrix)
+            fresh = OrientedRealization(oracle.ground, rows_of(oracle))
             assert derived.ground == fresh.ground
             assert derived.rank_table() == fresh.rank_table(), (m, oracle)
             assert derived.circuit_pairs == signed_circuits(fresh), (m, oracle)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,42 @@ def test_pairwise_checks_agree_with_union_criteria():
         assert report.oriented == _oriented_by_conformal_unions(m, mp)
         if len(m.ground) <= 6:
             assert report.weak == _rank_interval_everywhere(m, mp)
+
+
+def _quotient_by_ranks(m: OrientedMatroid, mp: OrientedMatroid) -> bool:
+    """r(S+e) - r(S) >= r'(S+e) - r'(S) for every S and every e not in S."""
+    t, tp = m.rank_table(), mp.rank_table()
+    n = len(m.ground)
+    return all(t[s | 1 << i] - t[s] >= tp[s | 1 << i] - tp[s]
+               for s in range(1 << n) for i in range(n) if not s >> i & 1)
+
+
+def _same_ground_pairs(seed, count):
+    """Alternately a from_major pair and two random integer matrices on one ground, n <= 6."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if k % 2:
+            n = random_realization(rng, max_rows=4, max_cols=6)
+            c = frozenset(e for e in n.ground[1:] if rng.random() < 0.4)
+            yield om(n.delete_many(c)), om(n.contract_many(c))
+        else:
+            ncols = rng.randint(1, 6)
+            yield tuple(om(OrientedRealization(range(1, ncols + 1),
+                                               [[rng.randint(-2, 2) for _ in range(ncols)]
+                                                for _ in range(rng.randint(0, 3))]))
+                        for _ in "mm")
+
+
+def test_weak_check_is_the_quotient_rank_criterion():
+    weak = Counter()
+    for m, mp in _same_ground_pairs(1205, 600):
+        report = validate(m, mp)
+        assert report.weak == _quotient_by_ranks(m, mp), (m.realization, mp.realization)
+        weak[report.weak] += 1
+        if report.weak:  # so Perspective's rank check and a negative z exponent cannot fire
+            t, tp = m.rank_table(), mp.rank_table()
+            assert all(t[-1] - t[s] >= tp[-1] - tp[s] for s in range(len(t)))
+    assert weak[True] > 300 and weak[False] > 100
 
 
 def _validation_cases(seed):

@@ -8,12 +8,14 @@ from omtutte.oriented import OrientedMatroid, signed_circuits, signed_cocircuits
 from omtutte.perspective import bounded_perspective
 
 from helpers import (
+    columns_of,
     family_set,
     loop_at_contraction,
     oracle_rank,
     oracle_signed_circuits,
     random_digraph,
     random_realization,
+    rows_of,
 )
 
 
@@ -27,7 +29,7 @@ def seeded_instances(seed):
     out = []
     while len(out) < 12:
         m = random_realization(rng, max_rows=4, max_cols=9)
-        if len(out) < 6 or len(m.ground) >= 6 and len(m.matrix) >= 2:
+        if len(out) < 6 or len(m.ground) >= 6 and len(rows_of(m)) >= 2:
             out.append(m)
     while len(out) < 24:
         g = random_digraph(rng, max_vertices=5, max_arcs=9)
@@ -42,7 +44,7 @@ def labels_of(m, mask):
 
 def fresh(m):
     """The same realization, with a table built from its own matrix."""
-    return OrientedRealization(m.ground, m.matrix)
+    return OrientedRealization(m.ground, rows_of(m))
 
 
 def test_signed_families_match_subset_scan_oracle():
@@ -78,7 +80,7 @@ def test_rank_table_matches_minor_oracle():
         if len(m.ground) > 8:
             masks = rng.sample(masks, 64)
         for mask in masks:
-            assert table[mask] == oracle_rank(m.columns(labels_of(m, mask)))
+            assert table[mask] == oracle_rank(columns_of(m, labels_of(m, mask)))
 
 
 def test_minor_and_dual_tables_match_fresh_builds():
