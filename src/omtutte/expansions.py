@@ -203,7 +203,7 @@ class ExpansionReport:
 
 
 class _Rows(Sequence):
-    """The ActivityRecords of a report, built from its masks when indexed."""
+    """The ActivityRecords of a report, built from its masks when indexed; monomials by _key."""
 
     def __init__(self, report: ExpansionReport):
         self._report = report
@@ -215,9 +215,10 @@ class _Rows(Sequence):
         picked = range(len(self))[index]
         if isinstance(picked, range):
             return [self[a] for a in picked]
-        report, ground = self._report, self._report.perspective.ground
-        masks = (picked, report.active[picked], report.dual[picked])
-        return ActivityRecord.build(*(frozenset(_labels(ground, mask)) for mask in masks))
+        a, act, dual = picked, self._report.active[picked], self._report.dual[picked]
+        sets = (frozenset(_labels(self._report.perspective.ground, mask))
+                for mask in (a, act, dual, act & ~a, act & a, dual & ~a, dual & a))
+        return ActivityRecord(*sets, Monomial(_key(a, act, dual) + (0,)))
 
 
 def expansion_sum(p: Perspective) -> ExpansionReport:
@@ -272,15 +273,11 @@ class SpecializationReport(NamedTuple):
     doubling_out: int
     doubling_in: int
     two_zero: int
-    interpolation_ok: bool
-    restricted_ok: bool
-    restricted_swap_ok: bool
-    doubling_ok: bool
 
     @property
     def passed(self) -> bool:
-        return (self.interpolation_ok and self.restricted_ok
-                and self.restricted_swap_ok and self.doubling_ok)
+        return (self.interpolation == self.restricted == self.restricted_swap == self.tutte
+                and self.doubling_out == self.two_zero == self.doubling_in)
 
 
 def specialization_suite(p: Perspective,
@@ -306,10 +303,8 @@ def specialization_suite(p: Perspective,
     doubling_in = sum(count * 2 ** d_in for (d_out, d_in, a_out, a_in), count
                       in hist.items() if not (d_out or a_out or a_in))
     two_zero = tutte.evaluate({"x": 2, "y": 0})
-    return SpecializationReport(
-        tutte, interpolation, restricted, restricted_swap, doubling_out, doubling_in,
-        two_zero, interpolation == tutte, restricted == tutte, restricted_swap == tutte,
-        doubling_out == two_zero == doubling_in)
+    return SpecializationReport(tutte, interpolation, restricted, restricted_swap,
+                                doubling_out, doubling_in, two_zero)
 
 
 # -- counting identities -------------------------------------------------------

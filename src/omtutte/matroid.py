@@ -307,9 +307,6 @@ class OrientedRealization(_Ground):
 
     # -- basic queries ----------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.ground)
-
     def rank_table(self, force: bool = False) -> bytearray:
         """r(S) for every mask S (bit i = ground[i]); built on first use, never mutated.
 

@@ -301,19 +301,3 @@ class ActivityRecord(NamedTuple):
     dual_out: frozenset[int]
     dual_in: frozenset[int]
     monomial: Monomial
-
-    @classmethod
-    def build(cls, A: frozenset[int], active: frozenset[int],
-              dual_active: frozenset[int]) -> "ActivityRecord":
-        active_out = active - A
-        active_in = active & A
-        dual_out = dual_active - A
-        dual_in = dual_active & A
-        mono = Monomial.from_exponents({
-            "x": len(dual_out),
-            "u": len(dual_in),
-            "y": len(active_out),
-            "v": len(active_in),
-        })
-        return cls(A, active, dual_active, active_out, active_in,
-                   dual_out, dual_in, mono)

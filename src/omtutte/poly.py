@@ -41,11 +41,7 @@ def _check_variable(name: str) -> int:
 
 
 class Monomial(NamedTuple("Monomial", [("exps", tuple[int, ...])])):
-    """A product of variable powers, stored as one exponent per variable.
-
-    Exponents are kept in VARIABLES order; variables with exponent 0 are
-    absent from the mapping view returned by :meth:`exponents`.
-    """
+    """A product of variable powers, stored as one exponent per variable in VARIABLES order."""
 
     __slots__ = ()
 
@@ -66,10 +62,6 @@ class Monomial(NamedTuple("Monomial", [("exps", tuple[int, ...])])):
         for name, e in mapping.items():
             exps[_check_variable(name)] = e
         return cls(tuple(exps))
-
-    def exponents(self) -> dict[str, int]:
-        """Mapping view {variable: exponent} with zero exponents omitted."""
-        return {VARIABLES[i]: e for i, e in enumerate(self.exps) if e}
 
     @property
     def degree(self) -> int:
@@ -134,15 +126,6 @@ class Polynomial:
 
     def terms(self) -> dict[Monomial, int]:
         return dict(self._terms)
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
-
-    def variables(self) -> set[str]:
-        out: set[str] = set()
-        for mono in self._terms:
-            out.update(mono.exponents())
-        return out
 
     # -- ring operations ---------------------------------------------------
 

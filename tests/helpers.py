@@ -17,7 +17,7 @@ from omtutte.expansions import DichotomyCase
 from omtutte.matroid import Digraph, OrientedRealization, from_digraph
 from omtutte.oriented import ActivityRecord, OrientedMatroid, SignedSubset, orientation_active_sets
 from omtutte.perspective import ValidationReport
-from omtutte.poly import ONE, U, V, X, Y, Z, Polynomial
+from omtutte.poly import ONE, U, V, X, Y, Z, Monomial, Polynomial
 
 
 def determinant(rows: list[list[Fraction]]) -> Fraction:
@@ -158,11 +158,19 @@ def element_indicators(om: OrientedMatroid, a: int) -> tuple[int, int]:
     return (1 if a in active else 0, 1 if a in dual_active else 0)
 
 
+def record_of(A, active, dual_active) -> ActivityRecord:
+    """The record of A from its active and dual-active label sets, by frozenset arithmetic."""
+    a, active, dual_active = frozenset(A), frozenset(active), frozenset(dual_active)
+    active_out, active_in = active - a, active & a
+    dual_out, dual_in = dual_active - a, dual_active & a
+    mono = Monomial.from_exponents({"x": len(dual_out), "u": len(dual_in),
+                                    "y": len(active_out), "v": len(active_in)})
+    return ActivityRecord(a, active, dual_active, active_out, active_in, dual_out, dual_in, mono)
+
+
 def activity_record(om_base: OrientedMatroid, A) -> ActivityRecord:
     """Activity record of the reorientation of ``om_base`` on ``A``."""
-    a = frozenset(A)
-    active, dual_active = orientation_active_sets(om_base.reorient(a))
-    return ActivityRecord.build(a, active, dual_active)
+    return record_of(A, *orientation_active_sets(om_base.reorient(frozenset(A))))
 
 
 def monomial_of(p, A) -> ActivityRecord:
@@ -172,8 +180,7 @@ def monomial_of(p, A) -> ActivityRecord:
     def minima(family):  # the smallest element of each positive member
         return frozenset(min(s.positive) for s in family if not s.negative)
 
-    return ActivityRecord.build(a, minima(p.m.reorient(a).circuits),
-                                minima(p.mprime.reorient(a).cocircuits))
+    return record_of(a, minima(p.m.reorient(a).circuits), minima(p.mprime.reorient(a).cocircuits))
 
 
 def oracle_validate(m, mprime) -> ValidationReport:

@@ -292,7 +292,7 @@ def test_verify_on_empty_ground_set(tmp_path, capsys):
 def _skewed_suite(real):
     def skewed(*args, **kwargs):
         suite = real(*args, **kwargs)
-        return suite._replace(interpolation=suite.interpolation + 1, interpolation_ok=False)
+        return suite._replace(interpolation=suite.interpolation + 1)
     return skewed
 
 

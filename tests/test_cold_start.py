@@ -101,8 +101,17 @@ def test_verify_on_a_digraph_avoids_fractions(tmp_path):
     assert sorted(loaded.intersection(AVOIDED)) == []
 
 
-def test_rational_views_still_give_fractions():
+def test_slow_path_entry_loads_fractions():
     loaded = loaded_after(
+        "from omtutte.matroid import OrientedRealization\n"
+        "assert 'fractions' not in sys.modules\n"
+        "m = OrientedRealization((1,), [['1.5']])\n"
+        "assert m.integer_columns == ((3,),)")
+    assert "fractions" in loaded
+
+
+def test_rational_views_still_give_fractions():
+    loaded_after(
         "from fractions import Fraction\n"
         "from omtutte.matroid import OrientedRealization\n"
         "from omtutte.poly import X\n"
@@ -110,7 +119,6 @@ def test_rational_views_still_give_fractions():
         "assert m.integer_columns == ((1,), (-3,))\n"
         "assert type((X + 1).evaluate({'x': Fraction(1, 3)})) is Fraction\n"
         "assert type((X + 1).evaluate({'x': 2})) is int")
-    assert "fractions" in loaded
 
 
 def test_polynomial_parse_loads_the_text_parser():

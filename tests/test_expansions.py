@@ -25,7 +25,7 @@ from omtutte.expansions import (
     signed_sum,
     specialization_suite,
 )
-from omtutte.oriented import ActivityRecord, OrientedMatroid
+from omtutte.oriented import OrientedMatroid
 from omtutte.perspective import (
     Perspective,
     bounded_perspective,
@@ -51,6 +51,7 @@ from helpers import (
     oracle_expansion,
     random_digraph,
     random_realization,
+    record_of,
     rows_of,
 )
 
@@ -208,8 +209,23 @@ def test_sweep_matches_per_mask_oracle():
         def labels(mask):
             return frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
 
-        assert list(report.rows) == [ActivityRecord.build(labels(a), labels(act), labels(co))
+        assert list(report.rows) == [record_of(labels(a), labels(act), labels(co))
                                      for a, (act, co) in enumerate(zip(active, dual))]
+
+
+def test_len_and_histogram_reads_build_no_per_a_masks():
+    # README "Lazy rows": only reading a row or a mask transposes the sweep's per-element sets
+    p = identity_of(gallery.doubled_triangle())
+    report = expansion_sum(p)
+    assert len(report.rows) == 1 << len(p.ground)
+    assert report.passed and specialization_suite(p, report=report).passed
+    count_bounded(p, report=report)
+    signed_sum(p, report=report)
+    derivative_expansion(p, 1, 0, report=report)
+    derivative_diag(p, 1, report=report)
+    assert "_masks" not in vars(report.active) and "_masks" not in vars(report.dual)
+    report.rows[-1]
+    assert "_masks" in vars(report.active) and "_masks" in vars(report.dual)
 
 
 def test_expansion_symmetric_under_complement_swap():
@@ -273,6 +289,12 @@ def test_specialization_suite_loop_and_isthmus():
 
 def test_specialization_suite_on_perspective():
     assert specialization_suite(two_graph_perspective()).passed
+
+
+def test_specialization_passed_compares_every_value():
+    report = specialization_suite(identity_of(gallery.doubled_triangle()))
+    for field, value in report._asdict().items():
+        assert not report._replace(**{field: value + 1}).passed, field
 
 
 # -- counting identities ------------------------------------------------------------

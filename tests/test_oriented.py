@@ -232,7 +232,8 @@ def _echelon_cases(seed):
 def test_echelon_signs_match_cofactor_oracle():
     rng = random.Random(1213)
     for m in _echelon_cases(1212):
-        minors = [m, m.dual()] + [m.contract(e) for e in rng.sample(m.ground, min(1, len(m)))]
+        minors = [m, m.dual()] + [m.contract(e)
+                                  for e in rng.sample(m.ground, min(1, len(m.ground)))]
         for r in minors:
             assert family_set(r.ground, signed_circuits(r)) == oracle_signed_circuits(r)
             assert family_set(r.ground, signed_cocircuits(r)) == oracle_signed_circuits(r.dual())
@@ -355,7 +356,7 @@ def _gapped(rng):
     """Realizations and digraph realizations whose labels are gapped and never indices."""
     for _ in range(5):
         m = random_realization(rng, max_rows=3, max_cols=6)
-        yield OrientedRealization(sorted(rng.sample(range(3, 40), len(m))), rows_of(m))
+        yield OrientedRealization(sorted(rng.sample(range(3, 40), len(m.ground))), rows_of(m))
         g = random_digraph(rng, max_vertices=4, max_arcs=6)
         labels = sorted(rng.sample(range(3, 40), len(g.arcs)))
         yield from_digraph(Digraph.from_arcs(

@@ -17,9 +17,10 @@ def _records():
         (SignedSubset(a, b), "positive"),
         (Digraph(("a", "b"), ((1, "a", "b"),)), "arcs"),
         (BasisActivity(a, b), "internal"),
-        (ActivityRecord.build(a, a, b), "monomial"),
+        (ActivityRecord(a, a, b, frozenset(), a, b, frozenset(), Monomial((1, 0, 0, 1, 0))),
+         "monomial"),
         (ValidationReport(True, True), "weak"),
-        (SpecializationReport(ONE, ONE, ONE, ONE, 1, 1, 1, True, True, True, True), "tutte"),
+        (SpecializationReport(ONE, ONE, ONE, ONE, 1, 1, 1), "tutte"),
     ]
 
 
