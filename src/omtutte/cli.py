@@ -194,9 +194,9 @@ def run(args) -> int:
         # each side is a tuple of ints that must all equal the count
         if args.kind == "bounded":
             report = expansion_sum(perspective)
-            value = count_bounded(perspective, report=report)
+            value = count_bounded(perspective)
             sides = {"t(0,0,1)": (report.tutte.evaluate({"x": 0, "y": 0}),),
-                     "signed sum": (signed_sum(perspective, report=report),)}
+                     "signed sum": (signed_sum(perspective),)}
         elif realization is None:
             raise MatroidError(f"count {args.kind} needs a digraph or matrix input")
         elif args.kind == "acyclic":
@@ -216,7 +216,7 @@ def run(args) -> int:
         return _emit(args, report.tsv_blocks(), report.to_json_dict)
 
     if args.command == "derivative":
-        activity_side = derivative_expansion(perspective, args.p, args.q, report=report)
+        activity_side = derivative_expansion(perspective, args.p, args.q)
         formal = report.tutte.partial_derivative("x", args.p).partial_derivative("y", args.q)
         equal = activity_side == formal
         _emit(args, f"activity side: {activity_side}\nformal derivative: {formal}",
@@ -226,11 +226,11 @@ def run(args) -> int:
     # verify: the checks run in this order, and the first that fails is reported
     if not report.passed:
         return _fail("expansion identity", report.reference, report.total)
-    suite = specialization_suite(perspective, report=report)
+    suite = specialization_suite(perspective)
     if not suite.passed:
         return _fail("specialization suite", suite.tutte, suite.interpolation)
     case = dichotomy_case(perspective) if perspective.ground else DichotomyCase.BOTH
-    if not deletion_contraction_check(perspective, report=report):
+    if not deletion_contraction_check(perspective):
         return _fail("deletion/contraction recursion", "minor sums to match", "mismatch")
     return _emit(args, "expansion identity: pass\nspecialization suite: pass\n"
                  f"dichotomy: case {case.value}\ndeletion/contraction recursion: pass",

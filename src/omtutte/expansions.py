@@ -205,28 +205,31 @@ class ExpansionReport:
 class _Rows(Sequence):
     """The ActivityRecords of a report, built from its masks when indexed; monomials by _key."""
 
-    def __init__(self, report: ExpansionReport):
-        self._report = report
+    def __init__(self, expansion: ExpansionReport):
+        self._expansion = expansion
 
     def __len__(self) -> int:
-        return len(self._report.active)
+        return len(self._expansion.active)
 
     def __getitem__(self, index):
         picked = range(len(self))[index]
         if isinstance(picked, range):
             return [self[a] for a in picked]
-        a, act, dual = picked, self._report.active[picked], self._report.dual[picked]
-        sets = (frozenset(_labels(self._report.perspective.ground, mask))
+        a, act, dual = picked, self._expansion.active[picked], self._expansion.dual[picked]
+        sets = (frozenset(_labels(self._expansion.perspective.ground, mask))
                 for mask in (a, act, dual, act & ~a, act & a, dual & ~a, dual & a))
         return ActivityRecord(*sets, Monomial(_key(a, act, dual) + (0,)))
 
 
 def expansion_sum(p: Perspective) -> ExpansionReport:
-    """The 4-variable activity generating function: the one 2^|E| sweep.
+    """The 4-variable activity generating function: the one 2^|E| sweep of ``p``.
 
-    The report's reference is the closed-formula t(x+u, y+v, 1); passed is
-    exact polynomial equality.
+    The first call sweeps and keeps the report on ``p``; every later call
+    returns that report.  Its reference is the closed-formula t(x+u, y+v, 1);
+    passed is exact polynomial equality.
     """
+    if p._expansion is not None:
+        return p._expansion
     n = len(p.ground)
     full = (1 << (1 << n)) - 1
     in_a = _in_sets(n)
@@ -241,7 +244,8 @@ def expansion_sum(p: Perspective) -> ExpansionReport:
     histogram: Counter = Counter()
     _split(full, [(k, 1 << w, plane) for k, planes in enumerate(counters)
                   for w, plane in enumerate(planes)], (0, 0, 0, 0), histogram)
-    return ExpansionReport(p, _Transposed(active), _Transposed(dual), histogram)
+    p._expansion = ExpansionReport(p, _Transposed(active), _Transposed(dual), histogram)
+    return p._expansion
 
 
 def _collect(histogram: Counter, pick: Callable[..., tuple[int, int] | None]) -> Polynomial:
@@ -280,16 +284,14 @@ class SpecializationReport(NamedTuple):
                 and self.doubling_out == self.two_zero == self.doubling_in)
 
 
-def specialization_suite(p: Perspective,
-                         report: ExpansionReport | None = None) -> SpecializationReport:
+def specialization_suite(p: Perspective) -> SpecializationReport:
     """Check the 2-variable specializations of the 4-variable expansion.
 
     (a) the expansion at (x-1, 1, y-1, 1), (b) its u^0 v^0 part and (c) its
     x^0 y^0 part with u, v renamed x, y all equal t(x,y,1); (d) both doubling
     counts (2 to the one nonzero activity) equal t(2,0,1).
     """
-    if report is None:
-        report = expansion_sum(p)
+    report = expansion_sum(p)
     hist = report.histogram
     tutte = report.tutte
     interpolation = _collect(hist, lambda d_out, d_in, a_out, a_in: (d_out, a_out)
@@ -315,25 +317,21 @@ def count_acyclic(m: OrientedRealization | OrientedMatroid) -> int:
     return sum(count for (_, _, a_out, a_in), count in hist.items() if not (a_out or a_in))
 
 
-def count_bounded(p: Perspective, report: ExpansionReport | None = None) -> int:
+def count_bounded(p: Perspective) -> int:
     """Number of A with -_A M acyclic and -_A M' totally cyclic: the constant term.
 
     (Totally cyclic means no positive cocircuit.)
     """
-    if report is None:
-        report = expansion_sum(p)
-    return report.histogram[(0, 0, 0, 0)]
+    return expansion_sum(p).histogram[(0, 0, 0, 0)]
 
 
-def signed_sum(p: Perspective, report: ExpansionReport | None = None) -> int:
+def signed_sum(p: Perspective) -> int:
     """Alternating activity sum over all A, signed on the two outside-A counts.
 
     All four sign variants are +-1 evaluations of the expansion; this raises
     if they disagree, since then the expansion itself is broken.
     """
-    if report is None:
-        report = expansion_sum(p)
-    hist = report.histogram
+    hist = expansion_sum(p).histogram
     # key positions: 0 dual_out, 1 dual_in, 2 active_out, 3 active_in
     sums = [sum(count * (-1) ** (key[i] + key[j]) for key, count in hist.items())
             for i, j in ((0, 2), (1, 3), (0, 3), (1, 2))]
@@ -355,29 +353,23 @@ def count_basic_orientations(m: OrientedRealization | OrientedMatroid) -> tuple[
 
 # -- derivatives ----------------------------------------------------------------
 
-def derivative_expansion(p: Perspective, dp: int, dq: int,
-                         report: ExpansionReport | None = None) -> Polynomial:
+def derivative_expansion(p: Perspective, dp: int, dq: int) -> Polynomial:
     """p! q! times the coefficient of u^p v^q in the expansion.
 
     Equals the formal (p, q) partial derivative of t(x, y, 1); 0, no factorial, past |E|.
     """
     if dp < 0 or dq < 0:
         raise ValueError("derivative orders must be non-negative")
-    if report is None:
-        report = expansion_sum(p)
-    total = _collect(report.histogram, lambda d_out, d_in, a_out, a_in:
+    total = _collect(expansion_sum(p).histogram, lambda d_out, d_in, a_out, a_in:
                      (d_out, a_out) if (d_in, a_in) == (dp, dq) else None)
     return math.factorial(dp) * math.factorial(dq) * total if total else total
 
 
-def derivative_diag(p: Perspective, dp: int,
-                    report: ExpansionReport | None = None) -> Polynomial:
+def derivative_diag(p: Perspective, dp: int) -> Polynomial:
     """p! times the x-power sum over keys whose inside-A counts total p: (d/dx)^p t(x, x, 1)."""
     if dp < 0:
         raise ValueError("derivative order must be non-negative")
-    if report is None:
-        report = expansion_sum(p)
-    total = _collect(report.histogram, lambda d_out, d_in, a_out, a_in:
+    total = _collect(expansion_sum(p).histogram, lambda d_out, d_in, a_out, a_in:
                      (d_out + a_out, 0) if d_in + a_in == dp else None)
     return math.factorial(dp) * total if total else total
 
@@ -433,16 +425,14 @@ def dichotomy_case(p: Perspective) -> DichotomyCase:
         f"dual(M'/e)={labels(contracted[1])}, dual(-eM')={labels(flipped[1])}")
 
 
-def deletion_contraction_check(p: Perspective, report: ExpansionReport | None = None) -> bool:
+def deletion_contraction_check(p: Perspective) -> bool:
     """One step of the minor recursion for the 4-variable expansion.
 
     Greatest element an isthmus of M': multiply the deleted minor's sum by
     (x+u); a loop of M: by (y+v); otherwise the deleted and contracted
     minors' sums add up.  The empty perspective sums to 1.
     """
-    if report is None:
-        report = expansion_sum(p)
-    full = report.total
+    full = expansion_sum(p).total
     if not p.ground:
         return full == ONE
     e = p.ground[-1]

@@ -74,9 +74,12 @@ def validate(m: OrientedMatroid, mprime: OrientedMatroid) -> ValidationReport:
 
 
 class Perspective:
-    """Validated pair M -> M' of oriented matroids on one ordered ground set."""
+    """Validated pair M -> M' of oriented matroids on one ordered ground set.
 
-    __slots__ = ("m", "mprime")
+    ``_expansion`` holds the pair's one activity sweep once ``expansion_sum`` has run it.
+    """
+
+    __slots__ = ("m", "mprime", "_expansion")
 
     def __init__(self, m: OrientedMatroid, mprime: OrientedMatroid):
         report = validate(m, mprime)
@@ -90,6 +93,7 @@ class Perspective:
             raise PerspectiveError("rank of M' exceeds rank of M")
         self.m = m
         self.mprime = mprime
+        self._expansion = None
 
     @property
     def ground(self) -> tuple[int, ...]:

@@ -5,15 +5,26 @@ package: W_k has 3^k - 3 acyclic orientations, L_2k - 2 spanning trees (L a
 Lucas number) and 2(k-1) bipolar orientations with a spoke as the fixed arc;
 K_n has n! acyclic orientations, n^(n-2) spanning trees and 2(n-2)! bipolar
 orientations.  Basic orientations are counted by bases.
+
+The uniform matroid U(r,n), realized by the Vandermonde rows (j+1)^i, i < r,
+is the non-graphic case: its Tutte polynomial, 2 sum_{i<r} C(n-1,i) acyclic
+reorientations (the regions of a generic central arrangement), 2 C(n-2,r-1)
+bounded ones (twice the bounded regions of a generic affine arrangement) and
+C(n,r) bases are standard closed forms.  Its columns lie on the moment
+curve, so every one of its C(n,r+1) circuits alternates in sign along the
+ground order (Cramer's rule with positive Vandermonde minors).
 """
 
 import math
+import random
 
 import pytest
 
 from omtutte.expansions import count_acyclic, count_basic_orientations, count_bounded
-from omtutte.matroid import Digraph, from_digraph
+from omtutte.matroid import Digraph, OrientedRealization, bases, from_digraph, tutte_closed
+from omtutte.oriented import OrientedMatroid, signed_circuits
 from omtutte.perspective import bounded_perspective
+from omtutte.poly import ONE, X, Y
 
 
 def wheel(k):
@@ -52,3 +63,36 @@ def test_counts_match_closed_forms(name):
     assert count_basic_orientations(m) == (trees, trees)
     assert count_bounded(bounded_perspective(m, 1)) == bipolar
 
+
+
+def uniform(r, n):
+    return OrientedRealization(range(1, n + 1), [[(j + 1) ** i for j in range(n)]
+                                                 for i in range(r)])
+
+
+def uniform_tutte(r, n, x, y):
+    """sum_{i<r} C(n,i)(x-1)^(r-i) + C(n,r) + sum_{i>r} C(n,i)(y-1)^(i-r)."""
+    terms = [math.comb(n, i) * (x - ONE) ** (r - i) for i in range(r)]
+    terms += [math.comb(n, i) * (y - ONE) ** (i - r) for i in range(r + 1, n + 1)]
+    return sum(terms, math.comb(n, r) * ONE)
+
+
+@pytest.mark.parametrize("r, n", [(2, 5), (3, 7), (3, 9), (4, 9), (3, 12), (4, 12)])
+def test_uniform_matroids_match_closed_forms(r, n):
+    m = uniform(r, n)
+    assert tutte_closed(m) == uniform_tutte(r, n, X, Y)
+    assert tutte_closed(m.dual()) == uniform_tutte(r, n, Y, X)
+    circuits = signed_circuits(m)
+    assert len(circuits) == 2 * math.comb(n, r + 1)
+    for positive, support in circuits:
+        every_other = sum(1 << i for i in [i for i in range(n) if support >> i & 1][1::2])
+        assert positive in (every_other, support ^ every_other)
+    flipped = random.Random(97 * n + r).sample(range(1, n + 1), n // 2)
+    acyclic = 2 * sum(math.comb(n - 1, i) for i in range(r))
+    bounded, base_count = 2 * math.comb(n - 2, r - 1), math.comb(n, r)
+    for realization in (m, m.negate_columns(flipped)):
+        om = OrientedMatroid(realization)
+        assert count_acyclic(om) == acyclic
+        assert count_basic_orientations(om) == (base_count, base_count)
+        assert count_bounded(bounded_perspective(realization, n)) == bounded
+        assert len(bases(realization)) == base_count

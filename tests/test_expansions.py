@@ -35,7 +35,7 @@ from omtutte.perspective import (
     validate,
 )
 from omtutte.poly import Monomial, Polynomial, ONE, U, V, X, Y
-from omtutte import gallery
+from omtutte import expansions, gallery
 
 from helpers import (
     DOUBLED_TRIANGLE_ROWS,
@@ -218,14 +218,44 @@ def test_len_and_histogram_reads_build_no_per_a_masks():
     p = identity_of(gallery.doubled_triangle())
     report = expansion_sum(p)
     assert len(report.rows) == 1 << len(p.ground)
-    assert report.passed and specialization_suite(p, report=report).passed
-    count_bounded(p, report=report)
-    signed_sum(p, report=report)
-    derivative_expansion(p, 1, 0, report=report)
-    derivative_diag(p, 1, report=report)
+    assert report.passed and specialization_suite(p).passed
+    count_bounded(p)
+    signed_sum(p)
+    derivative_expansion(p, 1, 0)
+    derivative_diag(p, 1)
     assert "_masks" not in vars(report.active) and "_masks" not in vars(report.dual)
     report.rows[-1]
     assert "_masks" in vars(report.active) and "_masks" in vars(report.dual)
+    assert expansion_sum(p) is report
+
+
+def test_expansion_sum_keeps_one_report_per_perspective():
+    p = two_graph_perspective()
+    assert expansion_sum(p) is expansion_sum(p)
+    # an identity perspective, and so its report, lives as long as its oriented matroid
+    assert expansion_sum(identity_perspective(p.m)) is expansion_sum(identity_perspective(p.m))
+
+
+def test_consequences_sweep_only_the_recursion_minors(monkeypatch):
+    # sweeps counted by ground-set size: once p is swept, the consequence functions
+    # read its kept report, and the recursion sweeps only its two new minor perspectives
+    p = two_graph_perspective()
+    n = len(p.ground)
+    expansion_sum(p)
+    expansion_sum(identity_perspective(p.m))
+    swept = []
+    in_sets = expansions._in_sets
+    monkeypatch.setattr(expansions, "_in_sets", lambda size: swept.append(size) or in_sets(size))
+    assert specialization_suite(p).passed
+    count_bounded(p)
+    signed_sum(p)
+    derivative_expansion(p, 1, 0)
+    derivative_diag(p, 1)
+    count_acyclic(p.m)
+    count_basic_orientations(p.m)
+    assert swept == []
+    assert deletion_contraction_check(p)
+    assert swept == [n - 1, n - 1]
 
 
 def test_expansion_symmetric_under_complement_swap():
@@ -379,47 +409,43 @@ def test_basic_orientation_rows_of_doubled_triangle():
 
 def test_derivative_expansion_doubled_triangle():
     p = identity_of(gallery.doubled_triangle())
-    report = expansion_sum(p)
-    assert derivative_expansion(p, 1, 0, report=report) == 2 * X + Y + ONE
-    assert derivative_expansion(p, 0, 1, report=report) == X + 2 * Y + ONE
-    assert derivative_expansion(p, 2, 0, report=report) == Polynomial.constant(2)
-    assert derivative_expansion(p, 1, 1, report=report) == ONE
-    assert derivative_expansion(p, 0, 2, report=report) == Polynomial.constant(2)
+    assert derivative_expansion(p, 1, 0) == 2 * X + Y + ONE
+    assert derivative_expansion(p, 0, 1) == X + 2 * Y + ONE
+    assert derivative_expansion(p, 2, 0) == Polynomial.constant(2)
+    assert derivative_expansion(p, 1, 1) == ONE
+    assert derivative_expansion(p, 0, 2) == Polynomial.constant(2)
     base = tutte3_closed(p).substitute({"z": 1})
-    assert derivative_expansion(p, 0, 0, report=report) == base
+    assert derivative_expansion(p, 0, 0) == base
 
 
 def test_derivative_expansion_matches_formal_everywhere():
     rng = random.Random(71)
     for _ in range(6):
         p = identity_perspective(from_digraph(random_digraph(rng)))
-        report = expansion_sum(p)
         base = tutte3_closed(p).substitute({"z": 1})
         n = len(p.ground)
         for dp in range(n + 2):
             for dq in range(n + 2 - dp):
                 formal = base.partial_derivative("x", dp).partial_derivative("y", dq)
-                assert derivative_expansion(p, dp, dq, report=report) == formal
+                assert derivative_expansion(p, dp, dq) == formal
 
 
 def test_derivative_diag():
     # t(x,x) = 3x^2 + 2x here, so the first diagonal derivative is 6x + 2
     p = identity_of(gallery.doubled_triangle())
-    report = expansion_sum(p)
-    assert derivative_diag(p, 1, report=report) == 6 * X + 2 * ONE
+    assert derivative_diag(p, 1) == 6 * X + 2 * ONE
     diag = tutte3_closed(p).substitute({"z": 1}).substitute({"y": X})
-    assert derivative_diag(p, 0, report=report) == diag
-    assert derivative_diag(p, 7, report=report) == Polynomial.zero()
+    assert derivative_diag(p, 0) == diag
+    assert derivative_diag(p, 7) == Polynomial.zero()
 
 
 def test_derivative_diag_matches_formal():
     rng = random.Random(73)
     for _ in range(5):
         p = identity_perspective(from_digraph(random_digraph(rng)))
-        report = expansion_sum(p)
         diag = tutte3_closed(p).substitute({"z": 1}).substitute({"y": X})
         for dp in range(len(p.ground) + 2):
-            assert derivative_diag(p, dp, report=report) == diag.partial_derivative("x", dp)
+            assert derivative_diag(p, dp) == diag.partial_derivative("x", dp)
 
 
 def test_taylor_reconstruction():
@@ -435,7 +461,7 @@ def test_taylor_reconstruction():
                 for row in report.rows:
                     if len(row.dual_in) == dp and len(row.active_in) == dq:
                         raw = raw + X ** len(row.dual_out) * Y ** len(row.active_out)
-                assert derivative_expansion(p, dp, dq, report=report) == (
+                assert derivative_expansion(p, dp, dq) == (
                     math.factorial(dp) * math.factorial(dq) * raw)
                 rebuilt = rebuilt + U ** dp * V ** dq * raw
         assert rebuilt == report.total

@@ -95,7 +95,8 @@ def test_guard_fires_before_any_table_is_built(no_table_built, entry):
         entry(major21())
 
 
-def test_force_is_taken_only_where_a_root_table_is_admitted():
+def taking(parameter: str) -> set[str]:
+    """The package's functions and methods with ``parameter`` in their signature."""
     functions = []
     for module in (cli, matroid, omtutte.oriented, omtutte.perspective, omtutte.expansions):
         for name, value in vars(module).items():
@@ -105,9 +106,17 @@ def test_force_is_taken_only_where_a_root_table_is_admitted():
             if inspect.isclass(value):
                 functions += [(f"{name}.{attr}", getattr(member, "__func__", member))
                               for attr, member in vars(value).items()]
-    found = {name for name, value in functions if inspect.isfunction(value)
-             and "force" in inspect.signature(value).parameters}
-    assert found == {"OrientedRealization.rank_table", "parse_perspective"}
+    return {name for name, value in functions if inspect.isfunction(value)
+            and parameter in inspect.signature(value).parameters}
+
+
+def test_force_is_taken_only_where_a_root_table_is_admitted():
+    assert taking("force") == {"OrientedRealization.rank_table", "parse_perspective"}
+
+
+def test_no_function_takes_a_report():
+    # a consequence of the expansion reads the perspective's one kept sweep
+    assert taking("report") == set()
 
 
 def test_oriented_matroid_reads_no_table_until_a_family_is_read(no_table_built):
