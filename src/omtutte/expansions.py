@@ -87,36 +87,21 @@ def _split(subset: int, planes: Sequence[tuple[int, int, int]], key: tuple[int, 
         _split(subset ^ inside, rest, key, histogram)
 
 
-class _Transposed(Sequence):
-    """Per A, the mask of the ground indices whose set holds A; built on first read."""
-
-    def __init__(self, sets: Sequence[int]):
-        self._sets = sets
-
-    def __len__(self) -> int:
-        return 1 << len(self._sets)
-
-    @cached_property
-    def _masks(self) -> array:
-        size = len(self)
-        lanes = bytearray(8 * size)  # 8 bytes per A, byte g holding sets 8g..8g+7
-        for g in range(0, len(self._sets), 8):
-            value = 0
-            for j, bits in enumerate(self._sets[g:g + 8]):
-                digits = format(bits, f"0{size}b").encode()  # bit A is digit size-1-A
-                lane = digits.translate(bytes.maketrans(b"01", bytes((0, 1 << j))))
-                value |= int.from_bytes(lane, "big")
-            lanes[g // 8::8] = value.to_bytes(size, "little")
-        masks = array("Q", lanes)
-        if sys.byteorder == "big":
-            masks.byteswap()
-        return masks
-
-    def __getitem__(self, index):
-        return self._masks[index]
-
-    def __iter__(self):
-        return iter(self._masks)
+def _transposed(sets: Sequence[int]) -> array:
+    """Per A, the mask of the ground indices whose set holds A."""
+    size = 1 << len(sets)
+    lanes = bytearray(8 * size)  # 8 bytes per A, byte g holding sets 8g..8g+7
+    for g in range(0, len(sets), 8):
+        value = 0
+        for j, bits in enumerate(sets[g:g + 8]):
+            digits = format(bits, f"0{size}b").encode()  # bit A is digit size-1-A
+            lane = digits.translate(bytes.maketrans(b"01", bytes((0, 1 << j))))
+            value |= int.from_bytes(lane, "big")
+        lanes[g // 8::8] = value.to_bytes(size, "little")
+    masks = array("Q", lanes)
+    if sys.byteorder == "big":
+        masks.byteswap()
+    return masks
 
 
 def _key(a_mask: int, active: int, dual: int) -> tuple[int, int, int, int]:
@@ -133,20 +118,23 @@ _BLOCK_ROWS = 4096
 class ExpansionReport:
     """One reorientation sweep of a perspective, in binary counting order.
 
-    ``active[A]`` and ``dual[A]`` are the bitmasks (bit i is ground[i]) of the
-    active set of -_A M and the dual-active set of -_A M'; the sweep's are
-    transposed on first read, so a report that is never rendered never builds
-    them, and their length costs nothing.  ``histogram``
+    ``active_sets[i]`` and ``dual_sets[i]`` are the sets of A in which ground[i] is
+    active in -_A M, resp. dual-active in -_A M'.  ``active[A]`` and ``dual[A]``, the
+    bitmasks (bit i is ground[i]) of those two sets of one A, are transposed from them on
+    first read, so a report that is never rendered never builds them.  ``histogram``
     counts the A per (dual_out, dual_in, active_out, active_in): the expansion
     with exponents (x, u, y, v).  Everything else is derived when read.
     """
 
-    def __init__(self, perspective: Perspective, active: Sequence[int], dual: Sequence[int],
-                 histogram: Counter):
+    def __init__(self, perspective: Perspective, active_sets: Sequence[int],
+                 dual_sets: Sequence[int], histogram: Counter):
         self.perspective = perspective
-        self.active = active
-        self.dual = dual
+        self.active_sets = active_sets
+        self.dual_sets = dual_sets
         self.histogram = histogram
+
+    active = cached_property(lambda self: _transposed(self.active_sets))
+    dual = cached_property(lambda self: _transposed(self.dual_sets))
 
     @property
     def rows(self) -> Sequence[ActivityRecord]:
@@ -209,7 +197,7 @@ class _Rows(Sequence):
         self._expansion = expansion
 
     def __len__(self) -> int:
-        return len(self._expansion.active)
+        return 1 << len(self._expansion.perspective.ground)
 
     def __getitem__(self, index):
         picked = range(len(self))[index]
@@ -244,7 +232,7 @@ def expansion_sum(p: Perspective) -> ExpansionReport:
     histogram: Counter = Counter()
     _split(full, [(k, 1 << w, plane) for k, planes in enumerate(counters)
                   for w, plane in enumerate(planes)], (0, 0, 0, 0), histogram)
-    p._expansion = ExpansionReport(p, _Transposed(active), _Transposed(dual), histogram)
+    p._expansion = ExpansionReport(p, active, dual, histogram)
     return p._expansion
 
 

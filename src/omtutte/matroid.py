@@ -279,7 +279,7 @@ class _Ground:
 class OrientedRealization(_Ground):
     """Integer columns that realize the matroid, in ground order."""
 
-    __slots__ = ("integer_columns", "_table", "_parent")
+    __slots__ = ("integer_columns", "_memo", "_parent")
 
     def __init__(self, ground: Sequence[int], matrix: Sequence[Sequence["Fraction | int | str"]]):
         ground = tuple(int(g) for g in ground)
@@ -296,7 +296,7 @@ class OrientedRealization(_Ground):
         """Set every slot; ``parent`` is (realization, derive) for a table derive(its table)."""
         self._set_ground(ground)
         self.integer_columns = tuple(columns)
-        self._table: bytearray | None = None
+        self._memo: dict = {}  # the table under "table"; OrientedMatroid(self) shares it
         self._parent: tuple[OrientedRealization, Callable[[bytes], bytearray]] | None = parent
 
     def _derived(self, ground, columns, derive) -> "OrientedRealization":
@@ -315,18 +315,18 @@ class OrientedRealization(_Ground):
         the enumeration guard; ``force=True`` admits one above it.  This is the one
         admission point: everything else reads the table unforced.
         """
-        if self._table is None:
+        if "table" not in self._memo:
             if self._parent:
                 parent, derive = self._parent
-                self._table, self._parent = derive(parent.rank_table(force)), None
+                self._memo["table"], self._parent = derive(parent.rank_table(force)), None
             else:
                 n = len(self.ground)
                 if n > ENUMERATION_GUARD and not force:
                     raise EnumerationGuardError(
                         f"ground set has {n} elements; full enumeration is guarded at "
                         f"{ENUMERATION_GUARD} (admit it with rank_table(force=True) or --force)")
-                self._table = _rank_table(self.integer_columns)
-        return self._table
+                self._memo["table"] = _rank_table(self.integer_columns)
+        return self._memo["table"]
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
         """Rank of the column submatrix indexed by ``subset`` (default: all of E)."""

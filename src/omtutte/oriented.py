@@ -141,10 +141,10 @@ class OrientedMatroid(_Ground):
     """An ordered ground set with its rank table and signed circuit and cocircuit families,
     each built on first read.
 
-    ``OrientedMatroid(realization)`` is a root: it reads all three off the matrix, and is the
-    only kind that holds a realization.  ``reorient``, ``dual``, the minors and
-    ``contract_as_loop`` read theirs off this one's and hold ``realization = None``; the
-    minors are kept.
+    ``OrientedMatroid(realization)`` is a root: it reads all three off the matrix into the
+    realization's cache, which every root of that realization shares.  ``reorient``,
+    ``dual``, the minors and ``contract_as_loop`` read theirs off this one's, each with a
+    cache of its own, and hold ``realization = None``; a cache keeps the minors built.
     """
 
     __slots__ = ("realization", "_builds", "_memo")
@@ -159,7 +159,7 @@ class OrientedMatroid(_Ground):
         self._set_ground(ground)
         self.realization = realization
         self._builds = {"table": table, "circuits": circuits, "cocircuits": cocircuits}
-        self._memo: dict = {}
+        self._memo: dict = realization._memo if realization else {}
 
     @staticmethod
     def _derived(ground: Sequence[int], table: Callable[[], bytes], circuits: Callable[[], Pairs],

@@ -112,9 +112,13 @@ class Perspective:
         return f"Perspective(|E|={len(self.ground)}, rank_drop={self.rank_drop()})"
 
 
+def _oriented(m: OrientedRealization | OrientedMatroid) -> OrientedMatroid:
+    return m if isinstance(m, OrientedMatroid) else OrientedMatroid(m)
+
+
 def identity_perspective(m: OrientedRealization | OrientedMatroid) -> Perspective:
-    """The perspective M -> M, built once per oriented matroid."""
-    om = m if isinstance(m, OrientedMatroid) else OrientedMatroid(m)
+    """The perspective M -> M, built once per oriented matroid and once per realization."""
+    om = _oriented(m)
     return om.memo("identity", lambda: Perspective(om, om))
 
 
@@ -145,13 +149,13 @@ def tutte3_closed(p: Perspective) -> Polynomial:
                                "the pair violates the strong-map rank axiom") from None
 
 
-def bounded_perspective(m: OrientedRealization, e: int) -> Perspective:
+def bounded_perspective(m: OrientedRealization | OrientedMatroid, e: int) -> Perspective:
     """Perspective onto the contraction by ``e`` extended by a loop at e's slot.
 
     Requires e to be neither a loop nor an isthmus, mirroring the
     bounded-region / bipolar-orientation construction.
     """
-    om = OrientedMatroid(m)
+    om = _oriented(m)
     if om.is_loop(e):
         raise PerspectiveError(f"element {e} is a loop; a non-factor element is required")
     if om.is_isthmus(e):

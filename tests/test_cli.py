@@ -270,7 +270,7 @@ def test_identity_failure_exits_one(tmp_path, capsys, monkeypatch):
     def falsified(p):
         # one extra A on the constant term: the sum no longer matches the reference
         report = real(p)
-        return ExpansionReport(report.perspective, report.active, report.dual,
+        return ExpansionReport(report.perspective, report.active_sets, report.dual_sets,
                                report.histogram + Counter({(0, 0, 0, 0): 1}))
 
     monkeypatch.setattr(expansions, "expansion_sum", falsified)

@@ -96,3 +96,6 @@ def test_uniform_matroids_match_closed_forms(r, n):
         assert count_basic_orientations(om) == (base_count, base_count)
         assert count_bounded(bounded_perspective(realization, n)) == bounded
         assert len(bases(realization)) == base_count
+    # bounded_perspective takes an oriented matroid too, a root or a derived one
+    for om in (OrientedMatroid(m), OrientedMatroid(m).reorient(flipped)):
+        assert count_bounded(bounded_perspective(om, n)) == bounded

@@ -215,6 +215,7 @@ def test_sweep_matches_per_mask_oracle():
 
 def test_len_and_histogram_reads_build_no_per_a_masks():
     # README "Lazy rows": only reading a row or a mask transposes the sweep's per-element sets
+    # into the report's cached per-A arrays
     p = identity_of(gallery.doubled_triangle())
     report = expansion_sum(p)
     assert len(report.rows) == 1 << len(p.ground)
@@ -223,17 +224,20 @@ def test_len_and_histogram_reads_build_no_per_a_masks():
     signed_sum(p)
     derivative_expansion(p, 1, 0)
     derivative_diag(p, 1)
-    assert "_masks" not in vars(report.active) and "_masks" not in vars(report.dual)
+    assert "active" not in vars(report) and "dual" not in vars(report)
     report.rows[-1]
-    assert "_masks" in vars(report.active) and "_masks" in vars(report.dual)
+    assert "active" in vars(report) and "dual" in vars(report)
     assert expansion_sum(p) is report
 
 
 def test_expansion_sum_keeps_one_report_per_perspective():
     p = two_graph_perspective()
     assert expansion_sum(p) is expansion_sum(p)
-    # an identity perspective, and so its report, lives as long as its oriented matroid
+    # an identity perspective, and so its report, lives as long as its oriented matroid,
+    # and as long as the realization whose cache every OrientedMatroid of it shares
     assert expansion_sum(identity_perspective(p.m)) is expansion_sum(identity_perspective(p.m))
+    m = p.m.realization
+    assert identity_perspective(m) is identity_perspective(m) is identity_perspective(p.m)
 
 
 def test_consequences_sweep_only_the_recursion_minors(monkeypatch):
@@ -256,6 +260,20 @@ def test_consequences_sweep_only_the_recursion_minors(monkeypatch):
     assert swept == []
     assert deletion_contraction_check(p)
     assert swept == [n - 1, n - 1]
+
+
+def test_counts_on_one_realization_sweep_once(monkeypatch):
+    # each OrientedMatroid(m) keeps its cache in m's, so every count of m reads one identity
+    # perspective and its one kept sweep
+    m = from_digraph(gallery.doubled_triangle())
+    swept = []
+    in_sets = expansions._in_sets
+    monkeypatch.setattr(expansions, "_in_sets", lambda size: swept.append(size) or in_sets(size))
+    acyclic = count_acyclic(m)
+    count_basic_orientations(m)
+    assert count_acyclic(m) == acyclic
+    assert count_acyclic(OrientedMatroid(m)) == acyclic
+    assert swept == [len(m.ground)]
 
 
 def test_expansion_symmetric_under_complement_swap():

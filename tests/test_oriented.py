@@ -490,5 +490,18 @@ def test_derived_oriented_matroids_run_no_matrix_method(monkeypatch):
             x.rank_table(), x.circuit_pairs, x.cocircuit_pairs
 
 
+def test_roots_of_one_realization_share_its_cache():
+    m = from_digraph(gallery.doubled_triangle())
+    a, b = OrientedMatroid(m), OrientedMatroid(m)
+    assert a.circuit_pairs is b.circuit_pairs and a.cocircuit_pairs is b.cocircuit_pairs
+    assert a.rank_table() is m.rank_table() is b.rank_table()
+    assert a.minor_delete(1) is b.minor_delete(1)
+    assert a.minor_contract(2) is b.minor_contract(2)
+    # a derived oriented matroid keeps a cache of its own: its families never reach m's
+    flipped = a.reorient({1})
+    assert flipped.circuit_pairs != a.circuit_pairs
+    assert OrientedMatroid(m).circuit_pairs is a.circuit_pairs
+
+
 def test_oriented_matroid_is_built_from_a_realization_only():
     assert list(inspect.signature(OrientedMatroid).parameters) == ["realization"]
