@@ -2,17 +2,17 @@
 
 One bit-sliced sweep over every subset A gives, per ground element, the set
 of A in which it is active in -_A M and the set in which it is dual-active in
--_A M'.  Counters over those sets give the histogram of the four activity
-counts: the 4-variable generating function, of which every other quantity
-here is a coefficient operation.  Per-A rows are transposed from the sets
-only when read.  The reference side of the main identity is the closed rank
-formula shifted by x -> x+u, y -> y+v, never the sweep itself.
+-_A M'.  Counters over those sets count the A per value of the four activity
+counts, which gives ``total``, the 4-variable generating function.  Every
+other quantity here is a substitution, evaluation or derivative of it.  Per-A
+rows are transposed from the sets only when read.  The reference side of the
+main identity is the closed rank formula at x -> x+u, y -> y+v, never the
+sweep itself.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from array import array
 from collections import Counter
@@ -72,12 +72,12 @@ def _count(planes: list[int], bits: int) -> None:
 
 def _split(subset: int, planes: Sequence[tuple[int, int, int]], key: tuple[int, ...],
            histogram: Counter) -> None:
-    """Count the A in ``subset`` at each value of the counters, splitting on the ``planes`` left.
+    """Count the A in ``subset`` per Monomial of counter values, splitting on the ``planes`` left.
 
     Each plane is (counter index, bit weight, the set of A with that bit set).
     """
     if not planes:
-        histogram[key] = subset.bit_count()
+        histogram[Monomial(key)] = subset.bit_count()
         return
     (k, weight, plane), rest = planes[0], planes[1:]
     inside = subset & plane
@@ -121,17 +121,17 @@ class ExpansionReport:
     ``active_sets[i]`` and ``dual_sets[i]`` are the sets of A in which ground[i] is
     active in -_A M, resp. dual-active in -_A M'.  ``active[A]`` and ``dual[A]``, the
     bitmasks (bit i is ground[i]) of those two sets of one A, are transposed from them on
-    first read, so a report that is never rendered never builds them.  ``histogram``
-    counts the A per (dual_out, dual_in, active_out, active_in): the expansion
-    with exponents (x, u, y, v).  Everything else is derived when read.
+    first read, so a report that is never rendered never builds them.  ``total`` is
+    the expansion: each A adds x^dual_out u^dual_in y^active_out v^active_in.
+    Everything else is derived when read.
     """
 
     def __init__(self, perspective: Perspective, active_sets: Sequence[int],
-                 dual_sets: Sequence[int], histogram: Counter):
+                 dual_sets: Sequence[int], total: Polynomial):
         self.perspective = perspective
         self.active_sets = active_sets
         self.dual_sets = dual_sets
-        self.histogram = histogram
+        self.total = total
 
     active = cached_property(lambda self: _transposed(self.active_sets))
     dual = cached_property(lambda self: _transposed(self.dual_sets))
@@ -141,18 +141,13 @@ class ExpansionReport:
         return _Rows(self)
 
     @cached_property
-    def total(self) -> Polynomial:
-        return Polynomial({Monomial(key + (0,)): count
-                           for key, count in self.histogram.items()})
-
-    @cached_property
     def tutte(self) -> Polynomial:
         """t(x, y, 1) by the closed rank formula, never by this sweep."""
         return tutte3_closed(self.perspective).substitute({"z": 1})
 
     @cached_property
     def reference(self) -> Polynomial:
-        return self.tutte.shifted({"x": "u", "y": "v"})
+        return self.tutte.substitute({"x": X + U, "y": Y + V})
 
     @property
     def passed(self) -> bool:
@@ -231,19 +226,9 @@ def expansion_sum(p: Perspective) -> ExpansionReport:
             _count(planes, bits)
     histogram: Counter = Counter()
     _split(full, [(k, 1 << w, plane) for k, planes in enumerate(counters)
-                  for w, plane in enumerate(planes)], (0, 0, 0, 0), histogram)
-    p._expansion = ExpansionReport(p, active, dual, histogram)
+                  for w, plane in enumerate(planes)], (0, 0, 0, 0, 0), histogram)
+    p._expansion = ExpansionReport(p, active, dual, Polynomial(histogram))
     return p._expansion
-
-
-def _collect(histogram: Counter, pick: Callable[..., tuple[int, int] | None]) -> Polynomial:
-    """Sum of count * x^i * y^j over the keys that ``pick`` maps to (i, j)."""
-    terms: Counter = Counter()
-    for key, count in histogram.items():
-        exps = pick(*key)
-        if exps is not None:
-            terms[Monomial((exps[0], 0, exps[1], 0, 0))] += count
-    return Polynomial(terms)
 
 
 def doubling_expansion(p: Perspective) -> Polynomial:
@@ -251,12 +236,11 @@ def doubling_expansion(p: Perspective) -> Polynomial:
 
     Each A contributes x^|dual-active set| * y^|active set|.
     """
-    return _collect(expansion_sum(p).histogram,
-                    lambda d_out, d_in, a_out, a_in: (d_out + d_in, a_out + a_in))
+    return expansion_sum(p).total.substitute({"u": X, "v": Y})
 
 
 class SpecializationReport(NamedTuple):
-    """Two-variable consequences read off the sweep's histogram."""
+    """Two-variable consequences read off the expansion."""
 
     tutte: Polynomial
     interpolation: Polynomial
@@ -275,42 +259,36 @@ class SpecializationReport(NamedTuple):
 def specialization_suite(p: Perspective) -> SpecializationReport:
     """Check the 2-variable specializations of the 4-variable expansion.
 
-    (a) the expansion at (x-1, 1, y-1, 1), (b) its u^0 v^0 part and (c) its
-    x^0 y^0 part with u, v renamed x, y all equal t(x,y,1); (d) both doubling
-    counts (2 to the one nonzero activity) equal t(2,0,1).
+    (a) the expansion at (x-1, 1, y-1, 1), (b) at (x, 0, y, 0) and (c) at
+    (0, x, 0, y) all equal t(x,y,1); (d) it equals t(2,0,1) at (2, 0, 0, 0)
+    and at (0, 2, 0, 0).
     """
     report = expansion_sum(p)
-    hist = report.histogram
-    tutte = report.tutte
-    interpolation = _collect(hist, lambda d_out, d_in, a_out, a_in: (d_out, a_out)
-                             ).shifted({"x": -1, "y": -1})
-    restricted = _collect(hist, lambda d_out, d_in, a_out, a_in:
-                          None if d_in or a_in else (d_out, a_out))
-    restricted_swap = _collect(hist, lambda d_out, d_in, a_out, a_in:
-                               None if d_out or a_out else (d_in, a_in))
-    doubling_out = sum(count * 2 ** d_out for (d_out, d_in, a_out, a_in), count
-                       in hist.items() if not (d_in or a_out or a_in))
-    doubling_in = sum(count * 2 ** d_in for (d_out, d_in, a_out, a_in), count
-                      in hist.items() if not (d_out or a_out or a_in))
-    two_zero = tutte.evaluate({"x": 2, "y": 0})
-    return SpecializationReport(tutte, interpolation, restricted, restricted_swap,
-                                doubling_out, doubling_in, two_zero)
+    total = report.total
+    return SpecializationReport(
+        report.tutte,
+        total.substitute({"u": 1, "v": 1}).substitute({"x": X - 1, "y": Y - 1}),
+        total.substitute({"u": 0, "v": 0}),
+        total.substitute({"x": 0, "y": 0, "u": X, "v": Y}),
+        total.evaluate({"x": 2, "u": 0, "y": 0, "v": 0}),
+        total.evaluate({"x": 0, "u": 2, "y": 0, "v": 0}),
+        report.tutte.evaluate({"x": 2, "y": 0}))
 
 
 # -- counting identities -------------------------------------------------------
 
 def count_acyclic(m: OrientedRealization | OrientedMatroid) -> int:
-    """Number of A with no positive circuit in -_A M: the terms with no y and no v."""
-    hist = expansion_sum(identity_perspective(m)).histogram
-    return sum(count for (_, _, a_out, a_in), count in hist.items() if not (a_out or a_in))
+    """Number of A with no positive circuit in -_A M: the expansion at (1, 1, 0, 0)."""
+    return expansion_sum(identity_perspective(m)).total.evaluate(
+        {"x": 1, "u": 1, "y": 0, "v": 0})
 
 
 def count_bounded(p: Perspective) -> int:
-    """Number of A with -_A M acyclic and -_A M' totally cyclic: the constant term.
+    """Number of A with -_A M acyclic and -_A M' totally cyclic: the expansion at 0.
 
     (Totally cyclic means no positive cocircuit.)
     """
-    return expansion_sum(p).histogram[(0, 0, 0, 0)]
+    return expansion_sum(p).total.evaluate({"x": 0, "u": 0, "y": 0, "v": 0})
 
 
 def signed_sum(p: Perspective) -> int:
@@ -319,47 +297,44 @@ def signed_sum(p: Perspective) -> int:
     All four sign variants are +-1 evaluations of the expansion; this raises
     if they disagree, since then the expansion itself is broken.
     """
-    hist = expansion_sum(p).histogram
-    # key positions: 0 dual_out, 1 dual_in, 2 active_out, 3 active_in
-    sums = [sum(count * (-1) ** (key[i] + key[j]) for key, count in hist.items())
-            for i, j in ((0, 2), (1, 3), (0, 3), (1, 2))]
+    total = expansion_sum(p).total
+    sums = [total.evaluate(dict(zip("xuyv", signs)))
+            for signs in ((-1, 1, -1, 1), (1, -1, 1, -1), (-1, 1, 1, -1), (1, -1, -1, 1))]
     if len(set(sums)) != 1:
         raise IdentityError(f"sign-variant alternating sums disagree: {sums}")
     return sums[0]
 
 
 def count_basic_orientations(m: OrientedRealization | OrientedMatroid) -> tuple[int, int]:
-    """Counts of the terms with no x and no y, resp. no u and no v.
+    """The expansion at (0, 1, 0, 1) and at (1, 0, 1, 0).
 
-    Each equals the number of bases, i.e. the Tutte polynomial at (1, 1).
+    They count the terms with no x and no y, resp. no u and no v.  Each
+    equals the number of bases, i.e. the Tutte polynomial at (1, 1).
     """
-    hist = expansion_sum(identity_perspective(m)).histogram
-    out_free = sum(count for (d_out, _, a_out, _), count in hist.items() if not (d_out or a_out))
-    in_free = sum(count for (_, d_in, _, a_in), count in hist.items() if not (d_in or a_in))
-    return out_free, in_free
+    total = expansion_sum(identity_perspective(m)).total
+    return (total.evaluate({"x": 0, "u": 1, "y": 0, "v": 1}),
+            total.evaluate({"x": 1, "u": 0, "y": 1, "v": 0}))
 
 
 # -- derivatives ----------------------------------------------------------------
 
 def derivative_expansion(p: Perspective, dp: int, dq: int) -> Polynomial:
-    """p! q! times the coefficient of u^p v^q in the expansion.
+    """The (p, q) partial derivative in (u, v) of the expansion, at u = v = 0.
 
-    Equals the formal (p, q) partial derivative of t(x, y, 1); 0, no factorial, past |E|.
+    Equals the formal (p, q) partial derivative of t(x, y, 1); 0 past |E|.
     """
     if dp < 0 or dq < 0:
         raise ValueError("derivative orders must be non-negative")
-    total = _collect(expansion_sum(p).histogram, lambda d_out, d_in, a_out, a_in:
-                     (d_out, a_out) if (d_in, a_in) == (dp, dq) else None)
-    return math.factorial(dp) * math.factorial(dq) * total if total else total
+    return (expansion_sum(p).total.partial_derivative("u", dp).partial_derivative("v", dq)
+            .substitute({"u": 0, "v": 0}))
 
 
 def derivative_diag(p: Perspective, dp: int) -> Polynomial:
-    """p! times the x-power sum over keys whose inside-A counts total p: (d/dx)^p t(x, x, 1)."""
+    """The p-th u-derivative of the expansion at (x, u, x, u), at u = 0: (d/dx)^p t(x, x, 1)."""
     if dp < 0:
         raise ValueError("derivative order must be non-negative")
-    total = _collect(expansion_sum(p).histogram, lambda d_out, d_in, a_out, a_in:
-                     (d_out + a_out, 0) if d_in + a_in == dp else None)
-    return math.factorial(dp) * total if total else total
+    return (expansion_sum(p).total.substitute({"y": X, "v": U}).partial_derivative("u", dp)
+            .substitute({"u": 0}))
 
 
 # -- the dichotomy and the minor recursion --------------------------------------

@@ -445,7 +445,8 @@ def _closed_sum(table: bytes, table_prime: bytes) -> Polynomial:
     counts = Counter(zip(popcounts(n), table, table_prime))
     return Polynomial({Monomial.from_exponents({"x": table_prime[-1] - rpa, "y": size - ra,
                                                 "z": drop - ra + rpa}): count
-                       for (size, ra, rpa), count in counts.items()}).shifted({"x": -1, "y": -1})
+                       for (size, ra, rpa), count in counts.items()}
+                      ).substitute({"x": X - 1, "y": Y - 1})
 
 
 def tutte_closed(m: OrientedRealization) -> Polynomial:

@@ -12,8 +12,6 @@ fully reliable.
 
 from __future__ import annotations
 
-from functools import cache
-from math import comb
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 if TYPE_CHECKING:
@@ -193,45 +191,24 @@ class Polynomial:
     # -- substitution, evaluation, derivatives ------------------------------
 
     def substitute(self, bindings: Mapping[str, "Polynomial | int"]) -> "Polynomial":
-        """Simultaneously replace variables by polynomials, fully expanded."""
-        fixed: dict[int, Polynomial] = {}
-        for name, value in bindings.items():
-            fixed[_check_variable(name)] = _coerce_strict(value)
-        result = Polynomial.zero()
-        for mono, coeff in self._terms.items():
-            term = Polynomial.constant(coeff)
-            residual = [0] * _NVARS
-            for i, e in enumerate(mono.exps):
-                if not e:
-                    continue
-                if i in fixed:
-                    term = term * fixed[i] ** e
-                else:
-                    residual[i] = e
-            term = term * Polynomial({Monomial(tuple(residual)): 1})
-            result = result + term
-        return result
+        """Simultaneously replace variables by polynomials, fully expanded.
 
-    def shifted(self, shifts: Mapping[str, "str | int"]) -> "Polynomial":
-        """Simultaneously replace each variable w in ``shifts`` by w + its shift, fully expanded.
-
-        A shift is a variable name or an integer.  Each power expands by its
-        binomial coefficients, so no polynomial product is formed.
+        Within one call each power of a bound value is expanded once, from the
+        power below it; each term adds its product of those powers into one dict.
         """
-        moves = [(_check_variable(name), shift) for name, shift in shifts.items()]
-        for _, shift in moves:
-            if isinstance(shift, str):
-                _check_variable(shift)
+        values = {_check_variable(name): {mono.exps: c for mono, c
+                                          in _coerce_strict(value)._terms.items()}
+                  for name, value in bindings.items()}
+        powers = {i: [{_ZERO_EXPS: 1}] for i in values}
         out: dict[tuple[int, ...], int] = {}
         for mono, coeff in self._terms.items():
-            fixed = list(mono.exps)
-            for i, _ in moves:
-                fixed[i] = 0
-            partial = [(tuple(fixed), coeff)]
-            for i, shift in moves:
-                partial = [(tuple(map(int.__add__, exps, step)), c * f)
-                           for exps, c in partial for step, f in _binomial(i, shift, mono.exps[i])]
-            for exps, c in partial:
+            term = {tuple(0 if i in values else e for i, e in enumerate(mono.exps)): coeff}
+            for i, known in powers.items():
+                if e := mono.exps[i]:
+                    while len(known) <= e:
+                        known.append(_times(known[-1], values[i]))
+                    term = _times(term, known[e])
+            for exps, c in term.items():
                 out[exps] = out.get(exps, 0) + c
         return Polynomial({Monomial(exps): c for exps, c in out.items()})
 
@@ -308,24 +285,15 @@ class Polynomial:
         return parse(text)
 
 
-@cache
-def _binomial(i: int, shift: "str | int", e: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(w_i + shift)^e as (exponents, coefficient) pairs, zero coefficients dropped.
-
-    Cached: a closed sum expands the same few powers once per subset class.
-    """
-    out = []
-    for k in range(e + 1):
-        exps = [0] * _NVARS
-        exps[i] = k
-        if isinstance(shift, str):
-            exps[_VAR_INDEX[shift]] += e - k
-            coeff = comb(e, k)
-        else:
-            coeff = comb(e, k) * shift ** (e - k)
-        if coeff:
-            out.append((tuple(exps), coeff))
-    return tuple(out)
+def _times(a: Mapping[tuple[int, ...], int],
+           b: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """The product of two polynomials held as exponents -> coefficient dicts."""
+    out: dict[tuple[int, ...], int] = {}
+    for exps_a, c_a in a.items():
+        for exps_b, c_b in b.items():
+            exps = tuple(map(int.__add__, exps_a, exps_b))
+            out[exps] = out.get(exps, 0) + c_a * c_b
+    return out
 
 
 def _coerce(value) -> "Polynomial":

@@ -17,7 +17,7 @@ from omtutte.expansions import DichotomyCase
 from omtutte.matroid import Digraph, OrientedRealization, from_digraph
 from omtutte.oriented import ActivityRecord, OrientedMatroid, SignedSubset, orientation_active_sets
 from omtutte.perspective import ValidationReport
-from omtutte.poly import ONE, U, V, X, Y, Z, Monomial, Polynomial
+from omtutte.poly import ONE, U, V, VARIABLES, X, Y, Z, Monomial, Polynomial
 
 
 def determinant(rows: list[list[Fraction]]) -> Fraction:
@@ -377,8 +377,8 @@ def labels_of(text: str) -> frozenset:
     return frozenset(int(ch) for ch in text)
 
 
-def oracle_expansion(p) -> tuple[list[int], list[int], Counter]:
-    """The per-mask sweep: (active masks, dual-active masks, histogram) over every A.
+def oracle_expansion(p) -> tuple[list[int], list[int], Polynomial]:
+    """The per-mask sweep: (active masks, dual-active masks, expansion) over every A.
 
     For each A it scans every signed circuit of M and cocircuit of M' for
     the ones positive after reorienting on A, one Python loop per mask.
@@ -413,9 +413,9 @@ def oracle_expansion(p) -> tuple[list[int], list[int], Counter]:
         co = active_min_mask(cocircuits, a)
         active.append(act)
         dual.append(co)
-        histogram[((co & ~a).bit_count(), (co & a).bit_count(),
-                   (act & ~a).bit_count(), (act & a).bit_count())] += 1
-    return active, dual, histogram
+        histogram[Monomial(((co & ~a).bit_count(), (co & a).bit_count(),
+                            (act & ~a).bit_count(), (act & a).bit_count(), 0))] += 1
+    return active, dual, Polynomial(histogram)
 
 
 def _subset_counts(*tables: bytes) -> Counter:
@@ -443,6 +443,26 @@ def oracle_tutte3_closed(p) -> Polynomial:
     return total
 
 
+def oracle_substitute(poly: Polynomial, bindings) -> Polynomial:
+    """Simultaneous substitution by Polynomial powers and products, one term at a time."""
+    fixed = {VARIABLES.index(name): value if isinstance(value, Polynomial)
+             else Polynomial.constant(value) for name, value in bindings.items()}
+    result = Polynomial.zero()
+    for mono, coeff in poly.terms().items():
+        term = Polynomial.constant(coeff)
+        residual = [0] * len(VARIABLES)
+        for i, e in enumerate(mono.exps):
+            if not e:
+                continue
+            if i in fixed:
+                term = term * fixed[i] ** e
+            else:
+                residual[i] = e
+        term = term * Polynomial({Monomial(tuple(residual)): 1})
+        result = result + term
+    return result
+
+
 def oracle_reference(p) -> Polynomial:
-    """t(x+u, y+v, 1) by Polynomial substitution of the oracle's t(x, y, z)."""
-    return oracle_tutte3_closed(p).substitute({"z": 1}).substitute({"x": X + U, "y": Y + V})
+    """t(x+u, y+v, 1) by the oracle's substitution into the oracle's t(x, y, z)."""
+    return oracle_substitute(oracle_tutte3_closed(p), {"x": X + U, "y": Y + V, "z": 1})

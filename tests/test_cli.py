@@ -3,7 +3,6 @@
 import io
 import json
 import math
-from collections import Counter
 
 import pytest
 
@@ -11,6 +10,7 @@ from omtutte import cli, expansions, gallery, oriented, perspective
 from omtutte.expansions import ExpansionReport, derivative_diag
 from omtutte.matroid import Digraph, from_digraph
 from omtutte.perspective import identity_perspective
+from omtutte.poly import ONE
 
 TRIANGLE = "1 a b\n2 b c\n3 c a\n"
 DOUBLED = "1 a b\n2 a b\n3 c b\n4 c a\n"
@@ -180,7 +180,7 @@ def test_huge_derivative_orders_answer_zero_without_their_factorials(tmp_path, c
     real = math.factorial
 
     def bounded(n):
-        # no histogram key of the 3-arc triangle has an order above |E| = 3
+        # no term of the 3-arc triangle's expansion has a degree above |E| = 3
         if n > 3:
             raise AssertionError(f"factorial({n}) computed for an order no key matches")
         return real(n)
@@ -271,7 +271,7 @@ def test_identity_failure_exits_one(tmp_path, capsys, monkeypatch):
         # one extra A on the constant term: the sum no longer matches the reference
         report = real(p)
         return ExpansionReport(report.perspective, report.active_sets, report.dual_sets,
-                               report.histogram + Counter({(0, 0, 0, 0): 1}))
+                               report.total + ONE)
 
     monkeypatch.setattr(expansions, "expansion_sum", falsified)
     code, out, _ = run_cli(capsys, "verify", "--input", str(path))

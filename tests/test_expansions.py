@@ -13,6 +13,7 @@ from omtutte.expansions import (
     IdentityError,
     DichotomyCase,
     DichotomyError,
+    ExpansionReport,
     count_acyclic,
     count_basic_orientations,
     count_bounded,
@@ -149,7 +150,7 @@ def test_expansion_row_count_and_order():
 
 def test_sweep_matches_per_subset_oracles():
     # every row of the sweep against the slow reorient-and-scan route, the
-    # histogram against the oracle's monomials, and the bounded count against
+    # expansion against the sum of the oracle's monomials, and the bounded count against
     # acyclicity of -_A M and total cyclicity of -_A M'
     rng = random.Random(97)
     perspectives = []
@@ -167,7 +168,7 @@ def test_sweep_matches_per_subset_oracles():
         assert len(report.rows) == 1 << len(p.ground)
         oracle = [monomial_of(p, row.A) for row in report.rows]
         assert list(report.rows) == oracle
-        assert report.histogram == Counter(rec.monomial.exps[:4] for rec in oracle)
+        assert report.total == Polynomial(Counter(rec.monomial for rec in oracle))
         bounded = sum(is_acyclic(p.m.reorient(rec.A))
                       and is_totally_cyclic(p.mprime.reorient(rec.A)) for rec in oracle)
         assert count_bounded(p) == bounded
@@ -197,11 +198,11 @@ def differential_perspectives(rng):
 
 
 def test_sweep_matches_per_mask_oracle():
-    # the whole histogram, the per-A masks and the rows against the per-mask loop
+    # the whole expansion, the per-A masks and the rows against the per-mask loop
     for p in differential_perspectives(random.Random(71)):
         report = expansion_sum(p)
-        active, dual, histogram = oracle_expansion(p)
-        assert report.histogram == histogram
+        active, dual, total = oracle_expansion(p)
+        assert report.total == total
         assert list(report.active) == active
         assert list(report.dual) == dual
         ground = p.ground
@@ -410,6 +411,20 @@ def test_signed_sum_isthmus():
     assert signed_sum(identity_of(gallery.single_arc())) == 0
 
 
+def test_signed_sum_raises_when_its_sign_variants_disagree(monkeypatch):
+    # an extra u term adds +1 at two of the four sign points and -1 at the other two
+    real = expansions.expansion_sum
+
+    def falsified(p):
+        report = real(p)
+        return ExpansionReport(report.perspective, report.active_sets, report.dual_sets,
+                               report.total + U)
+
+    monkeypatch.setattr(expansions, "expansion_sum", falsified)
+    with pytest.raises(IdentityError, match="sign-variant alternating sums disagree"):
+        signed_sum(identity_of(gallery.doubled_triangle()))
+
+
 def test_count_basic_orientations():
     assert count_basic_orientations(from_digraph(gallery.doubled_triangle())) == (5, 5)
     assert count_basic_orientations(from_digraph(gallery.single_loop())) == (1, 1)
@@ -434,6 +449,20 @@ def test_derivative_expansion_doubled_triangle():
     assert derivative_expansion(p, 0, 2) == Polynomial.constant(2)
     base = tutte3_closed(p).substitute({"z": 1})
     assert derivative_expansion(p, 0, 0) == base
+
+
+def test_negative_derivative_orders_raise_before_any_sweep(monkeypatch):
+    p = identity_of(gallery.doubled_triangle())
+    swept = []
+    in_sets = expansions._in_sets
+    monkeypatch.setattr(expansions, "_in_sets", lambda size: swept.append(size) or in_sets(size))
+    with pytest.raises(ValueError, match="^derivative orders must be non-negative$"):
+        derivative_expansion(p, -1, 0)
+    with pytest.raises(ValueError, match="^derivative orders must be non-negative$"):
+        derivative_expansion(p, 0, -1)
+    with pytest.raises(ValueError, match="^derivative order must be non-negative$"):
+        derivative_diag(p, -1)
+    assert swept == []
 
 
 def test_derivative_expansion_matches_formal_everywhere():

@@ -17,6 +17,8 @@ from omtutte.poly import (
     Z,
 )
 
+from helpers import oracle_substitute
+
 BASE = Polynomial.parse("x^2 + x*y + y^2 + x + y")
 
 
@@ -159,22 +161,26 @@ def test_evaluate_commutes_with_shift(p, a, b, c, d, e):
 
 @settings(deadline=None)
 @given(polynomials, st.sampled_from(["x", "u", "y", "v", "z", -2, -1, 0, 1, 3]),
-       st.sampled_from(["x", "u", "y", "v", "z", -1, 2]))
-def test_shifted_matches_substitution(p, first, second):
-    # x -> x + first and y -> y + second at once, by binomials and by products
+       st.sampled_from(["x", "u", "y", "v", "z", -1, 2]), polynomials)
+def test_shifted_matches_substitution(p, first, second, q):
+    # x -> x + first and y -> y + second at once, then polynomial-valued, zero and swapped
+    # bindings: by powers expanded once per call, and by the oracle's per-term products
     as_poly = {name: Polynomial.variable(name) + (Polynomial.variable(shift) if isinstance(shift, str)
                                                   else shift)
                for name, shift in (("x", first), ("y", second))}
-    assert p.shifted({"x": first, "y": second}) == p.substitute(as_poly)
+    for bindings in (as_poly, {"x": q, "v": q * Y - 1}, {"u": 0, "z": q, "y": 0},
+                     {"x": Y, "y": X}):
+        assert p.substitute(bindings) == oracle_substitute(p, bindings)
 
 
 def test_shifted_examples():
-    assert BASE.shifted({"x": "u", "y": "v"}) == shifted_base()
-    assert (X * Y ** 2).shifted({"x": -1, "y": -1}) == (X - ONE) * (Y - ONE) ** 2
-    assert (X ** 3 * Z).shifted({"z": 0}) == X ** 3 * Z
-    assert Polynomial.zero().shifted({"x": -1}) == Polynomial.zero()
+    assert BASE.substitute({"x": X + U, "y": Y + V}) == shifted_base()
+    assert (X * Y ** 2).substitute({"x": X - 1, "y": Y - 1}) == (X - ONE) * (Y - ONE) ** 2
+    assert (X ** 3 * Z).substitute({"z": Z}) == X ** 3 * Z
+    assert (X ** 3 * Z).substitute({"z": 0}) == Polynomial.zero()
+    assert Polynomial.zero().substitute({"x": X - 1}) == Polynomial.zero()
     with pytest.raises(ValueError, match="unknown variable 'w'"):
-        X.shifted({"x": "w"})
+        X.substitute({"w": X})
 
 
 @settings(deadline=None)
