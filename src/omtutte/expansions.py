@@ -72,12 +72,12 @@ def _count(planes: list[int], bits: int) -> None:
 
 def _split(subset: int, planes: Sequence[tuple[int, int, int]], key: tuple[int, ...],
            histogram: Counter) -> None:
-    """Count the A in ``subset`` per Monomial of counter values, splitting on the ``planes`` left.
+    """Count the A in ``subset`` per key of counter values, splitting on the ``planes`` left.
 
     Each plane is (counter index, bit weight, the set of A with that bit set).
     """
     if not planes:
-        histogram[Monomial(key)] = subset.bit_count()
+        histogram[key] = subset.bit_count()
         return
     (k, weight, plane), rest = planes[0], planes[1:]
     inside = subset & plane

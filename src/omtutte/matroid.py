@@ -19,7 +19,7 @@ import operator
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .poly import Monomial, Polynomial, X, Y
+from .poly import Polynomial, X, Y
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -438,13 +438,14 @@ def from_digraph(g: Digraph) -> OrientedRealization:
 def _closed_sum(table: bytes, table_prime: bytes) -> Polynomial:
     """Sum over S of (x-1)^(r'(E)-r'(S)) (y-1)^(|S|-r(S)) z^(r(E)-r'(E)-r(S)+r'(S)).
 
-    r and r' are the rank tables of M and M'; a negative z exponent raises ValueError.
+    r and r' are the rank tables of M and M'; it raises ValueError itself on a negative z exponent.
     """
     n = len(table).bit_length() - 1
     drop = table[-1] - table_prime[-1]
     counts = Counter(zip(popcounts(n), table, table_prime))
-    return Polynomial({Monomial.from_exponents({"x": table_prime[-1] - rpa, "y": size - ra,
-                                                "z": drop - ra + rpa}): count
+    if any(ra - rpa > drop for _, ra, rpa in counts):
+        raise ValueError("r(S) - r'(S) exceeds r(E) - r'(E): a negative z exponent")
+    return Polynomial({(table_prime[-1] - rpa, 0, size - ra, 0, drop - ra + rpa): count
                        for (size, ra, rpa), count in counts.items()}
                       ).substitute({"x": X - 1, "y": Y - 1})
 
@@ -502,8 +503,5 @@ def basis_activities(m: OrientedRealization, b: Iterable[int]) -> BasisActivity:
 
 def tutte_bases(m: OrientedRealization) -> Polynomial:
     """Tutte polynomial as the basis-activity state sum; equals tutte_closed."""
-    total = Polynomial.zero()
-    for b in bases(m):
-        act = basis_activities(m, b)
-        total = total + X ** act.iota * Y ** act.epsilon
-    return total
+    activities = (basis_activities(m, b) for b in bases(m))
+    return Polynomial(Counter((act.iota, 0, act.epsilon, 0, 0) for act in activities))

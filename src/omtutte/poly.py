@@ -1,9 +1,9 @@
 """Exact sparse polynomial arithmetic over the integers.
 
 Polynomials live in the fixed variable universe (x, u, y, v, z) and are
-represented as a dictionary mapping monomials to arbitrary-precision integer
-coefficients.  Zero-coefficient terms are never stored, so structural
-equality is polynomial equality and the text rendering is deterministic.
+dictionaries from monomials, plain exponent tuples, to integer coefficients.
+Zero-coefficient terms are never stored, so structural equality is
+polynomial equality and the text rendering is deterministic.
 
 Evaluation is exact too: an int at an integer point, a fractions.Fraction
 at any other; there is no floating point anywhere, so identity checks are
@@ -12,7 +12,8 @@ fully reliable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from math import perm
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -38,8 +39,8 @@ def _check_variable(name: str) -> int:
     return _VAR_INDEX[name]
 
 
-class Monomial(NamedTuple("Monomial", [("exps", tuple[int, ...])])):
-    """A product of variable powers, stored as one exponent per variable in VARIABLES order."""
+class Monomial(tuple):
+    """A product of variable powers: its own exponent tuple, in VARIABLES order."""
 
     __slots__ = ()
 
@@ -49,6 +50,13 @@ class Monomial(NamedTuple("Monomial", [("exps", tuple[int, ...])])):
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent in monomial")
         return super().__new__(cls, exps)
+
+    @property
+    def exps(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Monomial(exps={tuple(self)})"
 
     @classmethod
     def one(cls) -> "Monomial":
@@ -61,20 +69,9 @@ class Monomial(NamedTuple("Monomial", [("exps", tuple[int, ...])])):
             exps[_check_variable(name)] = e
         return cls(tuple(exps))
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def sort_key(self) -> tuple:
-        # total degree first, then the exponent vector; callers sort descending
-        return (self.degree, self.exps)
-
     def __str__(self) -> str:
         parts = []
-        for i, e in enumerate(self.exps):
+        for i, e in enumerate(self):
             if e == 1:
                 parts.append(VARIABLES[i])
             elif e > 1:
@@ -91,7 +88,7 @@ class Polynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
+    def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
         clean = {}
         if terms:
             for mono, coeff in terms.items():
@@ -111,19 +108,17 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: int) -> "Polynomial":
-        return cls({Monomial.one(): int(value)})
+        return cls({_ZERO_EXPS: int(value)})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
         idx = _check_variable(name)
-        exps = [0] * _NVARS
-        exps[idx] = 1
-        return cls({Monomial(tuple(exps)): 1})
+        return cls({_ZERO_EXPS[:idx] + (1,) + _ZERO_EXPS[idx + 1:]: 1})
 
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> dict[Monomial, int]:
-        return dict(self._terms)
+        return {Monomial(exps): coeff for exps, coeff in self._terms.items()}
 
     # -- ring operations ---------------------------------------------------
 
@@ -154,12 +149,7 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = m1 * m2
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return Polynomial(out)
+        return Polynomial(_times(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -183,6 +173,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {_ZERO_EXPS}:  # a constant hashes as the int it equals
+            return hash(self._terms.get(_ZERO_EXPS, 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
@@ -196,21 +188,20 @@ class Polynomial:
         Within one call each power of a bound value is expanded once, from the
         power below it; each term adds its product of those powers into one dict.
         """
-        values = {_check_variable(name): {mono.exps: c for mono, c
-                                          in _coerce_strict(value)._terms.items()}
+        values = {_check_variable(name): _coerce_strict(value)._terms
                   for name, value in bindings.items()}
         powers = {i: [{_ZERO_EXPS: 1}] for i in values}
         out: dict[tuple[int, ...], int] = {}
-        for mono, coeff in self._terms.items():
-            term = {tuple(0 if i in values else e for i, e in enumerate(mono.exps)): coeff}
+        for exps, coeff in self._terms.items():
+            term = {tuple(0 if i in values else e for i, e in enumerate(exps)): coeff}
             for i, known in powers.items():
-                if e := mono.exps[i]:
+                if e := exps[i]:
                     while len(known) <= e:
                         known.append(_times(known[-1], values[i]))
                     term = _times(term, known[e])
-            for exps, c in term.items():
-                out[exps] = out.get(exps, 0) + c
-        return Polynomial({Monomial(exps): c for exps, c in out.items()})
+            for key, c in term.items():
+                out[key] = out.get(key, 0) + c
+        return Polynomial(out)
 
     def evaluate(self, assignment: Mapping[str, "Fraction | int"]) -> "Fraction | int":
         """Exact value at a rational point: an int at an integer point, else a Fraction.
@@ -222,9 +213,9 @@ class Polynomial:
         if not all(isinstance(val, int) for val in values.values()):
             from fractions import Fraction
             values, total = {i: Fraction(val) for i, val in values.items()}, Fraction(0)
-        for mono, coeff in self._terms.items():
+        for exps, coeff in self._terms.items():
             term = coeff
-            for i, e in enumerate(mono.exps):
+            for i, e in enumerate(exps):
                 if not e:
                     continue
                 if i not in values:
@@ -234,34 +225,23 @@ class Polynomial:
         return total
 
     def partial_derivative(self, var: str, order: int = 1) -> "Polynomial":
-        """Formal derivative with respect to ``var`` applied ``order`` times."""
+        """The ``order``-th formal derivative in ``var``, in one pass; lower-degree terms drop."""
         if not isinstance(order, int) or order < 0:
             raise ValueError("derivative order must be a non-negative integer")
         idx = _check_variable(var)
-        degree = max((mono.exps[idx] for mono in self._terms), default=-1)
-        poly = self
-        for _ in range(min(order, degree + 1)):  # past its degree in var it is 0
-            out: dict[Monomial, int] = {}
-            for mono, coeff in poly._terms.items():
-                e = mono.exps[idx]
-                if not e:
-                    continue
-                exps = list(mono.exps)
-                exps[idx] = e - 1
-                out[Monomial(tuple(exps))] = coeff * e
-            poly = Polynomial(out)
-        return poly
+        return Polynomial({exps[:idx] + (e - order,) + exps[idx + 1:]: coeff * perm(e, order)
+                           for exps, coeff in self._terms.items() if (e := exps[idx]) >= order})
 
     # -- canonical text ----------------------------------------------------
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        ordered = sorted(self._terms, key=Monomial.sort_key, reverse=True)
+        ordered = sorted(self._terms, key=lambda exps: (sum(exps), exps), reverse=True)
         pieces = []
-        for i, mono in enumerate(ordered):
-            coeff = self._terms[mono]
-            mono_text = str(mono)
+        for i, exps in enumerate(ordered):
+            coeff = self._terms[exps]
+            mono_text = str(Monomial(exps))
             mag = abs(coeff)
             if mono_text == "1":
                 body = str(mag)

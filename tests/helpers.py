@@ -423,28 +423,69 @@ def _subset_counts(*tables: bytes) -> Counter:
     return Counter((bin(s).count("1"), *(t[s] for t in tables)) for s in range(len(tables[0])))
 
 
+def oracle_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q by a Monomial-keyed loop over pairs of terms, off the library's product kernel."""
+    out: dict[Monomial, int] = {}
+    for m1, c1 in p.terms().items():
+        for m2, c2 in q.terms().items():
+            mono = Monomial(tuple(a + b for a, b in zip(m1.exps, m2.exps)))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return Polynomial(out)
+
+
+def oracle_power(p: Polynomial, n: int) -> Polynomial:
+    """p ** n as n oracle products."""
+    if n < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = ONE
+    for _ in range(n):
+        result = oracle_product(result, p)
+    return result
+
+
+def oracle_partial_derivative(poly: Polynomial, var: str, order: int = 1) -> Polynomial:
+    """The derivative in ``var`` taken one order at a time, ``order`` times."""
+    idx = VARIABLES.index(var)
+    degree = max((mono.exps[idx] for mono in poly.terms()), default=-1)
+    for _ in range(min(order, degree + 1)):  # past its degree in var it is 0
+        out: dict[Monomial, int] = {}
+        for mono, coeff in poly.terms().items():
+            e = mono.exps[idx]
+            if not e:
+                continue
+            exps = list(mono.exps)
+            exps[idx] = e - 1
+            out[Monomial(tuple(exps))] = coeff * e
+        poly = Polynomial(out)
+    return poly
+
+
 def oracle_tutte_closed(m: OrientedRealization) -> Polynomial:
-    """The corank-nullity sum by Polynomial powers and products, one term per class."""
+    """The corank-nullity sum by oracle powers and products, one term per class."""
     table = m.rank_table()
     total = Polynomial.zero()
     for (size, ra), count in _subset_counts(table).items():
-        total = total + count * (X - ONE) ** (table[-1] - ra) * (Y - ONE) ** (size - ra)
+        term = oracle_product(oracle_power(X - ONE, table[-1] - ra),
+                              oracle_power(Y - ONE, size - ra))
+        total = total + oracle_product(Polynomial.constant(count), term)
     return total
 
 
 def oracle_tutte3_closed(p) -> Polynomial:
-    """The 3-variable subset sum by Polynomial powers and products."""
+    """The 3-variable subset sum by oracle powers and products."""
     table_m, table_mp = p.m.rank_table(), p.mprime.rank_table()
     drop = table_m[-1] - table_mp[-1]
     total = Polynomial.zero()
     for (size, ra, rpa), count in _subset_counts(table_m, table_mp).items():
-        total = total + (count * (X - ONE) ** (table_mp[-1] - rpa) * (Y - ONE) ** (size - ra)
-                         * Z ** (drop - ra + rpa))
+        term = oracle_product(oracle_power(X - ONE, table_mp[-1] - rpa),
+                              oracle_power(Y - ONE, size - ra))
+        term = oracle_product(term, oracle_power(Z, drop - ra + rpa))
+        total = total + oracle_product(Polynomial.constant(count), term)
     return total
 
 
 def oracle_substitute(poly: Polynomial, bindings) -> Polynomial:
-    """Simultaneous substitution by Polynomial powers and products, one term at a time."""
+    """Simultaneous substitution by oracle powers and products, one term at a time."""
     fixed = {VARIABLES.index(name): value if isinstance(value, Polynomial)
              else Polynomial.constant(value) for name, value in bindings.items()}
     result = Polynomial.zero()
@@ -455,10 +496,10 @@ def oracle_substitute(poly: Polynomial, bindings) -> Polynomial:
             if not e:
                 continue
             if i in fixed:
-                term = term * fixed[i] ** e
+                term = oracle_product(term, oracle_power(fixed[i], e))
             else:
                 residual[i] = e
-        term = term * Polynomial({Monomial(tuple(residual)): 1})
+        term = oracle_product(term, Polynomial({Monomial(tuple(residual)): 1}))
         result = result + term
     return result
 

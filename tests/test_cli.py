@@ -2,11 +2,10 @@
 
 import io
 import json
-import math
 
 import pytest
 
-from omtutte import cli, expansions, gallery, oriented, perspective
+from omtutte import cli, expansions, gallery, oriented, perspective, poly
 from omtutte.expansions import ExpansionReport, derivative_diag
 from omtutte.matroid import Digraph, from_digraph
 from omtutte.perspective import identity_perspective
@@ -177,15 +176,15 @@ def test_parse_error_exits_two(tmp_path, capsys):
 
 def test_huge_derivative_orders_answer_zero_without_their_factorials(tmp_path, capsys,
                                                                       monkeypatch):
-    real = math.factorial
+    real = poly.perm
 
-    def bounded(n):
+    def bounded(n, k):
         # no term of the 3-arc triangle's expansion has a degree above |E| = 3
-        if n > 3:
-            raise AssertionError(f"factorial({n}) computed for an order no key matches")
-        return real(n)
+        if k > 3:
+            raise AssertionError(f"perm({n}, {k}) computed for an order no term reaches")
+        return real(n, k)
 
-    monkeypatch.setattr(math, "factorial", bounded)
+    monkeypatch.setattr(poly, "perm", bounded)
     path = tmp_path / "t.dg"
     path.write_text(TRIANGLE)
     code, out, _ = run_cli(capsys, "derivative", "-p", "100000000", "--input", str(path))

@@ -9,6 +9,7 @@ from omtutte.poly import (
     Monomial,
     Polynomial,
     PolynomialParseError,
+    VARIABLES,
     ONE,
     U,
     V,
@@ -17,7 +18,7 @@ from omtutte.poly import (
     Z,
 )
 
-from helpers import oracle_substitute
+from helpers import oracle_partial_derivative, oracle_product, oracle_substitute
 
 BASE = Polynomial.parse("x^2 + x*y + y^2 + x + y")
 
@@ -181,6 +182,45 @@ def test_shifted_examples():
     assert Polynomial.zero().substitute({"x": X - 1}) == Polynomial.zero()
     with pytest.raises(ValueError, match="unknown variable 'w'"):
         X.substitute({"w": X})
+
+
+@settings(deadline=None)
+@given(polynomials, polynomials)
+def test_product_matches_oracle(p, q):
+    assert p * q == oracle_product(p, q)
+    assert p * 3 == oracle_product(p, Polynomial.constant(3))
+
+
+@settings(deadline=None)
+@given(polynomials, st.sampled_from(VARIABLES), st.integers(0, 7))
+def test_partial_derivative_matches_oracle(p, var, k):
+    # exponents are at most 3, so k from 4 on is past every degree
+    assert p.partial_derivative(var, k) == oracle_partial_derivative(p, var, k)
+    idx = VARIABLES.index(var)
+    absent = Polynomial({m: c for m, c in p.terms().items() if not m.exps[idx]})
+    assert absent.partial_derivative(var, k) == oracle_partial_derivative(absent, var, k)
+    assert absent.partial_derivative(var, k) == (absent if k == 0 else Polynomial.zero())
+
+
+@given(st.integers())
+def test_constants_hash_as_their_ints(n):
+    assert Polynomial.constant(n) == n
+    assert hash(Polynomial.constant(n)) == hash(n)
+
+
+def test_constants_and_their_ints_are_one_key():
+    assert len({ONE, 1}) == 1
+    assert len({Polynomial.zero(), 0}) == 1
+    assert {3: "three"}.get(Polynomial.constant(3)) == "three"
+
+
+def test_monomial_is_its_exponent_tuple():
+    m = Monomial((2, 0, 1, 0, 0))
+    assert m == (2, 0, 1, 0, 0) and hash(m) == hash((2, 0, 1, 0, 0))
+    assert m.exps == (2, 0, 1, 0, 0)
+    assert Polynomial({m: 4}) == Polynomial({(2, 0, 1, 0, 0): 4})
+    assert list((X ** 2 * Y).terms()) == [m]
+    assert type(list((X ** 2 * Y).terms())[0]) is Monomial
 
 
 @settings(deadline=None)
