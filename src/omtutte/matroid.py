@@ -255,13 +255,24 @@ class Digraph(NamedTuple):
 # -- realizations -------------------------------------------------------------
 
 class _Ground:
-    """An ordered ground set: bit i of a mask is ground[i]."""
+    """An ordered ground set (bit i of a mask is ground[i]) and the cache of what is read off
+    it: ``_builds`` holds the thunk that builds each key's value on its first read."""
 
-    __slots__ = ("ground", "_index")
+    __slots__ = ("ground", "_index", "_cache", "_builds")
 
-    def _set_ground(self, ground: Iterable[int]) -> None:
+    def _set_ground(self, ground: Iterable[int], cache: dict | None = None, **builds) -> None:
         self.ground = tuple(ground)
         self._index = {e: i for i, e in enumerate(self.ground)}
+        self._cache = {} if cache is None else cache
+        self._builds = builds
+
+    def memo(self, key, build: Callable[[], object] | None = None):
+        """The value cached under ``key``, built on first read by its thunk, else by ``build``;
+        the thunk is dropped only once it returns, so a read the guard refused can run again."""
+        if key not in self._cache:
+            self._cache[key] = self._builds.get(key, build)()
+            self._builds.pop(key, None)
+        return self._cache[key]
 
     def index_of(self, label: int) -> int:
         try:
@@ -279,7 +290,7 @@ class _Ground:
 class OrientedRealization(_Ground):
     """Integer columns that realize the matroid, in ground order."""
 
-    __slots__ = ("integer_columns", "_memo", "_parent")
+    __slots__ = ("integer_columns",)
 
     def __init__(self, ground: Sequence[int], matrix: Sequence[Sequence["Fraction | int | str"]]):
         ground = tuple(int(g) for g in ground)
@@ -290,19 +301,14 @@ class OrientedRealization(_Ground):
             if len(row) != len(ground):
                 raise MatroidError(
                     f"matrix row has {len(row)} entries for {len(ground)} ground elements")
-        self._hold(ground, _cleared(rows, len(ground)))
-
-    def _hold(self, ground, columns, parent=None) -> None:
-        """Set every slot; ``parent`` is (realization, derive) for a table derive(its table)."""
-        self._set_ground(ground)
-        self.integer_columns = tuple(columns)
-        self._memo: dict = {}  # the table under "table"; OrientedMatroid(self) shares it
-        self._parent: tuple[OrientedRealization, Callable[[bytes], bytearray]] | None = parent
+        self._set_ground(ground)  # OrientedMatroid(self) shares this cache
+        self.integer_columns = tuple(_cleared(rows, len(ground)))
 
     def _derived(self, ground, columns, derive) -> "OrientedRealization":
-        """A realization of integer columns whose rank table ``derive`` reads off this one's."""
+        """A realization of ``columns`` whose table ``derive`` reads off this one's, unforced."""
         out = OrientedRealization.__new__(OrientedRealization)
-        out._hold(ground, columns, (self, derive))
+        out._set_ground(ground, table=lambda: derive(self.rank_table()))
+        out.integer_columns = tuple(columns)
         return out
 
     # -- basic queries ----------------------------------------------------
@@ -310,23 +316,18 @@ class OrientedRealization(_Ground):
     def rank_table(self, force: bool = False) -> bytearray:
         """r(S) for every mask S (bit i = ground[i]); built on first use, never mutated.
 
-        2^|E| bytes.  Minors, duals and reorientations derive theirs from this one,
-        passing ``force`` on, so only a root table, built from the columns, checks
-        the enumeration guard; ``force=True`` admits one above it.  This is the one
-        admission point: everything else reads the table unforced.
+        2^|E| bytes.  Only a root, a realization built from a matrix, builds its table,
+        from the columns, and checks the enumeration guard first; ``force=True`` admits
+        one above it.  This is the one admission point: minors, duals and reorientations
+        derive theirs from their parent's, read unforced, so ``force`` on them admits nothing.
         """
-        if "table" not in self._memo:
-            if self._parent:
-                parent, derive = self._parent
-                self._memo["table"], self._parent = derive(parent.rank_table(force)), None
-            else:
-                n = len(self.ground)
-                if n > ENUMERATION_GUARD and not force:
-                    raise EnumerationGuardError(
-                        f"ground set has {n} elements; full enumeration is guarded at "
-                        f"{ENUMERATION_GUARD} (admit it with rank_table(force=True) or --force)")
-                self._memo["table"] = _rank_table(self.integer_columns)
-        return self._memo["table"]
+        if "table" not in self._cache and "table" not in self._builds:  # an unbuilt root
+            n = len(self.ground)
+            if n > ENUMERATION_GUARD and not force:
+                raise EnumerationGuardError(
+                    f"ground set has {n} elements; full enumeration is guarded at "
+                    f"{ENUMERATION_GUARD} (admit it with rank_table(force=True) or --force)")
+        return self.memo("table", lambda: _rank_table(self.integer_columns))
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
         """Rank of the column submatrix indexed by ``subset`` (default: all of E)."""
@@ -356,18 +357,6 @@ class OrientedRealization(_Ground):
         ground, columns = (t[:i] + t[i + 1:] for t in (self.ground,
                                                         _transposed(reduced, len(rows[0]))))
         return self._derived(ground, columns, lambda t: _minor_table(t, i, contract=True))
-
-    def delete_many(self, labels: Iterable[int]) -> "OrientedRealization":
-        m = self
-        for e in sorted(labels):
-            m = m.delete(e)
-        return m
-
-    def contract_many(self, labels: Iterable[int]) -> "OrientedRealization":
-        m = self
-        for e in sorted(labels):
-            m = m.contract(e)
-        return m
 
     def dual(self) -> "OrientedRealization":
         """Realization whose row space is the orthogonal complement of this one's."""

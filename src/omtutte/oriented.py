@@ -147,37 +147,26 @@ class OrientedMatroid(_Ground):
     cache of its own, and hold ``realization = None``; a cache keeps the minors built.
     """
 
-    __slots__ = ("realization", "_builds", "_memo")
+    __slots__ = ("realization",)
 
     def __init__(self, realization: OrientedRealization):
-        self._hold(realization.ground, realization, realization.rank_table,
-                   lambda: signed_circuits(realization), lambda: signed_cocircuits(realization))
-
-    def _hold(self, ground: Sequence[int], realization: OrientedRealization | None,
-              table: Callable[[], bytes], circuits: Callable[[], Pairs],
-              cocircuits: Callable[[], Pairs]) -> None:
-        self._set_ground(ground)
+        self._set_ground(realization.ground, realization._cache, table=realization.rank_table,
+                         circuits=lambda: signed_circuits(realization),
+                         cocircuits=lambda: signed_cocircuits(realization))
         self.realization = realization
-        self._builds = {"table": table, "circuits": circuits, "cocircuits": cocircuits}
-        self._memo: dict = realization._memo if realization else {}
 
     @staticmethod
     def _derived(ground: Sequence[int], table: Callable[[], bytes], circuits: Callable[[], Pairs],
                  cocircuits: Callable[[], Pairs]) -> "OrientedMatroid":
         """An oriented matroid without a realization, whose table and families the thunks build."""
         out = OrientedMatroid.__new__(OrientedMatroid)
-        out._hold(ground, None, table, circuits, cocircuits)
+        out._set_ground(ground, table=table, circuits=circuits, cocircuits=cocircuits)
+        out.realization = None
         return out
-
-    def memo(self, key, build: Callable[[], object]):
-        """The value kept under ``key``, built by ``build`` on first request."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
 
     def rank_table(self) -> bytes:
         """r(S) for every mask S (bit i is ground[i]); a root's is its realization's."""
-        return self.memo("table", self._builds["table"])
+        return self.memo("table")
 
     def is_loop(self, e: int) -> bool:
         return self.rank_table()[1 << self.index_of(e)] == 0
@@ -189,12 +178,12 @@ class OrientedMatroid(_Ground):
     @property
     def circuit_pairs(self) -> Pairs:
         """(positive, support) bitmasks of the signed circuits; bit i is ground[i]."""
-        return self.memo("circuits", self._builds["circuits"])
+        return self.memo("circuits")
 
     @property
     def cocircuit_pairs(self) -> Pairs:
         """(positive, support) bitmasks of the signed cocircuits; bit i is ground[i]."""
-        return self.memo("cocircuits", self._builds["cocircuits"])
+        return self.memo("cocircuits")
 
     def signed(self, pair: tuple[int, int]) -> SignedSubset:
         """The SignedSubset of one (positive, support) pair."""

@@ -133,8 +133,10 @@ def _contraction_set(n: OrientedRealization, c: Iterable[int]) -> frozenset[int]
 
 def from_major(n: OrientedRealization, c: Iterable[int]) -> Perspective:
     """Delete/contract factorization: M = n with c deleted, M' = n with c contracted."""
-    c = _contraction_set(n, c)
-    return Perspective(OrientedMatroid(n.delete_many(c)), OrientedMatroid(n.contract_many(c)))
+    m = mprime = n
+    for e in sorted(_contraction_set(n, c)):
+        m, mprime = m.delete(e), mprime.contract(e)
+    return Perspective(OrientedMatroid(m), OrientedMatroid(mprime))
 
 
 def tutte3_closed(p: Perspective) -> Polynomial:

@@ -100,6 +100,14 @@ def family_set(ground, pairs) -> set[tuple[frozenset, frozenset]]:
     return {(labels(pos), labels(sup ^ pos)) for pos, sup in pairs}
 
 
+def minors_of(n: OrientedRealization, c) -> tuple[OrientedRealization, OrientedRealization]:
+    """(n with c deleted, n with c contracted), one label at a time in increasing order."""
+    deleted = contracted = n
+    for e in sorted(c):
+        deleted, contracted = deleted.delete(e), contracted.contract(e)
+    return deleted, contracted
+
+
 def loop_at_contraction(m: OrientedRealization, e: int) -> OrientedRealization:
     """The matrix of bounded M': m/e's matrix with a zero column put back at e's slot."""
     i = m.ground.index(e)

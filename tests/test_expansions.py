@@ -47,6 +47,7 @@ from helpers import (
     is_totally_cyclic,
     labels_of as _labels,
     loop_at_contraction,
+    minors_of,
     monomial_of,
     oracle_dichotomy_case,
     oracle_expansion,
@@ -567,7 +568,7 @@ def _dichotomy_instances(rng):
         c = frozenset(e for e in n.ground if rng.random() < 0.3)
         if c == set(n.ground):
             c = frozenset()
-        yield "from_major", from_major(n, c), n.delete_many(c), n.contract_many(c)
+        yield "from_major", from_major(n, c), *minors_of(n, c)
     matrices = [random_realization(rng, max_rows=3, max_cols=5) for _ in range(12)]
     for _ in range(12):
         g = random_digraph(rng, max_vertices=4, max_arcs=5)

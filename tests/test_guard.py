@@ -134,6 +134,29 @@ def test_rank_is_guarded_on_the_root(no_table_built):
     # a 20-element minor derives its table from the 21-element root's
     with pytest.raises(EnumerationGuardError, match="21 elements"):
         m.delete(21).rank()
+    # only a root admits its table: a derived one reads the root's unforced
+    for derived in (m.delete(21), m.contract(1), m.dual(), m.negate_columns({1})):
+        with pytest.raises(EnumerationGuardError, match="21 elements"):
+            derived.rank_table(force=True)
+
+
+def test_a_refused_read_runs_again_once_the_root_is_admitted(monkeypatch):
+    m = major21()
+    minor = m.delete(21)
+    om = OrientedMatroid(m).reorient({1}).minor_delete(21)
+    with pytest.raises(EnumerationGuardError, match="21 elements"):
+        minor.rank_table()
+    with pytest.raises(EnumerationGuardError, match="21 elements"):
+        om.circuit_pairs
+    root = m.rank_table(force=True)
+
+    def forbidden(columns):
+        raise AssertionError("a derived table was rebuilt from its columns")
+
+    monkeypatch.setattr(matroid, "_rank_table", forbidden)
+    assert minor.rank_table() == root[:1 << 20]  # the masks avoiding the top element
+    # the family off the parent's, against the one off the reoriented minor's matrix
+    assert om.circuit_pairs == signed_circuits(m.negate_columns({1}).delete(21))
 
 
 def test_bounded_perspective_admits_before_loop_test():

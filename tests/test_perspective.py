@@ -28,7 +28,7 @@ from omtutte.perspective import (
 from omtutte.poly import Polynomial, X, Y, Z, ONE
 from omtutte import gallery
 
-from helpers import conformal, oracle_validate, random_digraph, random_realization
+from helpers import conformal, minors_of, oracle_validate, random_digraph, random_realization
 
 
 def triangle():
@@ -249,7 +249,7 @@ def _small_pairs(seed, count):
             c = frozenset(e for e in n.ground if rng.random() < 0.3)
             if c == set(n.ground):
                 c = frozenset()
-            pairs.append((om(n.delete_many(c)), om(n.contract_many(c))))
+            pairs.append(tuple(map(om, minors_of(n, c))))
         else:
             ncols = rng.randint(1, 5)
             a = random_realization(rng, max_rows=3, max_cols=ncols)
@@ -285,7 +285,7 @@ def _same_ground_pairs(seed, count):
         if k % 2:
             n = random_realization(rng, max_rows=4, max_cols=6)
             c = frozenset(e for e in n.ground[1:] if rng.random() < 0.4)
-            yield om(n.delete_many(c)), om(n.contract_many(c))
+            yield tuple(map(om, minors_of(n, c)))
         else:
             ncols = rng.randint(1, 6)
             yield tuple(om(OrientedRealization(range(1, ncols + 1),
@@ -313,7 +313,7 @@ def _validation_cases(seed):
     for _ in range(12):
         n = random_realization(rng, max_rows=4, max_cols=8)
         c = frozenset(e for e in n.ground[1:] if rng.random() < 0.3)
-        m, mp = om(n.delete_many(c)), om(n.contract_many(c))
+        m, mp = map(om, minors_of(n, c))
         yield m, mp
         yield m, mp.reorient(rng.sample(mp.ground, rng.randint(1, len(mp.ground))))
     yield from _small_pairs(43, 24)
