@@ -36,18 +36,14 @@ def parse(text: str) -> Polynomial:
         raise PolynomialParseError("empty polynomial text", 0)
     terms: dict[Monomial, int] = {}
     i = 0
-    first = True
-    while i < len(tokens):
+    while i < len(tokens):  # every term but the first starts at the '+' or '-' ending the last
         sign = 1
         kind, value, at = tokens[i]
         if kind == "op" and value in "+-":
-            if value == "+" and first:
+            if value == "+" and i == 0:
                 raise PolynomialParseError("polynomial cannot start with '+'", at)
             sign = -1 if value == "-" else 1
             i += 1
-        elif not first:
-            raise PolynomialParseError("expected '+' or '-' between terms", at)
-        first = False
         coeff, exps, i = _parse_term(tokens, i)
         mono = Monomial(tuple(exps))
         terms[mono] = terms.get(mono, 0) + sign * coeff

@@ -2,12 +2,15 @@
 
 Exit codes: 0 all checks pass, 1 an exact identity failed (a JSON diff of the
 two polynomials is printed, or the two sides of a count disagree), 2 the
-arguments or the input could not be parsed or validated.  Output is
-byte-identical across runs.
+arguments or the input could not be parsed or validated, 141 stdout was closed
+before the output was written (as a shell reports a writer killed by SIGPIPE).
+Output is byte-identical across runs.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn
@@ -239,19 +242,28 @@ def run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return run(args)
-    except IdentityError as exc:
-        _print_json({"check": "exact identity", "error": str(exc)})
-        return 1
+        try:
+            return run(_parse_args(sys.argv[1:] if argv is None else argv))
+        except IdentityError as exc:
+            _print_json({"check": "exact identity", "error": str(exc)})
+            return 1
+        finally:
+            sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit flush
+    except BrokenPipeError:
+        # the reader is gone: send the rest of the output nowhere, so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (MatroidError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()  # the exit-time full collections then skip every object alive now
 
 
 if __name__ == "__main__":

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,10 @@ DOUBLED = "1 a b\n2 a b\n3 c b\n4 c a\n"
 MAJOR = "major: digraph\n1 a b\n2 b c\n3 c a\ncontract: 3\n"
 # one format word for both payloads: M the directed triangle, M' = M/3 with arc 3 kept as a loop
 PAIR = "pair: digraph\n1 a b\n2 b c\n3 c a\n---\n1 a b\n2 b a\n3 a a\n"
+# a wheel with 6 spokes: spokes h -> r_i, then rim arcs r_i -> r_(i+1); 12 arcs
+W6_ARCS = [("h", f"r{i}") for i in range(6)] + [(f"r{i}", f"r{(i + 1) % 6}") for i in range(6)]
+W6 = "".join(f"{label} {tail} {head}\n" for label, (tail, head) in enumerate(W6_ARCS, start=1))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -423,11 +431,9 @@ class CountingStdout(io.StringIO):
 
 
 def test_activities_streams_blocks_of_rows(tmp_path, monkeypatch):
-    # a wheel with 6 spokes: 12 arcs, a header and 4096 rows, written in two blocks
-    arcs = [("h", f"r{i}") for i in range(6)] + [(f"r{i}", f"r{(i + 1) % 6}") for i in range(6)]
+    # W6: a header and 4096 rows, written in two blocks
     path = tmp_path / "w6.dg"
-    path.write_text("".join(f"{label} {tail} {head}\n"
-                            for label, (tail, head) in enumerate(arcs, start=1)))
+    path.write_text(W6)
     stdout = CountingStdout()
     monkeypatch.setattr("sys.stdout", stdout)
     assert cli.main(["activities", "--input", str(path)]) == 0
@@ -489,3 +495,61 @@ def test_equals_form_and_trailing_positional(tmp_path, capsys, spaced, other):
                for argv in (spaced, other)]
     assert outputs[0][0] == 0
     assert outputs[0] == outputs[1]
+
+
+def run_module(*argv, stdout=subprocess.PIPE, unbuffered=True):
+    """``python -m omtutte.cli argv`` in a fresh process, through ``entry``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "omtutte.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("text, argv", [
+    (TRIANGLE, ["tutte", "--input"]),
+    (W6, ["activities", "--input"]),
+    (None, ["--help"]),
+], ids=["tutte-triangle", "activities-w6", "help"])
+def test_closed_output_pipe_exits_141_silently(tmp_path, text, argv, unbuffered):
+    # the reader is gone before the process writes, as after `| head -1` on a long table
+    path = tmp_path / "input.dg"
+    if text is not None:
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(*argv, stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["tutte", "--input", "{triangle}"], 0, "x^2 + x + y\n"),
+    (["tutte", "--input", "{missing}"], 2, ""),
+    (["--help"], 0, cli._HELP),
+], ids=["tutte", "missing-input", "help"])
+def test_entry_exits_with_mains_status_and_freezes_once(tmp_path, capsys, monkeypatch,
+                                                         argv, code, out):
+    triangle = tmp_path / "triangle.dg"
+    triangle.write_text(TRIANGLE)
+    paths = {"triangle": triangle, "missing": tmp_path / "nope.dg"}
+    freezes = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: freezes.append(None))
+    monkeypatch.setattr(sys, "argv", ["omtutte", *(arg.format(**paths) for arg in argv)])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
+    assert capsys.readouterr().out == out
+    assert len(freezes) == 1
+
+
+def test_module_run_through_the_real_freeze(tmp_path):
+    path = tmp_path / "doubled.dg"
+    path.write_text(DOUBLED)
+    proc = run_module("tutte", "--input", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"x^2 + x*y + y^2 + x + y\n", b"")

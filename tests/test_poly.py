@@ -1,5 +1,6 @@
 """Polynomial ring: examples plus hypothesis property checks."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,7 @@ def test_parse_examples():
     assert Polynomial.parse("x^2 + x*y + y^2 + x + y") == BASE
     assert Polynomial.parse("0") == Polynomial.zero()
     assert str(Polynomial.parse("y + x")) == "x + y"
+    assert Polynomial.parse("x ") == X
 
 
 def test_format_canonical_order():
@@ -95,15 +97,53 @@ def test_parse_signs_and_coefficients():
     assert Polynomial.parse("2*3*x") == 6 * X
 
 
+PARSE_ERRORS = [
+    # (text, message, position)
+    ("", "empty polynomial text", 0),
+    ("   ", "empty polynomial text", 0),
+    ("+x", "cannot start with '+'", 0),
+    ("*x", "expected a coefficient or variable", 0),
+    ("2^3", "'^' is only allowed on variables", 1),
+    ("x y", "expected an operator", 2),
+    ("2 x", "expected an operator", 2),
+    ("x + (y)", "unexpected character", 4),
+    ("x^", "'^' must be followed by an integer", 0),
+    ("x ^ y", "'^' must be followed by an integer", 0),
+    ("x +", "term ends without a factor", 2),
+    ("w + 1", "unknown variable 'w'", 0),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(PolynomialParseError, match="position"):
-        Polynomial.parse("x +")
-    with pytest.raises(PolynomialParseError):
-        Polynomial.parse("x ^ y")
-    with pytest.raises(PolynomialParseError, match="unknown variable 'w'"):
-        Polynomial.parse("w + 1")
-    with pytest.raises(PolynomialParseError, match="unexpected character"):
-        Polynomial.parse("x + (y)")
+    for text, message, position in PARSE_ERRORS:
+        with pytest.raises(PolynomialParseError, match=re.escape(message)) as exc:
+            Polynomial.parse(text)
+        assert exc.value.position == position, text
+        assert str(exc.value).endswith(f"(position {position})"), text
+
+
+def test_nonconstant_polynomials_hash_by_their_terms():
+    assert hash(X * Y + X) == hash(Y * X + X)
+    assert len({X * Y + X, Y * X + X}) == 1
+
+
+def test_int_minus_polynomial():
+    assert 3 - X == -X + 3
+
+
+@pytest.mark.parametrize("call", [
+    lambda: X ** -1,
+    lambda: X ** 1.5,
+    lambda: X.partial_derivative("x", -1),
+], ids=["negative-power", "float-power", "negative-order"])
+def test_bad_exponents_and_orders_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_substitute_rejects_a_non_polynomial_value():
+    with pytest.raises(TypeError, match="cannot treat 'y' as a polynomial"):
+        X.substitute({"x": "y"})
 
 
 def test_unknown_variable_rejected():
