@@ -51,7 +51,8 @@ options (spelled in full; --opt VALUE or --opt=VALUE):
   --force          override the enumeration guard
   -p P, -q Q       derivative only: the orders in x and y (default 0)
 
-exit codes: 0 checks pass, 1 an exact identity failed, 2 usage, parse or validation error
+exit codes: 0 checks pass, 1 an exact identity failed, 2 usage, parse or validation error,
+  141 stdout closed before the output was written
 """
 
 _COMMANDS = ("tutte", "tutte3", "activities", "verify", "count", "derivative")
@@ -150,17 +151,12 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _emit(args, text, payload) -> int:
-    """Print ``payload`` as JSON under ``--json``, else ``text``; its exit code is 0.
-
-    A table passes blocks of lines and its renderer, so only one form is rendered.
-    """
+def _emit(args, text: str, payload) -> int:
+    """Print ``payload`` as JSON under ``--json``, else ``text``; its exit code is 0."""
     if args.json:
-        _print_json(payload() if callable(payload) else payload)
-    elif isinstance(text, str):
-        print(text)
+        _print_json(payload)
     else:
-        sys.stdout.writelines(text)
+        print(text)
     return 0
 
 
@@ -171,13 +167,14 @@ def _fail(check: str, expected, actual) -> int:
 
 
 def run(args) -> int:
-    # each command imports only the modules it runs (start-up dominates small jobs)
+    # a refused input is never read, and each command imports only the modules it runs
+    if args.format == "perspective" and args.command == "tutte":
+        raise MatroidError("tutte needs a digraph or matrix input; use tutte3 for perspectives")
+    if args.format == "perspective" and args.kind in ("acyclic", "bases"):
+        raise MatroidError(f"count {args.kind} needs a digraph or matrix input")
     realization, perspective = _load(args)
-    if args.command == "tutte":
-        if realization is None:
-            raise MatroidError("tutte needs a digraph or matrix input; "
-                               "use tutte3 for perspectives")
-        t = str(tutte_closed(realization))
+    if realization is not None and args.command in ("tutte", "tutte3"):
+        t = str(tutte_closed(realization))  # t(M,M;x,y,z) has no z term: it is t(M;x,y)
         return _emit(args, t, t)
 
     from .perspective import identity_perspective, tutte3_closed
@@ -193,30 +190,31 @@ def run(args) -> int:
                              count_bounded, deletion_contraction_check, derivative_expansion,
                              dichotomy_case, expansion_sum, signed_sum, specialization_suite)
 
+    report = expansion_sum(perspective)
     if args.command == "count":
         # each side is a tuple of ints that must all equal the count
         if args.kind == "bounded":
-            report = expansion_sum(perspective)
             value = count_bounded(perspective)
             sides = {"t(0,0,1)": (report.tutte.evaluate({"x": 0, "y": 0}),),
                      "signed sum": (signed_sum(perspective),)}
-        elif realization is None:
-            raise MatroidError(f"count {args.kind} needs a digraph or matrix input")
         elif args.kind == "acyclic":
             value = count_acyclic(perspective.m)
-            sides = {"t(2,0)": (tutte_closed(realization).evaluate({"x": 2, "y": 0}),)}
+            sides = {"t(2,0)": (report.tutte.evaluate({"x": 2, "y": 0}),)}
         else:
             value = len(bases(realization))
-            sides = {"t(1,1)": (tutte_closed(realization).evaluate({"x": 1, "y": 1}),),
+            sides = {"t(1,1)": (report.tutte.evaluate({"x": 1, "y": 1}),),
                      "basic orientations": count_basic_orientations(perspective.m)}
         agree = all(side == value for values in sides.values() for side in values)
         shown = ", ".join(f"{name}={','.join(map(str, values))}" for name, values in sides.items())
         _emit(args, f"{value} ({shown})", {"value": value, "sides": sides, "agree": agree})
         return 0 if agree else 1
 
-    report = expansion_sum(perspective)
-    if args.command == "activities":
-        return _emit(args, report.tsv_blocks(), report.to_json_dict)
+    if args.command == "activities":  # the table writes itself in blocks, never held whole
+        if args.json:
+            _print_json(report.to_json_dict())
+        else:
+            sys.stdout.writelines(report.tsv_blocks())
+        return 0
 
     if args.command == "derivative":
         activity_side = derivative_expansion(perspective, args.p, args.q)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from array import array
 from collections import Counter
 from collections.abc import Sequence
 from enum import Enum
@@ -87,27 +86,27 @@ def _split(subset: int, planes: Sequence[tuple[int, int, int]], key: tuple[int, 
         _split(subset ^ inside, rest, key, histogram)
 
 
-def _transposed(sets: Sequence[int]) -> array:
+_BYTE_ORDER = 7 if sys.byteorder == "big" else 0  # byte k of a native 8-byte word is at k ^ this
+
+
+def _transposed(sets: Sequence[int]) -> memoryview:
     """Per A, the mask of the ground indices whose set holds A."""
     size = 1 << len(sets)
-    lanes = bytearray(8 * size)  # 8 bytes per A, byte g holding sets 8g..8g+7
+    lanes = bytearray(8 * size)  # one native 8-byte word per A, its byte g holding sets 8g..8g+7
     for g in range(0, len(sets), 8):
         value = 0
         for j, bits in enumerate(sets[g:g + 8]):
             digits = format(bits, f"0{size}b").encode()  # bit A is digit size-1-A
             lane = digits.translate(bytes.maketrans(b"01", bytes((0, 1 << j))))
             value |= int.from_bytes(lane, "big")
-        lanes[g // 8::8] = value.to_bytes(size, "little")
-    masks = array("Q", lanes)
-    if sys.byteorder == "big":
-        masks.byteswap()
-    return masks
+        lanes[g // 8 ^ _BYTE_ORDER::8] = value.to_bytes(size, "little")
+    return memoryview(lanes).cast("Q")
 
 
-def _key(a_mask: int, active: int, dual: int) -> tuple[int, int, int, int]:
-    """(dual_out, dual_in, active_out, active_in) sizes of one reorientation A."""
+def _key(a_mask: int, active: int, dual: int) -> tuple[int, int, int, int, int]:
+    """The exponents (dual_out, dual_in, active_out, active_in, 0) of one reorientation A."""
     return ((dual & ~a_mask).bit_count(), (dual & a_mask).bit_count(),
-            (active & ~a_mask).bit_count(), (active & a_mask).bit_count())
+            (active & ~a_mask).bit_count(), (active & a_mask).bit_count(), 0)
 
 
 _COLUMNS = ("A", "dual_active", "active", "dual_out", "dual_in",
@@ -165,7 +164,7 @@ class ExpansionReport:
         # A's 2^|E| masks are all distinct: join the texts of its low and high halves
         low = (1 << len(ground) // 2) - 1
         high = ((1 << len(ground)) - 1) ^ low
-        monomial = cache(lambda key: str(Monomial(key + (0,))))
+        monomial = cache(lambda key: str(Monomial(key)))
         for a, (act, dual) in enumerate(zip(self.active, self.dual)):
             yield [text(a & low) + text(a & high) or "-", text(dual) or "-", text(act) or "-",
                    text(dual & ~a) or "-", text(dual & a) or "-", text(act & ~a) or "-",
@@ -201,7 +200,7 @@ class _Rows(Sequence):
         a, act, dual = picked, self._expansion.active[picked], self._expansion.dual[picked]
         sets = (frozenset(_labels(self._expansion.perspective.ground, mask))
                 for mask in (a, act, dual, act & ~a, act & a, dual & ~a, dual & a))
-        return ActivityRecord(*sets, Monomial(_key(a, act, dual) + (0,)))
+        return ActivityRecord(*sets, Monomial(_key(a, act, dual)))
 
 
 def expansion_sum(p: Perspective) -> ExpansionReport:

@@ -143,7 +143,9 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
-        return _coerce(other) + (-self)
+        if (other := _coerce(other)) is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)

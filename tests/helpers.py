@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 from omtutte.expansions import DichotomyCase
-from omtutte.matroid import Digraph, OrientedRealization, from_digraph
+from omtutte.matroid import Digraph, OrientedRealization
 from omtutte.oriented import ActivityRecord, OrientedMatroid, SignedSubset, orientation_active_sets
 from omtutte.perspective import ValidationReport
 from omtutte.poly import ONE, U, V, VARIABLES, X, Y, Z, Monomial, Polynomial
@@ -317,10 +317,6 @@ def random_realization(rng: random.Random, max_rows: int = 4, max_cols: int = 8)
     rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
             for _ in range(nrows)]
     return OrientedRealization(range(1, ncols + 1), rows)
-
-
-def random_digraph_realization(rng: random.Random) -> OrientedRealization:
-    return from_digraph(random_digraph(rng))
 
 
 # The 16-row activity table of the doubled triangle, keyed by reorientation

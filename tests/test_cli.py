@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,11 @@ import pytest
 
 from omtutte import cli, expansions, gallery, oriented, perspective, poly
 from omtutte.expansions import ExpansionReport, derivative_diag
-from omtutte.matroid import Digraph, from_digraph
+from omtutte.matroid import Digraph, OrientedRealization, from_digraph
 from omtutte.perspective import identity_perspective
 from omtutte.poly import ONE
+
+from helpers import random_digraph, random_realization, rows_of
 
 TRIANGLE = "1 a b\n2 b c\n3 c a\n"
 DOUBLED = "1 a b\n2 a b\n3 c b\n4 c a\n"
@@ -251,12 +254,14 @@ def test_guard_exits_two_without_force(tmp_path, capsys, monkeypatch):
     ("2 4\n1 0 1 2\n0 1 1 -1\n", "matrix", "x^2 + y^2 + 2*x + 2*y\n"),
 ])
 def test_tutte_builds_no_signed_families(tmp_path, capsys, monkeypatch, text, fmt, expected):
+    # on a digraph or matrix, tutte3's M -> M has no z term: it prints t(M) off the rank table
     path = tmp_path / "input"
     path.write_text(text)
     _forbid_signed_families(monkeypatch)
-    code, out, _ = run_cli(capsys, "tutte", "--input", str(path), "--format", fmt)
-    assert code == 0
-    assert out == expected
+    for command in ("tutte", "tutte3"):
+        code, out, _ = run_cli(capsys, command, "--input", str(path), "--format", fmt)
+        assert code == 0
+        assert out == expected
 
 
 def test_tutte_rejects_perspective_input(tmp_path, capsys):
@@ -266,6 +271,46 @@ def test_tutte_rejects_perspective_input(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "tutte needs a digraph or matrix input" in err
+
+
+def _matroid_inputs():
+    """(text, format, realization) of 120 seeded random inputs and the three smallest ones."""
+    rng = random.Random(2801)
+    inputs = [("0 0\n", "matrix", OrientedRealization((), [])),
+              ("1 a a\n", "digraph", from_digraph(gallery.single_loop())),
+              ("1 a b\n", "digraph", from_digraph(gallery.single_arc()))]
+    for _ in range(60):
+        m = random_realization(rng)
+        rows = rows_of(m)
+        text = f"{len(rows)} {len(m.ground)}\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in rows)
+        inputs.append((text, "matrix", m))
+        digraph = random_digraph(rng)
+        text = "".join(f"{label} {tail} {head}\n" for label, tail, head in digraph.arcs)
+        inputs.append((text, "digraph", from_digraph(digraph)))
+    return inputs
+
+
+def test_tutte3_on_a_matroid_is_its_tutte_polynomial(tmp_path, capsys):
+    path = tmp_path / "input"
+    for text, fmt, m in _matroid_inputs():
+        path.write_text(text)
+        expected = str(perspective.tutte3_closed(identity_perspective(m)))
+        for json_flag, shown in (((), expected + "\n"), (("--json",), json.dumps(expected) + "\n")):
+            outputs = [run_cli(capsys, command, "--input", str(path), "--format", fmt, *json_flag)
+                       for command in ("tutte", "tutte3")]
+            assert outputs[0] == outputs[1] == (0, shown, ""), text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tutte"], "tutte needs a digraph or matrix input; use tutte3 for perspectives"),
+    (["count", "acyclic"], "count acyclic needs a digraph or matrix input"),
+    (["count", "bases"], "count bases needs a digraph or matrix input"),
+])
+def test_a_refused_perspective_is_never_read(tmp_path, capsys, argv, message):
+    missing = tmp_path / "missing.persp"
+    code, out, err = run_cli(capsys, *argv, "--format", "perspective", "--input", str(missing))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_identity_failure_exits_one(tmp_path, capsys, monkeypatch):
@@ -481,6 +526,7 @@ def test_help_lists_every_command(capsys, flag):
     out = capsys.readouterr().out
     for command in ("tutte", "tutte3", "activities", "verify", "count", "derivative"):
         assert command in out
+    assert "141" in out
 
 
 @pytest.mark.parametrize("spaced, other", [

@@ -58,6 +58,10 @@ def test_from_major_triangle_contract_three():
     assert len(p.mprime.circuits) == 2
 
 
+def test_repr_shows_size_and_rank_drop():
+    assert repr(path_to_parallel()) == "Perspective(|E|=2, rank_drop=1)"
+
+
 def test_from_major_empty_contract_is_identity():
     p = from_major(triangle(), frozenset())
     assert family_set(p.m.circuits) == family_set(p.mprime.circuits)

@@ -131,6 +131,27 @@ def test_int_minus_polynomial():
     assert 3 - X == -X + 3
 
 
+@pytest.mark.parametrize("foreign", [1.5, "a", Fraction(1, 2)], ids=["float", "str", "fraction"])
+def test_foreign_minus_polynomial_names_its_operands(foreign):
+    message = f"unsupported operand type(s) for -: '{type(foreign).__name__}' and 'Polynomial'"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        foreign - X
+
+
+@pytest.mark.parametrize("call", [
+    lambda: X + "a",
+    lambda: X - "a",
+    lambda: X * 1.5,
+], ids=["add", "sub", "mul"])
+def test_foreign_operands_raise_type_error(call):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        call()
+
+
+def test_polynomial_never_equals_a_string():
+    assert (X == "x") is False
+
+
 @pytest.mark.parametrize("call", [
     lambda: X ** -1,
     lambda: X ** 1.5,
