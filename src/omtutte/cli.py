@@ -134,7 +134,7 @@ def _load(args) -> tuple[OrientedRealization | None, Perspective | None]:
 
     Its root rank table is admitted here, the only place that reads ``--force``.
     """
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not data
         text = fh.read()
     if args.format == "perspective":
         from .perspective import parse_perspective
@@ -209,11 +209,8 @@ def run(args) -> int:
         _emit(args, f"{value} ({shown})", {"value": value, "sides": sides, "agree": agree})
         return 0 if agree else 1
 
-    if args.command == "activities":  # the table writes itself in blocks, never held whole
-        if args.json:
-            _print_json(report.to_json_dict())
-        else:
-            sys.stdout.writelines(report.tsv_blocks())
+    if args.command == "activities":  # either format writes itself in blocks, never held whole
+        sys.stdout.writelines(report.blocks(args.json))
         return 0
 
     if args.command == "derivative":

@@ -112,6 +112,9 @@ def _key(a_mask: int, active: int, dual: int) -> tuple[int, int, int, int, int]:
 _COLUMNS = ("A", "dual_active", "active", "dual_out", "dual_in",
             "active_out", "active_in", "monomial")
 _BLOCK_ROWS = 4096
+# one JSON row object, keys sorted, each value read from its column of a _texts row
+_JSON_ROW = "    {{\n%s\n    }}" % ",\n".join(
+    f'      "{name}": "{{0[{_COLUMNS.index(name)}]}}"' for name in sorted(_COLUMNS))
 
 
 class ExpansionReport:
@@ -170,18 +173,28 @@ class ExpansionReport:
                    text(dual & ~a) or "-", text(dual & a) or "-", text(act & ~a) or "-",
                    text(act & a) or "-", monomial(_key(a, act, dual))]
 
-    def tsv_blocks(self) -> Iterator[str]:
-        """The TSV table, header first, in blocks of _BLOCK_ROWS lines: one write each."""
-        lines = itertools.chain([_COLUMNS], self._texts())
-        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-            yield "\n".join(map("\t".join, block)) + "\n"
+    def blocks(self, json: bool = False) -> Iterator[str]:
+        """The table in blocks of _BLOCK_ROWS rows, one write each: TSV under a header line, or
+        what ``print(json.dumps(..., indent=2, sort_keys=True))`` writes, which here needs no
+        escape: every text is integer labels, ``-`` or a polynomial."""
+        head, row, sep, tail = "\t".join(_COLUMNS) + "\n", "\t".join, "\n", "\n"
+        if json:
+            head = (f'{{\n  "pass": {str(self.passed).lower()},\n'
+                    f'  "reference": "{self.reference}",\n  "rows": [\n')
+            row, sep, tail = _JSON_ROW.format, ",\n", f'\n  ],\n  "sum": "{self.total}"\n}}\n'
+        texts = self._texts()
+        while block := list(itertools.islice(texts, _BLOCK_ROWS)):
+            yield head + sep.join(map(row, block))
+            head = sep
+        yield tail
 
     def to_tsv(self) -> str:
-        return "".join(self.tsv_blocks())
+        return "".join(self.blocks())
 
     def to_json_dict(self) -> dict:
-        return {"pass": self.passed, "sum": str(self.total), "reference": str(self.reference),
-                "rows": [dict(zip(_COLUMNS, texts)) for texts in self._texts()]}
+        import json
+
+        return json.loads("".join(self.blocks(json=True)))
 
 
 class _Rows(Sequence):

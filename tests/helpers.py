@@ -511,3 +511,41 @@ def oracle_substitute(poly: Polynomial, bindings) -> Polynomial:
 def oracle_reference(p) -> Polynomial:
     """t(x+u, y+v, 1) by the oracle's substitution into the oracle's t(x, y, z)."""
     return oracle_substitute(oracle_tutte3_closed(p), {"x": X + U, "y": Y + V, "z": 1})
+
+
+TABLE_COLUMNS = ("A", "dual_active", "active", "dual_out", "dual_in",
+                 "active_out", "active_in", "monomial")
+
+
+def oracle_table_rows(p) -> list[dict[str, str]]:
+    """The cells of every row of the activity table, from ``oracle_expansion``'s records.
+
+    A label set is its labels sorted and joined, ``-`` when empty; the monomial is its str.
+    """
+    active, dual, _ = oracle_expansion(p)
+
+    def labels(mask):
+        return frozenset(e for i, e in enumerate(p.ground) if mask >> i & 1)
+
+    rows = []
+    for a, (act, co) in enumerate(zip(active, dual)):
+        record = record_of(labels(a), labels(act), labels(co))._asdict()
+        rows.append({name: str(record[name]) if name == "monomial"
+                     else "".join(map(str, sorted(record[name]))) or "-"
+                     for name in TABLE_COLUMNS})
+    return rows
+
+
+def oracle_json_table(p, total: Polynomial | None = None) -> str:
+    """The JSON activity table, as ``json.dumps`` lays it out, with a trailing newline.
+
+    ``sum`` and ``pass`` read ``total`` when it is given, else the oracle's own expansion;
+    ``reference`` is ``oracle_reference``.
+    """
+    import json
+
+    total = oracle_expansion(p)[2] if total is None else total
+    reference = oracle_reference(p)
+    table = {"pass": total == reference, "sum": str(total), "reference": str(reference),
+             "rows": oracle_table_rows(p)}
+    return json.dumps(table, indent=2, sort_keys=True) + "\n"

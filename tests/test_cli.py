@@ -60,6 +60,21 @@ def test_tutte3_on_digraph_uses_identity_perspective(tmp_path, capsys):
     assert out == "x^2 + x*y + y^2 + x + y\n"
 
 
+@pytest.mark.parametrize("text, argv", [
+    (TRIANGLE, ["tutte"]),
+    ("2 4\n1 0 1/2 -3/4\n0 1 1 2/3\n", ["tutte", "--format", "matrix"]),
+    (MAJOR, ["tutte3", "--format", "perspective"]),
+], ids=["digraph", "matrix", "perspective"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, text, argv):
+    outputs = []
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        path = tmp_path / name
+        path.write_text(prefix + text, encoding="utf-8")
+        outputs.append(run_cli(capsys, *argv, "--input", str(path)))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
 def test_matrix_format_input(tmp_path, capsys):
     path = tmp_path / "loops.mat"
     path.write_text("0 3\n")
@@ -557,8 +572,9 @@ def run_module(*argv, stdout=subprocess.PIPE, unbuffered=True):
 @pytest.mark.parametrize("text, argv", [
     (TRIANGLE, ["tutte", "--input"]),
     (W6, ["activities", "--input"]),
+    (W6, ["activities", "--json", "--input"]),
     (None, ["--help"]),
-], ids=["tutte-triangle", "activities-w6", "help"])
+], ids=["tutte-triangle", "activities-w6", "activities-json-w6", "help"])
 def test_closed_output_pipe_exits_141_silently(tmp_path, text, argv, unbuffered):
     # the reader is gone before the process writes, as after `| head -1` on a long table
     path = tmp_path / "input.dg"

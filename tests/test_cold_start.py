@@ -77,6 +77,13 @@ def test_tutte_runs_without_the_table_modules(tmp_path):
         assert sorted(loaded.intersection(AVOIDED)) == [], command
 
 
+def test_the_json_activity_table_loads_no_json_module(tmp_path):
+    # the table streams its own JSON text in blocks, like the TSV
+    loaded = run_main(tmp_path, "triangle.dg", "1 a b\n2 b c\n3 c a\n", "activities", "--json")
+    assert "omtutte.expansions" in loaded
+    assert sorted(loaded.intersection(AVOIDED)) == []
+
+
 def test_tutte3_on_a_major_runs_without_expansions(tmp_path):
     loaded = run_main(tmp_path, "major.persp",
                       "major: digraph\n1 a b\n2 b c\n3 c a\ncontract: 3\n",

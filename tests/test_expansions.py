@@ -40,6 +40,7 @@ from omtutte import expansions, gallery
 
 from helpers import (
     DOUBLED_TRIANGLE_ROWS,
+    TABLE_COLUMNS,
     TWO_GRAPH_ROWS,
     every_arc_on_directed_cycle,
     has_directed_cycle,
@@ -51,6 +52,8 @@ from helpers import (
     monomial_of,
     oracle_dichotomy_case,
     oracle_expansion,
+    oracle_json_table,
+    oracle_table_rows,
     random_digraph,
     random_realization,
     record_of,
@@ -298,6 +301,43 @@ def test_tsv_serialization():
     assert payload["pass"] is True
     assert payload["sum"] == "y + v"
     assert len(payload["rows"]) == 2
+
+
+def directed_cycle(n):
+    return Digraph.from_arcs([(i + 1, f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+
+
+def test_json_table_matches_the_json_module_on_the_oracle_records():
+    # the seeded inputs hold the empty ground set; 13 elements are 8192 rows in two blocks
+    perspectives = differential_perspectives(random.Random(71)) + [
+        identity_of(gallery.single_loop()), identity_of(gallery.single_arc()),
+        two_graph_perspective(), bounded_perspective(from_digraph(gallery.directed_triangle()), 3),
+        identity_of(directed_cycle(13))]
+    for p in perspectives:
+        assert "".join(expansion_sum(p).blocks(json=True)) == oracle_json_table(p), p.ground
+
+
+def test_json_table_of_a_failed_identity_reads_pass_false():
+    p = identity_of(gallery.doubled_triangle())
+    report = expansion_sum(p)
+    falsified = ExpansionReport(p, report.active_sets, report.dual_sets, report.total + X)
+    text = "".join(falsified.blocks(json=True))
+    assert text == oracle_json_table(p, total=report.total + X)
+    assert '\n  "pass": false,\n' in text
+
+
+def test_a_table_of_two_blocks_matches_the_oracle_records():
+    p = identity_of(directed_cycle(13))
+    report = expansion_sum(p)
+    rows = [TABLE_COLUMNS, *(row.values() for row in oracle_table_rows(p))]
+    assert report.to_tsv() == "".join("\t".join(row) + "\n" for row in rows)
+    tsv_rows = [len([line for line in piece.split("\n") if line and line != "\t".join(rows[0])])
+                for piece in report.blocks()]
+    json_rows = [piece.count('"A": ') for piece in report.blocks(json=True)]
+    for counted in (tsv_rows, json_rows):
+        assert len(counted) > 2
+        assert sum(counted) == 8192
+        assert max(counted) <= expansions._BLOCK_ROWS
 
 
 # -- two-variable specializations -------------------------------------------------------
