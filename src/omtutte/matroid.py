@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -144,19 +143,21 @@ def popcounts(n: int) -> bytearray:
     return sizes
 
 
-def _dual_table(table: bytes) -> bytearray:
-    """r*(S) = |S| - r(E) + r(E minus S); the mask of E minus S is the mirrored index."""
+def _dual_table(table: bytes) -> bytes:
+    """r*(S) = |S| - r(E) + r(E minus S); the mask of E minus S is the mirrored index.
+
+    Read big-endian, the table is its own mirror, so |S| + r(E minus S) is one big-int add:
+    no byte sum carries, since each is at most 2|E| < 256.
+    """
     n = len(table).bit_length() - 1
-    summed = bytearray(map(operator.add, popcounts(n), reversed(table)))
-    return summed.translate(_shifted(-table[-1]))
+    summed = int.from_bytes(popcounts(n), "little") + int.from_bytes(table, "big")
+    return summed.to_bytes(len(table), "little").translate(_shifted(-table[-1]))
 
 
-def _minor_table(table: bytes, i: int, contract: bool) -> bytearray:
-    """The table with ground index i removed: r(S) deleted, r(S+e) - r(e) contracted."""
+def _minor_table(table: bytes, i: int) -> bytearray:
+    """The table with ground index i deleted: r(S) for the masks S avoiding it."""
     low = 1 << i
-    start = low if contract else 0
-    out = bytearray().join(table[k:k + low] for k in range(start, len(table), 2 * low))
-    return out.translate(_shifted(-1)) if contract and table[low] else out
+    return bytearray().join(table[k:k + low] for k in range(0, len(table), 2 * low))
 
 
 def _loop_table(table: bytes, i: int) -> bytearray:
@@ -341,22 +342,11 @@ class OrientedRealization(_Ground):
     def delete(self, e: int) -> "OrientedRealization":
         i = self.index_of(e)
         ground, columns = (t[:i] + t[i + 1:] for t in (self.ground, self.integer_columns))
-        return self._derived(ground, columns, lambda t: _minor_table(t, i, contract=False))
+        return self._derived(ground, columns, lambda t: _minor_table(t, i))
 
     def contract(self, e: int) -> "OrientedRealization":
-        """Quotient of the column space by column e; a loop contracts as a delete.
-
-        Row o becomes pivot * row_o - col[o] * pivot_row, a row-scaled quotient.
-        """
-        i = self.index_of(e)
-        r = _pivot(self.integer_columns[i])
-        if r < 0:
-            return self.delete(e)
-        rows = list(zip(*self.integer_columns))
-        reduced = [_eliminate(row, rows[r], i) for o, row in enumerate(rows) if o != r]
-        ground, columns = (t[:i] + t[i + 1:] for t in (self.ground,
-                                                        _transposed(reduced, len(rows[0]))))
-        return self._derived(ground, columns, lambda t: _minor_table(t, i, contract=True))
+        """Deletion in the dual: M/e = (M* minus e)*; a loop of M is an isthmus of M*."""
+        return self.dual().delete(e).dual()
 
     def dual(self) -> "OrientedRealization":
         """Realization whose row space is the orthogonal complement of this one's."""

@@ -76,7 +76,8 @@ def _in_family_order(pairs: Iterable[tuple[int, int]]) -> Pairs:
 def _circuit_supports(table: bytes) -> list[int]:
     """Masks of rank |S|-1 whose maximal proper subsets are all independent."""
     n = len(table).bit_length() - 1
-    nullity = bytes(map(operator.sub, popcounts(n), table))
+    sizes, ranks = (int.from_bytes(t, "little") for t in (popcounts(n), table))
+    nullity = (sizes - ranks).to_bytes(len(table), "little")  # |S| >= r(S): no byte borrows
     out = []
     for s, k in enumerate(nullity):
         if k != 1:
@@ -211,24 +212,24 @@ class OrientedMatroid(_Ground):
                              lambda: self.cocircuit_pairs, lambda: self.circuit_pairs)
 
     def minor_delete(self, e: int) -> "OrientedMatroid":
-        return self.memo(("delete", e), lambda: self._minor(e, contract=False))
+        return self.memo(("delete", e), lambda: self._minor(e))
 
     def minor_contract(self, e: int) -> "OrientedMatroid":
-        return self.memo(("contract", e), lambda: self._minor(e, contract=True))
+        """Deletion in the dual: M/e = (M* minus e)*."""
+        return self.memo(("contract", e), lambda: self.dual().minor_delete(e).dual())
 
-    def _minor(self, e: int, contract: bool) -> "OrientedMatroid":
-        """M/e, whose circuits contract e and cocircuits delete it, or M minus e, the reverse."""
+    def _minor(self, e: int) -> "OrientedMatroid":
+        """M minus e: its circuits avoid e, and its cocircuits contract e in M*."""
         i = self.index_of(e)
 
-        def spans(s: int) -> bool:  # e in the span of s in M, or in M*: r(E-s-e) < r(E-s)
+        def spans(s: int) -> bool:  # e in the span of s in M*: r(E-s-e) < r(E-s)
             t = self.rank_table()  # t[~s] is t[E minus s]
-            return t[s | 1 << i] == t[s] if contract else t[~(s | 1 << i)] < t[~s]
+            return t[~(s | 1 << i)] < t[~s]
 
-        by_circuits, by_cocircuits = (spans, None) if contract else (None, spans)
         return self._derived(self.ground[:i] + self.ground[i + 1:],
-                             lambda: _minor_table(self.rank_table(), i, contract),
-                             lambda: _minor_family(self.circuit_pairs, i, by_circuits),
-                             lambda: _minor_family(self.cocircuit_pairs, i, by_cocircuits))
+                             lambda: _minor_table(self.rank_table(), i),
+                             lambda: _minor_family(self.circuit_pairs, i),
+                             lambda: _minor_family(self.cocircuit_pairs, i, spans))
 
     def contract_as_loop(self, e: int) -> "OrientedMatroid":
         """M/e on this ground set, e's slot a loop: M/e's families with slot e kept empty,

@@ -132,11 +132,11 @@ def _contraction_set(n: OrientedRealization, c: Iterable[int]) -> frozenset[int]
 
 
 def from_major(n: OrientedRealization, c: Iterable[int]) -> Perspective:
-    """Delete/contract factorization: M = n with c deleted, M' = n with c contracted."""
-    m = mprime = n
+    """Delete/contract factorization: M = n with c deleted, M' = n/c = (n* with c deleted)*."""
+    m, dual = n, n.dual()
     for e in sorted(_contraction_set(n, c)):
-        m, mprime = m.delete(e), mprime.contract(e)
-    return Perspective(OrientedMatroid(m), OrientedMatroid(mprime))
+        m, dual = m.delete(e), dual.delete(e)
+    return Perspective(OrientedMatroid(m), OrientedMatroid(dual.dual()))
 
 
 def tutte3_closed(p: Perspective) -> Polynomial:

@@ -9,6 +9,7 @@ genuinely two-sided.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -100,18 +101,38 @@ def family_set(ground, pairs) -> set[tuple[frozenset, frozenset]]:
     return {(labels(pos), labels(sup ^ pos)) for pos, sup in pairs}
 
 
+def oracle_contract(m: OrientedRealization, e: int) -> OrientedRealization:
+    """m/e as a root of its own, by the row-reduction quotient; a loop contracts as a delete.
+
+    With p the first row where column e is nonzero, every other row becomes
+    col[p] * row - col[row] * row_p, divided by its content: a row-scaled quotient
+    by column e, with the same signs.  Row p and column e are then dropped.
+    """
+    i = m.ground.index(e)
+    rows, col = rows_of(m), m.integer_columns[i]
+    p = next((r for r, x in enumerate(col) if x), None)
+    if p is not None:
+        rows = [[col[p] * x - col[o] * y for x, y in zip(row, rows[p])]
+                for o, row in enumerate(rows) if o != p]
+        rows = [[x // g for x in row] if (g := math.gcd(*row)) > 1 else row for row in rows]
+    return OrientedRealization(m.ground[:i] + m.ground[i + 1:],
+                               [row[:i] + row[i + 1:] for row in rows])
+
+
 def minors_of(n: OrientedRealization, c) -> tuple[OrientedRealization, OrientedRealization]:
-    """(n with c deleted, n with c contracted), one label at a time in increasing order."""
+    """(n with c deleted, n with c contracted by ``oracle_contract``), one label at a time in
+    increasing order."""
     deleted = contracted = n
     for e in sorted(c):
-        deleted, contracted = deleted.delete(e), contracted.contract(e)
+        deleted, contracted = deleted.delete(e), oracle_contract(contracted, e)
     return deleted, contracted
 
 
 def loop_at_contraction(m: OrientedRealization, e: int) -> OrientedRealization:
-    """The matrix of bounded M': m/e's matrix with a zero column put back at e's slot."""
+    """The matrix of bounded M': m/e's matrix, by ``oracle_contract``, with a zero column put
+    back at e's slot."""
     i = m.ground.index(e)
-    rows = rows_of(m.contract(e))
+    rows = rows_of(oracle_contract(m, e))
     return OrientedRealization(m.ground, [row[:i] + (0,) + row[i:] for row in rows])
 
 
@@ -121,7 +142,7 @@ def oracle_dichotomy_case(real_m: OrientedRealization,
 
     Active sets are the smallest elements of the positive circuits of M, M\\e, M/e
     and -_e M, each read by ``oracle_signed_circuits`` off the matrix minor
-    (``delete``, ``contract``, ``negate_columns``); dual-active sets are the same of
+    (``delete``, ``oracle_contract``, ``negate_columns``); dual-active sets are the same of
     M' through ``.dual()``.  None when neither case holds.
     """
     e = real_m.ground[-1]
@@ -130,7 +151,7 @@ def oracle_dichotomy_case(real_m: OrientedRealization,
         return frozenset(min(pos) for pos, neg in oracle_signed_circuits(real) if not neg) - {e}
 
     def sets(real: OrientedRealization, dual: bool) -> list[frozenset]:
-        derived = (real, real.delete(e), real.contract(e), real.negate_columns({e}))
+        derived = (real, real.delete(e), oracle_contract(real, e), real.negate_columns({e}))
         return [minima(x.dual() if dual else x) for x in derived]
 
     act, act_del, act_con, act_flip = sets(real_m, False)
@@ -420,6 +441,12 @@ def oracle_expansion(p) -> tuple[list[int], list[int], Polynomial]:
         histogram[Monomial(((co & ~a).bit_count(), (co & a).bit_count(),
                             (act & ~a).bit_count(), (act & a).bit_count(), 0))] += 1
     return active, dual, Polynomial(histogram)
+
+
+def oracle_dual_table(table: bytes) -> bytes:
+    """r*(S) = |S| - r(E) + r(E minus S), one mask at a time."""
+    full = len(table) - 1
+    return bytes(bin(s).count("1") - table[full] + table[full ^ s] for s in range(len(table)))
 
 
 def _subset_counts(*tables: bytes) -> Counter:

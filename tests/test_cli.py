@@ -418,6 +418,21 @@ def test_count_disagreement_exits_one(tmp_path, capsys, monkeypatch, kind, sourc
     assert skewed != out
 
 
+def test_major_matrix_contracting_a_generic_column_a_loop_and_an_isthmus(tmp_path, capsys):
+    # U(2,3) -> U(1,3): column 4 is generic, 5 a zero column (a loop), 6 an isthmus; the
+    # corank-nullity sum is (x-1)z from the empty set, 3z, 3 and y-1
+    path = tmp_path / "u23.persp"
+    path.write_text("major: matrix\n3 6\n1 0 1 1 0 0\n0 1 1 -1 0 0\n0 0 0 0 0 1\n"
+                    "contract: 4 5 6\n")
+    for argv, expected in [(["tutte3"], "x*z + y + 2*z + 2\n"),
+                           (["count", "bounded"], "4 (t(0,0,1)=4, signed sum=4)\n")]:
+        assert run_cli(capsys, *argv, "--input", str(path), "--format", "perspective") \
+            == (0, expected, "")
+    code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--format", "perspective")
+    assert code == 0
+    assert "dichotomy: case i\n" in out
+
+
 def _count_family_builds(monkeypatch):
     calls = []
     real = oriented.signed_circuits

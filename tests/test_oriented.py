@@ -17,7 +17,7 @@ from omtutte.oriented import (
     signed_circuits,
     signed_cocircuits,
 )
-from omtutte.perspective import bounded_perspective, identity_perspective
+from omtutte.perspective import bounded_perspective, from_major, identity_perspective
 from omtutte.poly import Monomial
 from omtutte import gallery
 
@@ -31,6 +31,7 @@ from helpers import (
     is_acyclic,
     is_totally_cyclic,
     loop_at_contraction,
+    oracle_contract,
     oracle_expansion,
     oracle_signed_circuits,
     random_digraph,
@@ -417,21 +418,77 @@ def test_minor_families_match_linear_algebra_on_the_minor_matrix():
         a = [e for e in m.ground if rng.random() < 0.5]
         xs = [(root, m), (root.reorient(a), m.negate_columns(a)), (root.dual(), m.dual()),
               (root.reorient(a).dual(), m.negate_columns(a).dual())]
-        xs += [pair for e in m.ground for pair in ((root.minor_delete(e), m.delete(e)),
-                                                   (root.minor_contract(e), m.contract(e)))]
+        xs += [pair for e in m.ground
+               for pair in ((root.minor_delete(e), m.delete(e)),
+                            (root.minor_contract(e), oracle_contract(m, e)))]
         for x, x_real in xs:
             for e in x.ground:
                 for minor, real in ((x.minor_delete(e), x_real.delete(e)),
-                                    (x.minor_contract(e), x_real.contract(e))):
+                                    (x.minor_contract(e), oracle_contract(x_real, e))):
                     assert minor.circuit_pairs == signed_circuits(real), (m, e)
                     assert minor.cocircuit_pairs == signed_cocircuits(real), (m, e)
+
+
+def _contraction_cases(rng):
+    """(realization, labels to contract in order): one, two and three contractions of
+    roots with loops, isthmi, rank 0 and full rank."""
+    full_rank = [OrientedRealization((1, 2, 3), [[2, 1, 0], [0, -1, 3], [1, 0, 1]]),
+                 OrientedRealization((1, 2, 3, 4), [[1, 0, 0, 0], [0, -2, 0, 0],
+                                                    [0, 0, 3, 0], [0, 0, 0, 1]])]
+    for m in [*_minor_roots(rng), *full_rank]:
+        yield from ((m, (e,)) for e in m.ground)
+        for k in (2, 3):
+            if len(m.ground) >= k:
+                yield m, tuple(rng.sample(m.ground, k))
+
+
+def _oracle_sides(oracle):
+    """The oracle's rank table and both families, each off its own matrix."""
+    return (oracle.rank_table(), oracle_signed_circuits(oracle),
+            oracle_signed_circuits(oracle.dual()))
+
+
+def test_contraction_matches_the_row_reduction_oracle():
+    # contract and minor_contract are deletion in the dual; the oracle is a row reduction
+    rng = random.Random(1818)
+    checked = 0
+    for m, labels in _contraction_cases(rng):
+        real, om, oracle = m, OrientedMatroid(m), m
+        for e in labels:
+            real, om, oracle = real.contract(e), om.minor_contract(e), oracle_contract(oracle, e)
+        expected = _oracle_sides(oracle)
+        assert real.ground == om.ground == oracle.ground
+        assert (real.rank_table(), family_set(real.ground, signed_circuits(real)),
+                family_set(real.ground, signed_cocircuits(real))) == expected, (m, labels)
+        assert (om.rank_table(), family_set(om.ground, om.circuit_pairs),
+                family_set(om.ground, om.cocircuit_pairs)) == expected, (m, labels)
+        checked += 1
+    assert checked > 100
+
+
+def test_from_major_contracts_three_labels_as_the_oracle_does():
+    rng = random.Random(1919)
+    checked = 0
+    while checked < 12:
+        n = (random_realization(rng, max_rows=4, max_cols=6) if checked % 2
+             else from_digraph(random_digraph(rng, max_vertices=4, max_arcs=6)))
+        if len(n.ground) < 4:
+            continue
+        c = rng.sample(n.ground, 3)
+        p = from_major(n, c)
+        oracle = n
+        for e in sorted(c):
+            oracle = oracle_contract(oracle, e)
+        assert (p.mprime.rank_table(), family_set(p.ground, p.mprime.circuit_pairs),
+                family_set(p.ground, p.mprime.cocircuit_pairs)) == _oracle_sides(oracle)
+        checked += 1
 
 
 # -- only a root reads a matrix ------------------------------------------------------
 
 def _derived_with_oracles(m, rng):
     """(derived oriented matroid, matrix oracle) pairs, every oracle built from the root's
-    matrix by negate_columns, dual, delete and contract, or loop_at_contraction for M'."""
+    matrix by negate_columns, dual, delete and oracle_contract, or loop_at_contraction for M'."""
     root = OrientedMatroid(m)
     a = [e for e in m.ground if rng.random() < 0.5] or list(m.ground[:1])
     out = [(root.dual(), m.dual())]
@@ -439,14 +496,16 @@ def _derived_with_oracles(m, rng):
         out += [(root.reorient(a), m.negate_columns(a)),
                 (root.reorient(a).dual(), m.negate_columns(a).dual())]
     for e in m.ground:
-        out += [(root.minor_delete(e), m.delete(e)), (root.minor_contract(e), m.contract(e)),
+        out += [(root.minor_delete(e), m.delete(e)),
+                (root.minor_contract(e), oracle_contract(m, e)),
                 (root.contract_as_loop(e), loop_at_contraction(m, e)),
-                (root.dual().minor_contract(e), m.dual().contract(e))]
+                (root.dual().minor_contract(e), oracle_contract(m.dual(), e))]
         f = rng.choice([f for f in m.ground if f != e] or [None])
         if f is not None:
-            out += [(root.minor_delete(e).minor_contract(f), m.delete(e).contract(f)),
-                    (root.minor_contract(e).minor_delete(f), m.contract(e).delete(f)),
-                    (root.minor_contract(e).minor_contract(f), m.contract(e).contract(f))]
+            out += [(root.minor_delete(e).minor_contract(f), oracle_contract(m.delete(e), f)),
+                    (root.minor_contract(e).minor_delete(f), oracle_contract(m, e).delete(f)),
+                    (root.minor_contract(e).minor_contract(f),
+                     oracle_contract(oracle_contract(m, e), f))]
     return out
 
 

@@ -182,6 +182,27 @@ def test_rank_interval_property_on_nested_pairs():
                     <= m.rank(x_set) - mp.rank(x_set))
 
 
+def _swapped(t: Polynomial, drop: int) -> Polynomial:
+    """z^drop * t(y, x, 1/z): x and y exchanged, each z^k made z^(drop - k)."""
+    return Polynomial({(y, 0, x, 0, drop - z): c for (x, _, y, _, z), c in t.terms().items()})
+
+
+def test_dual_perspective_exchanges_x_and_y_and_inverts_z():
+    # t(M'*, M*; x, y, z) = z^(r(M) - r(M')) t(M, M'; y, x, 1/z): both sides read only tables
+    rng = random.Random(2121)
+    empty = om(OrientedRealization((), []))
+    loop, isthmus = om(OrientedRealization((1,), [[0]])), om(OrientedRealization((1,), [[1]]))
+    cases = [Perspective(empty, empty), Perspective(loop, loop), Perspective(isthmus, isthmus),
+             Perspective(isthmus, loop)]
+    while len(cases) < 64:
+        n = (random_realization(rng, max_rows=4, max_cols=7) if len(cases) % 2
+             else from_digraph(random_digraph(rng, max_vertices=5, max_arcs=7)))
+        cases.append(from_major(n, rng.sample(n.ground, rng.randrange(len(n.ground)))))
+    for p in cases:
+        dual = Perspective(p.mprime.dual(), p.m.dual())
+        assert tutte3_closed(dual) == _swapped(tutte3_closed(p), p.rank_drop()), p
+
+
 # -- bounded perspective ---------------------------------------------------------------
 
 def test_bounded_perspective_triangle():

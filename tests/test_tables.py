@@ -3,7 +3,7 @@
 import random
 
 from omtutte import matroid
-from omtutte.matroid import OrientedRealization, from_digraph
+from omtutte.matroid import OrientedRealization, _dual_table, from_digraph
 from omtutte.oriented import OrientedMatroid, signed_circuits, signed_cocircuits
 from omtutte.perspective import bounded_perspective
 
@@ -11,6 +11,7 @@ from helpers import (
     columns_of,
     family_set,
     loop_at_contraction,
+    oracle_dual_table,
     oracle_rank,
     oracle_signed_circuits,
     random_digraph,
@@ -109,6 +110,23 @@ def test_minor_and_dual_tables_match_fresh_builds():
         for length in (2, 2, 3, 3):
             chain = derivation_chain(m, rng, length)
             assert chain.rank_table() == fresh(chain).rank_table()
+
+
+def test_dual_table_matches_a_per_mask_loop():
+    # r(E) = |E| and r(T) in [|T|, |E|] give the largest byte sums, |S| + r(E minus S) <= 2|E|
+    rng = random.Random(9006)
+    tables = [bytes(1)]  # the empty ground set
+    for n in range(1, 15):
+        table = bytearray(rng.randint(s.bit_count(), n) for s in range(1 << n))
+        table[-1] = n
+        tables.append(table)
+    for table in tables:
+        assert _dual_table(table) == oracle_dual_table(table)
+    _, instances = seeded_instances(9007)
+    for m in instances:
+        table = m.rank_table()
+        assert _dual_table(table) == oracle_dual_table(table)
+        assert _dual_table(_dual_table(table)) == table
 
 
 def test_bounded_perspective_builds_one_root_table(monkeypatch):
