@@ -132,7 +132,7 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
 def _load(args) -> tuple[OrientedRealization | None, Perspective | None]:
     """Read the input file: a realization for matroid inputs, else a perspective.
 
-    Its root rank table is admitted here, the only place that reads ``--force``.
+    Its root rank tables are admitted here, the only place that reads ``--force``.
     """
     with open(args.input, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not data
         text = fh.read()

@@ -122,21 +122,22 @@ def identity_perspective(m: OrientedRealization | OrientedMatroid) -> Perspectiv
     return om.memo("identity", lambda: Perspective(om, om))
 
 
-def _contraction_set(n: OrientedRealization, c: Iterable[int]) -> frozenset[int]:
-    """``c`` as a set of n's labels, checked to leave a nonempty ground set."""
+def _major_roots(n: OrientedRealization, c: Iterable[int]) -> tuple[OrientedRealization, ...]:
+    """M = n minus c and M' = n/c = (n* minus c)*, each a root over its own integer columns."""
     c = frozenset(c)
-    n.mask_of(c)
-    if c == set(n.ground):
+    if n.mask_of(c) == (1 << len(n.ground)) - 1:
         raise PerspectiveError("cannot contract the whole ground set; E would be empty")
-    return c
+    m, dual = n, n.dual()
+    for e in sorted(c):
+        m, dual = m.delete(e), dual.delete(e)
+    return tuple(OrientedRealization(r.ground, list(zip(*r.integer_columns)))
+                 for r in (m, dual.dual()))
 
 
 def from_major(n: OrientedRealization, c: Iterable[int]) -> Perspective:
-    """Delete/contract factorization: M = n with c deleted, M' = n/c = (n* with c deleted)*."""
-    m, dual = n, n.dual()
-    for e in sorted(_contraction_set(n, c)):
-        m, dual = m.delete(e), dual.delete(e)
-    return Perspective(OrientedMatroid(m), OrientedMatroid(dual.dual()))
+    """The factorization n minus c -> n/c as two unadmitted roots; past the guard, parse with
+    ``force=True``, or admit ``n.rank_table(force=True)`` and derive with delete and dual."""
+    return Perspective(*map(OrientedMatroid, _major_roots(n, c)))
 
 
 def tutte3_closed(p: Perspective) -> Polynomial:
@@ -168,9 +169,9 @@ def bounded_perspective(m: OrientedRealization | OrientedMatroid, e: int) -> Per
 # -- perspective file format ----------------------------------------------------
 
 def parse_perspective(text: str, force: bool = False) -> Perspective:
-    """Parse the perspective file format, admitting its roots' tables with ``force``.
+    """Parse the perspective file format, admitting its two roots' tables with ``force``.
 
-    The roots are the major, or both matroids of a pair.  Either::
+    The roots are M and M', a pair's two matrices or a major's N minus C and N/C.  Either::
 
         major: <digraph|matrix>
         ...payload lines...
@@ -207,10 +208,8 @@ def parse_perspective(text: str, force: bool = False) -> Perspective:
             raise InputFormatError(f"bad contract labels {labels_text!r}")
         major = payload(header.split(":", 1)[1].strip(),
                         set(range(header_at + 1, len(lines))) - {contract_at})
-        labels = _contraction_set(major, labels)  # a bad label is reported before the guard
-        major.rank_table(force)
-        return from_major(major, labels)
-    if header.startswith("pair:"):
+        m_real, mp_real = _major_roots(major, labels)
+    elif header.startswith("pair:"):
         fmts = header.split(":", 1)[1].split()
         if len(fmts) == 1:
             fmts = fmts * 2
@@ -223,7 +222,8 @@ def parse_perspective(text: str, force: bool = False) -> Perspective:
         mp_real = payload(fmts[1], range(separators[0] + 1, len(lines)))
         if m_real.ground != mp_real.ground:
             raise PerspectiveError("the two inputs must share the same ordered ground set")
-        m_real.rank_table(force)
-        mp_real.rank_table(force)
-        return Perspective(OrientedMatroid(m_real), OrientedMatroid(mp_real))
-    raise InputFormatError("perspective file must start with 'major:' or 'pair:'")
+    else:
+        raise InputFormatError("perspective file must start with 'major:' or 'pair:'")
+    m_real.rank_table(force)
+    mp_real.rank_table(force)
+    return Perspective(OrientedMatroid(m_real), OrientedMatroid(mp_real))

@@ -42,6 +42,12 @@ def rows_of(m: OrientedRealization) -> list[tuple[int, ...]]:
     return list(zip(*m.integer_columns))
 
 
+def matrix_text(m: OrientedRealization) -> str:
+    """The ``matrix`` input text of a realization whose labels are 1..n: its integer rows."""
+    rows = rows_of(m)
+    return f"{len(rows)} {len(m.ground)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
 def columns_of(m: OrientedRealization, labels) -> list[tuple[int, ...]]:
     """The integer columns of ``labels``, in the order given."""
     return [m.integer_columns[m.index_of(e)] for e in labels]

@@ -16,7 +16,7 @@ from omtutte.matroid import Digraph, OrientedRealization, from_digraph
 from omtutte.perspective import identity_perspective
 from omtutte.poly import ONE
 
-from helpers import random_digraph, random_realization, rows_of
+from helpers import matrix_text, random_digraph, random_realization, rows_of
 
 TRIANGLE = "1 a b\n2 b c\n3 c a\n"
 DOUBLED = "1 a b\n2 a b\n3 c b\n4 c a\n"
@@ -115,6 +115,42 @@ def test_pair_header_with_one_format_word(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--format", "perspective")
     assert code == 0
     assert "dichotomy: case ii" in out.splitlines()
+
+
+def _majors_contracting_their_top_labels():
+    """``major:`` texts whose C holds the greatest labels, so that M's labels are 1..|E|."""
+    digraph, contract = gallery.bridged_triangle_major()
+    yield ("major: digraph\n" + "".join(f"{a} {t} {h}\n" for a, t, h in digraph.arcs)
+           + "contract: " + " ".join(map(str, sorted(contract))) + "\n")
+    yield "major: digraph\n" + W6 + "contract: 11 12\n"
+    # U(2,3) -> U(1,3): a generic column, a zero column (a loop) and an isthmus contracted
+    yield "major: matrix\n3 6\n1 0 1 1 0 0\n0 1 1 -1 0 0\n0 0 0 0 0 1\ncontract: 4 5 6\n"
+    rng = random.Random(3232)
+    for k in (1, 2, 3, 3):
+        n = random_realization(rng, max_rows=4, max_cols=8)
+        while len(n.ground) <= k:
+            n = random_realization(rng, max_rows=4, max_cols=8)
+        yield ("major: matrix\n" + matrix_text(n) + "contract: "
+               + " ".join(map(str, n.ground[-k:])) + "\n")
+
+
+@pytest.mark.parametrize("argv", [["tutte3"], ["verify"], ["count", "bounded"], ["activities"]],
+                         ids=" ".join)
+def test_a_major_file_and_the_pair_of_its_two_matrices_print_the_same(tmp_path, capsys, argv):
+    # both forms load as the same two roots, M = N\C and M' = N/C
+    checked = 0
+    for text in _majors_contracting_their_top_labels():
+        major, pair = tmp_path / "major.persp", tmp_path / "pair.persp"
+        major.write_text(text)
+        p = perspective.parse_perspective(text)
+        pair.write_text("pair: matrix\n" + matrix_text(p.m.realization) + "---\n"
+                        + matrix_text(p.mprime.realization))
+        outputs = [run_cli(capsys, *argv, "--input", str(path), "--format", "perspective")
+                   for path in (major, pair)]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0], text
+        checked += 1
+    assert checked == 7
 
 
 def test_verify_passes(tmp_path, capsys):

@@ -25,9 +25,15 @@ from omtutte.perspective import (
 )
 from omtutte import gallery
 
-# 21 columns (1, i), rank 2: deleting and contracting {20, 21} leaves 19 elements
-MAJOR21 = ("major: matrix\n2 21\n" + " ".join(["1"] * 21) + "\n"
-           + " ".join(str(i) for i in range(21)) + "\ncontract: 20 21\n")
+def major_text(ncols: int, contract: str) -> str:
+    """A ``major:`` file of ``ncols`` columns (1, i), rank 2, contracting ``contract``."""
+    return (f"major: matrix\n2 {ncols}\n" + " ".join(["1"] * ncols) + "\n"
+            + " ".join(str(i) for i in range(ncols)) + f"\ncontract: {contract}\n")
+
+
+# deleting and contracting {20, 21} leaves a 19-element perspective, {22, 23} a 21-element one
+MAJOR21 = major_text(21, "20 21")
+MAJOR23 = major_text(23, "22 23")
 
 
 def major21() -> OrientedRealization:
@@ -47,27 +53,35 @@ def no_table_built(monkeypatch):
     monkeypatch.setattr(matroid, "_rank_table", forbidden)
 
 
-def test_cli_counts_the_major_of_a_perspective(tmp_path, capsys):
-    path = tmp_path / "major21.persp"
+def test_cli_counts_the_perspective_not_its_major(tmp_path, capsys):
+    path = tmp_path / "major.persp"
     path.write_text(MAJOR21)
     argv = ["tutte3", "--input", str(path), "--format", "perspective"]
-    assert cli.main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "ground set has 21 elements; full enumeration is guarded at 20" in err
-    assert cli.main(argv + ["--force"]) == 0
+    assert cli.main(argv) == 0
     # M = U(2,19) and M' has rank 0: z^2 + 19z + t(U(2,19); 1, y)
     assert capsys.readouterr().out == (
         "y^17 + 2*y^16 + 3*y^15 + 4*y^14 + 5*y^13 + 6*y^12 + 7*y^11 + 8*y^10 + 9*y^9"
         " + 10*y^8 + 11*y^7 + 12*y^6 + 13*y^5 + 14*y^4 + 15*y^3 + 16*y^2 + z^2 + 17*y"
         " + 19*z + 18\n")
+    path.write_text(MAJOR23)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ground set has 21 elements; full enumeration is guarded at 20" in err
+    assert cli.main(argv + ["--force"]) == 0
+    # M = U(2,21) and M' has rank 0: z^2 + 21z + t(U(2,21); 1, y)
+    assert capsys.readouterr().out == (
+        "y^19 + 2*y^18 + 3*y^17 + 4*y^16 + 5*y^15 + 6*y^14 + 7*y^13 + 8*y^12 + 9*y^11"
+        " + 10*y^10 + 11*y^9 + 12*y^8 + 13*y^7 + 14*y^6 + 15*y^5 + 16*y^4 + 17*y^3"
+        " + 18*y^2 + z^2 + 19*y + 21*z + 20\n")
 
 
-def test_major_is_counted_not_the_perspective(no_table_built):
+def test_perspective_is_counted_not_the_major(no_table_built):
     with pytest.raises(EnumerationGuardError, match="ground set has 21 elements"):
-        parse_perspective(MAJOR21)
+        parse_perspective(MAJOR23)
+    major23 = OrientedRealization(range(1, 24), [[1] * 23, list(range(23))])
     with pytest.raises(EnumerationGuardError, match="ground set has 21 elements"):
-        from_major(major21(), {20, 21})
+        from_major(major23, {22, 23})
 
 
 # entry points that read a root table; none is given ``force``
@@ -80,9 +94,9 @@ ENTRY_POINTS = [
     ("signed_cocircuits", signed_cocircuits),
     ("circuit_pairs", lambda m: OrientedMatroid(m).circuit_pairs),
     ("identity_perspective", identity_perspective),
-    ("from_major", lambda m: from_major(m, {20, 21})),
+    ("from_major", lambda m: from_major(m, ())),
     ("bounded_perspective", lambda m: bounded_perspective(m, 1)),
-    ("parse_perspective", lambda m: parse_perspective(MAJOR21)),
+    ("parse_perspective", lambda m: parse_perspective(major_text(21, ""))),
     ("count_acyclic", count_acyclic),
     ("count_basic_orientations", count_basic_orientations),
 ]

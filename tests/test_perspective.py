@@ -7,10 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from omtutte import cli, matroid, oriented
+from omtutte.expansions import expansion_sum
 from omtutte.matroid import (
     Digraph,
     InputFormatError,
     OrientedRealization,
+    bases,
     from_digraph,
     tutte_closed,
 )
@@ -28,7 +31,19 @@ from omtutte.perspective import (
 from omtutte.poly import Polynomial, X, Y, Z, ONE
 from omtutte import gallery
 
-from helpers import conformal, minors_of, oracle_validate, random_digraph, random_realization
+from helpers import (
+    conformal,
+    family_set as label_family,
+    matrix_text,
+    minors_of,
+    oracle_expansion,
+    oracle_signed_circuits,
+    oracle_tutte3_closed,
+    oracle_validate,
+    random_digraph,
+    random_realization,
+    rows_of,
+)
 
 
 def triangle():
@@ -78,6 +93,100 @@ def test_from_major_contracting_a_loop_deletes_it():
 def test_from_major_whole_ground_rejected():
     with pytest.raises(PerspectiveError, match="whole ground"):
         from_major(triangle(), {1, 2, 3})
+
+
+def _with_loop_and_isthmus(n):
+    """n with a zero column (a loop) and a column on a row of its own (an isthmus) appended."""
+    k = len(n.ground)
+    rows = [list(row) + [0, 0] for row in rows_of(n)] + [[0] * k + [0, 1]]
+    return OrientedRealization(range(1, k + 3), rows)
+
+
+def _major_cases(rng):
+    """(major, C) in turn: C random, C the lowest labels (|C| from 0 to 3 for both), C holding
+    a loop and an isthmus, and C a basis, so that M' has rank 0."""
+    kind = 0
+    while True:
+        n = random_realization(rng, max_rows=4, max_cols=7)
+        if kind == 2:
+            n = _with_loop_and_isthmus(n)
+            c = {len(n.ground) - 1, len(n.ground), *rng.sample(n.ground[:-2], rng.randint(0, 1))}
+        elif kind == 3:
+            c = set(bases(n)[0])
+        else:
+            k = rng.randint(0, min(3, len(n.ground) - 1))
+            c = set(n.ground[:k] if kind else rng.sample(n.ground, k))
+        if c != set(n.ground):
+            yield n, c
+            kind = (kind + 1) % 4
+
+
+def _sides(p):
+    """Both rank tables and all four families, as label sets."""
+    return [(m.rank_table(), label_family(p.ground, m.circuit_pairs),
+             label_family(p.ground, m.cocircuit_pairs)) for m in (p.m, p.mprime)]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The column count of each ``_rank_table`` call, and (|E|, i) of each ``_minor_table``."""
+    calls = {"rank": [], "minor": []}
+    rank_table, minor_table = matroid._rank_table, matroid._minor_table
+
+    def record_rank(columns):
+        calls["rank"].append(len(columns))
+        return rank_table(columns)
+
+    def record_minor(table, i):
+        calls["minor"].append((len(table).bit_length() - 1, i))
+        return minor_table(table, i)
+
+    monkeypatch.setattr(matroid, "_rank_table", record_rank)
+    for module in (matroid, oriented):
+        monkeypatch.setattr(module, "_minor_table", record_minor)
+    return calls
+
+
+def test_major_roots_match_the_derived_route_and_the_matrix_oracles(tmp_path, capsys, recorded):
+    # a major: file's M and M' are roots over their own columns; the reference sides are
+    # M and M' read off the major's table, and matrix oracles that contract by row reduction
+    rng = random.Random(3131)
+    path = tmp_path / "major.persp"
+    cases = list(itertools.islice(_major_cases(rng), 120))
+    ranks = set()  # r(M') over the cases
+    for n, c in cases:
+        path.write_text("major: matrix\n" + matrix_text(n)
+                        + "contract: " + " ".join(map(str, sorted(c))) + "\n")
+        recorded["rank"].clear()
+        p = parse_perspective(path.read_text())
+        size = len(p.ground)
+        assert recorded["rank"] == [size, size], (n, c)  # M's and M''s, never N's or N*'s
+        sides = _sides(p)
+        assert _sides(from_major(n, c)) == sides
+
+        derived_m, derived_mp = n, n  # tables read off n's, through delete and dual
+        for e in sorted(c):
+            derived_m, derived_mp = derived_m.delete(e), derived_mp.contract(e)
+        derived = Perspective(om(derived_m), om(derived_mp))
+        deleted, contracted = minors_of(n, c)
+        oracle = Perspective(om(OrientedRealization(deleted.ground, rows_of(deleted))),
+                             om(contracted))
+        expected = [(r.rank_table(), oracle_signed_circuits(r), oracle_signed_circuits(r.dual()))
+                    for r in (oracle.m.realization, oracle.mprime.realization)]
+        assert sides == _sides(derived) == expected, (n, c)
+        assert tutte3_closed(p) == tutte3_closed(derived) == oracle_tutte3_closed(oracle)
+        assert expansion_sum(p).total == expansion_sum(derived).total \
+            == oracle_expansion(oracle)[2]
+
+        ranks.add(p.mprime.rank_table()[-1])
+        recorded["rank"].clear()
+        recorded["minor"].clear()
+        assert cli.main(["verify", "--input", str(path), "--format", "perspective"]) == 0
+        assert recorded["minor"] and all(i == k - 1 for k, i in recorded["minor"]), (n, c)
+        assert recorded["rank"] == [size, size], (n, c)
+    capsys.readouterr()
+    assert {len(c) for _, c in cases} >= {0, 1, 2, 3}
+    assert 0 in ranks
 
 
 # -- validation -------------------------------------------------------------------
