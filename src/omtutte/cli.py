@@ -9,6 +9,7 @@ Output is byte-identical across runs.
 
 from __future__ import annotations
 
+import atexit
 import gc
 import os
 import sys
@@ -134,8 +135,8 @@ def _load(args) -> tuple[OrientedRealization | None, Perspective | None]:
 
     Its root rank tables are admitted here, the only place that reads ``--force``.
     """
-    with open(args.input, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not data
-        text = fh.read()
+    with open(args.input, "r", encoding="utf-8") as fh:
+        text = fh.read().removeprefix("\ufeff")  # a leading BOM is not data
     if args.format == "perspective":
         from .perspective import parse_perspective
 
@@ -255,10 +256,27 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """Run ``main`` as a process: the console script and ``python -m omtutte.cli``.
+
+    The process ends with ``main``'s status and without interpreter teardown:
+    the atexit handlers run, stdout and stderr are flushed, and ``os._exit``
+    skips freeing every module and object.  A ``SystemExit`` out of ``main``
+    (``--help``, a usage error), a tracer or profiler, or ``-i`` takes the
+    interpreter's own exit, after ``gc.freeze()`` spares it the full collections.
+    """
     try:
-        sys.exit(main())
+        status = main()
     finally:
         gc.freeze()  # the exit-time full collections then skip every object alive now
+    monitoring = getattr(sys, "monitoring", None)  # cProfile attaches here on 3.12+; ids 0-5
+    if not (sys.gettrace() or sys.getprofile() or sys.flags.inspect
+            or (monitoring and any(map(monitoring.get_tool, range(6))))
+            or not hasattr(atexit, "_run_exitfuncs")):
+        atexit._run_exitfuncs()  # in the interpreter's order: the handlers, then the flush
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(status)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Small named digraphs used by the test suite, the README, and the CLI docs."""
+"""Small named digraphs for the test suite; the CI workflow also writes one as an input file."""
 
 from __future__ import annotations
 

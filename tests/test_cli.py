@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, formats, exit codes, determinism."""
 
+import atexit
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -609,14 +611,19 @@ def test_equals_form_and_trailing_positional(tmp_path, capsys, spaced, other):
     assert outputs[0] == outputs[1]
 
 
-def run_module(*argv, stdout=subprocess.PIPE, unbuffered=True):
-    """``python -m omtutte.cli argv`` in a fresh process, through ``entry``."""
+def run_python(*args, stdout=subprocess.PIPE, unbuffered=True):
+    """``python args`` in a fresh process that imports the package from ``src``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, "-m", "omtutte.cli", *argv], stdout=stdout,
+    return subprocess.run([sys.executable, *args], stdout=stdout,
                           stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+def run_module(*argv, stdout=subprocess.PIPE, unbuffered=True):
+    """``python -m omtutte.cli argv`` in a fresh process, through ``entry``."""
+    return run_python("-m", "omtutte.cli", *argv, stdout=stdout, unbuffered=unbuffered)
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -641,24 +648,58 @@ def test_closed_output_pipe_exits_141_silently(tmp_path, text, argv, unbuffered)
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-@pytest.mark.parametrize("argv, code, out", [
-    (["tutte", "--input", "{triangle}"], 0, "x^2 + x + y\n"),
-    (["tutte", "--input", "{missing}"], 2, ""),
-    (["--help"], 0, cli._HELP),
+@pytest.mark.parametrize("argv, code, out, fast", [
+    (["tutte", "--input", "{triangle}"], 0, "x^2 + x + y\n", True),
+    (["tutte", "--input", "{missing}"], 2, "", True),
+    (["--help"], 0, cli._HELP, False),
 ], ids=["tutte", "missing-input", "help"])
 def test_entry_exits_with_mains_status_and_freezes_once(tmp_path, capsys, monkeypatch,
-                                                         argv, code, out):
+                                                         argv, code, out, fast):
     triangle = tmp_path / "triangle.dg"
     triangle.write_text(TRIANGLE)
     paths = {"triangle": triangle, "missing": tmp_path / "nope.dg"}
-    freezes = []
+    freezes, exits, handlers = [], [], []
     monkeypatch.setattr(cli.gc, "freeze", lambda: freezes.append(None))
+    # the recorders return, so entry goes on to sys.exit and the test process lives
+    monkeypatch.setattr(cli.os, "_exit", exits.append)
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: handlers.append(None))
     monkeypatch.setattr(sys, "argv", ["omtutte", *(arg.format(**paths) for arg in argv)])
     with pytest.raises(SystemExit) as exc:
         cli.entry()
     assert exc.value.code == code
     assert capsys.readouterr().out == out
     assert len(freezes) == 1
+    # main's return ends the process after the handlers; --help's SystemExit takes the
+    # interpreter's exit, which runs them itself
+    assert (exits, len(handlers)) == (([code], 1) if fast else ([], 0))
+
+
+@pytest.mark.parametrize("observer", [
+    "tracer", "profiler", "inspect", "no-exitfuncs",
+    pytest.param("monitoring", marks=pytest.mark.skipif(
+        not hasattr(sys, "monitoring"), reason="sys.monitoring is new in 3.12")),
+])
+def test_an_observed_entry_takes_the_interpreters_exit(tmp_path, capsys, monkeypatch, request,
+                                                       observer):
+    # a tracer, a profiler or -i reads the process after main; os._exit would cut it off
+    path = tmp_path / "triangle.dg"
+    path.write_text(TRIANGLE)
+    if observer == "tracer":
+        monkeypatch.setattr(sys, "gettrace", lambda: print)
+    elif observer == "profiler":
+        monkeypatch.setattr(sys, "getprofile", lambda: print)
+    elif observer == "inspect":
+        monkeypatch.setattr(sys, "flags", SimpleNamespace(inspect=1))
+    elif observer == "no-exitfuncs":
+        monkeypatch.delattr(atexit, "_run_exitfuncs")
+    else:  # where cProfile attaches on 3.12+, with sys.getprofile() None
+        sys.monitoring.use_tool_id(sys.monitoring.PROFILER_ID, "test")
+        request.addfinalizer(lambda: sys.monitoring.free_tool_id(sys.monitoring.PROFILER_ID))
+    monkeypatch.setattr(sys, "argv", ["omtutte", "tutte", "--input", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()  # os._exit here fails the test (conftest.py)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "x^2 + x + y\n"
 
 
 def test_module_run_through_the_real_freeze(tmp_path):
@@ -666,3 +707,69 @@ def test_module_run_through_the_real_freeze(tmp_path):
     path.write_text(DOUBLED)
     proc = run_module("tutte", "--input", str(path))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"x^2 + x*y + y^2 + x + y\n", b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tutte", "--input", "{path}", "--format", "matrix"],
+    ["tutte", "--input", "{missing}"],
+    ["tutte", "--input", "{path}", "--bogus"],
+    ["--help"],
+], ids=["parse-error", "missing-input", "usage-error", "help"])
+def test_a_fresh_process_exits_as_main_returns_byte_for_byte(tmp_path, capsys, argv):
+    # exit 0 is test_module_run_through_the_real_freeze, exit 141 the closed-pipe tests
+    path = tmp_path / "doubled.dg"
+    path.write_text(DOUBLED)
+    argv = [arg.format(path=path, missing=tmp_path / "nope.dg") for arg in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    proc = run_module(*argv, unbuffered=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (code, captured.out.encode(), captured.err.encode())
+
+
+# registered before the CLI runs; no newline, so only a flush after the handlers shows it
+EXIT_PROBE = """\
+import atexit, os, runpy, sys
+atexit.register(sys.stderr.write, "atexit handler ran")
+real_exit = os._exit
+os._exit = lambda status: (os.write(2, b"|os._exit\\n"), real_exit(status))
+if sys.argv.pop(1) == "traced":
+    sys.settrace(lambda *event: None)
+runpy.run_module("omtutte.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("mode, err", [
+    ("fast", b"atexit handler ran|os._exit\n"),
+    ("traced", b"atexit handler ran"),
+])
+def test_an_atexit_handler_runs_on_either_exit(tmp_path, mode, err):
+    path = tmp_path / "triangle.dg"
+    path.write_text(TRIANGLE)
+    proc = run_python("-c", EXIT_PROBE, mode, "tutte", "--input", str(path), unbuffered=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"x^2 + x + y\n", err)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["tsv", "json"])
+def test_a_block_buffered_table_reaches_a_file_whole(tmp_path, capsys, fmt):
+    path = tmp_path / "w6.dg"
+    path.write_text(W6)
+    code, table, _ = run_cli(capsys, "activities", *fmt, "--input", str(path))
+    assert code == 0
+    out = tmp_path / "table.out"
+    with out.open("wb") as fh:
+        proc = run_module("activities", *fmt, "--input", str(path), stdout=fh, unbuffered=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_bytes() == table.encode()
+
+
+def test_a_profiled_run_prints_its_result_and_its_profile(tmp_path):
+    path = tmp_path / "triangle.dg"
+    path.write_text(TRIANGLE)
+    proc = run_python("-m", "cProfile", "-m", "omtutte.cli", "tutte", "--input", str(path))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"x^2 + x + y\n")
+    assert b" function calls " in proc.stdout

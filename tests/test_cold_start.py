@@ -11,7 +11,8 @@ text parser ``omtutte._polytext`` loads only when ``Polynomial.parse`` runs.
 The sweep's per-A masks are views of one ``bytearray``, so ``array`` never
 loads.  Realizations are held as integer columns, so ``fractions``
 (with ``decimal`` and ``numbers``) loads only where a rational is shown or
-parsed off the plain ``p/q`` fast path.
+parsed off the plain ``p/q`` fast path.  The input is read as ``utf-8`` with
+one leading byte-order mark dropped, so ``encodings.utf_8_sig`` never loads.
 """
 
 import os
@@ -25,7 +26,8 @@ import omtutte
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 AVOIDED = ("dataclasses", "inspect", "ast", "json", "argparse", "gettext", "locale",
-           "omtutte._polytext", "fractions", "decimal", "numbers", "array")
+           "omtutte._polytext", "fractions", "decimal", "numbers", "array",
+           "encodings.utf_8_sig")
 SUBMODULES = ("poly", "matroid", "oriented", "perspective", "expansions")
 TABLE_MODULES = {"omtutte.oriented", "omtutte.perspective", "omtutte.expansions"}
 
