@@ -10,7 +10,6 @@ Output is byte-identical across runs.
 from __future__ import annotations
 
 import atexit
-import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -65,67 +64,65 @@ _OPTIONS = {"--input": ("input", str, None), "--format": ("format", str, None),
             "-p": ("p", int, "derivative"), "-q": ("q", int, "derivative")}
 
 
-def _usage_error(reason: str) -> NoReturn:
-    sys.stderr.write(f"{_USAGE}omtutte: error: {reason}\n")
-    raise SystemExit(2)
+class _UsageError(Exception):
+    """Arguments that do not parse: ``main`` prints the usage and this reason and returns 2."""
 
 
 def _choice(name: str, value: str, choices: tuple[str, ...]) -> str:
     if value not in choices:
-        _usage_error(f"argument {name}: invalid choice: {value!r} "
-                     f"(choose from {', '.join(choices)})")
+        raise _UsageError(f"argument {name}: invalid choice: {value!r} "
+                          f"(choose from {', '.join(choices)})")
     return value
 
 
-def _parse_args(argv: list[str]) -> SimpleNamespace:
+def _parse_args(argv: list[str]) -> SimpleNamespace | None:
     """The command, kind and options in ``argv``, checked against the tables above.
 
-    A usage error prints the usage and its reason on stderr and exits 2.
+    None for ``-h``/``--help``; a usage error raises ``_UsageError``.
     """
     args = SimpleNamespace(command=None, kind=None, input=None, format="digraph",
                            json=False, force=False, p=0, q=0)
     tokens = iter(argv)
     for token in tokens:
         if token in ("-h", "--help"):
-            sys.stdout.write(_HELP)
-            raise SystemExit(0)
+            return None
         if not token.startswith("-") or token == "-":
             if args.command is None:
                 args.command = _choice("command", token, _COMMANDS)
             elif args.command == "count" and args.kind is None:
                 args.kind = _choice("kind", token, _KINDS)
             else:
-                _usage_error(f"unrecognized arguments: {token}")
+                raise _UsageError(f"unrecognized arguments: {token}")
             continue
         if token.startswith("--"):
             name, eq, value = token.partition("=")
         else:  # a short option's value may be attached: -p1 or -p=1
             name, eq, value = token[:2], token[2:], token[2:].removeprefix("=")
         if name not in _OPTIONS or _OPTIONS[name][2] not in (None, args.command):
-            _usage_error(f"unrecognized arguments: {token}")
+            raise _UsageError(f"unrecognized arguments: {token}")
         attr, value_type, _ = _OPTIONS[name]
         if value_type is None:
             if eq:
-                _usage_error(f"argument {name}: ignored explicit argument {value!r}")
+                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
             value = True
         elif not eq:
             value = next(tokens, None)
             if value is None:
-                _usage_error(f"argument {name}: expected one argument")
+                raise _UsageError(f"argument {name}: expected one argument")
         if value_type is int:
             try:
                 value = int(value)
             except ValueError:
-                _usage_error(f"argument {name}: invalid int value: {value!r}")
+                raise _UsageError(f"argument {name}: invalid int value: {value!r}")
             if value < 0:
-                _usage_error(f"argument {name}: derivative orders must be non-negative")
+                raise _UsageError(f"argument {name}: derivative orders must be non-negative")
         setattr(args, attr, value)
     if args.command is None:
-        _usage_error("the following arguments are required: command")
+        raise _UsageError("the following arguments are required: command")
     if args.command == "count" and args.kind is None:
-        _usage_error("the following arguments are required: kind")
+        raise _UsageError("the following arguments are required: kind")
     if args.input is None:
-        _usage_error("the following arguments are required: --input")
+        raise _UsageError("the following arguments are required: --input")
     _choice("--format", args.format, _FORMATS)
     return args
 
@@ -238,9 +235,14 @@ def run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status; no outcome raises out of here."""
     try:
         try:
-            return run(_parse_args(sys.argv[1:] if argv is None else argv))
+            args = _parse_args(sys.argv[1:] if argv is None else argv)
+            if args is None:
+                sys.stdout.write(_HELP)
+                return 0
+            return run(args)
         except IdentityError as exc:
             _print_json({"check": "exact identity", "error": str(exc)})
             return 1
@@ -250,24 +252,24 @@ def main(argv: list[str] | None = None) -> int:
         # the reader is gone: send the rest of the output nowhere, so the exit flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except _UsageError as exc:
+        sys.stderr.write(f"{_USAGE}omtutte: error: {exc}\n")
+        return 2
     except (MatroidError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def entry() -> None:
+def entry() -> NoReturn:
     """Run ``main`` as a process: the console script and ``python -m omtutte.cli``.
 
     The process ends with ``main``'s status and without interpreter teardown:
     the atexit handlers run, stdout and stderr are flushed, and ``os._exit``
-    skips freeing every module and object.  A ``SystemExit`` out of ``main``
-    (``--help``, a usage error), a tracer or profiler, or ``-i`` takes the
-    interpreter's own exit, after ``gc.freeze()`` spares it the full collections.
+    skips freeing every module and object.  Where something reads the process
+    after ``main`` (a tracer, a profiler, ``-i``) or ``atexit._run_exitfuncs``
+    is missing, ``sys.exit`` takes the interpreter's own exit instead.
     """
-    try:
-        status = main()
-    finally:
-        gc.freeze()  # the exit-time full collections then skip every object alive now
+    status = main()
     monitoring = getattr(sys, "monitoring", None)  # cProfile attaches here on 3.12+; ids 0-5
     if not (sys.gettrace() or sys.getprofile() or sys.flags.inspect
             or (monitoring and any(map(monitoring.get_tool, range(6))))

@@ -1,4 +1,4 @@
-"""Small named digraphs for the test suite; the CI workflow also writes one as an input file."""
+"""Small named digraphs for the test suite."""
 
 from __future__ import annotations
 

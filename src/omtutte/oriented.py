@@ -232,19 +232,18 @@ class OrientedMatroid(_Ground):
                              lambda: _minor_family(self.cocircuit_pairs, i, spans))
 
     def contract_as_loop(self, e: int) -> "OrientedMatroid":
-        """M/e on this ground set, e's slot a loop: M/e's families with slot e kept empty,
-        plus the loop's two signs among the circuits."""
+        """M/e on this ground set, e's slot a loop: M/e's circuits with slot e kept empty,
+        plus the loop's two signs; its cocircuits are M's that avoid e."""
         i = self.index_of(e)
         low = 1 << i
-        con = self.minor_contract(e)
 
-        def spread(pairs: Pairs, loop: list[tuple[int, int]]) -> Pairs:
-            kept = [tuple(s & low - 1 | (s & -low) << 1 for s in pair) for pair in pairs[::2]]
-            return _sorted_family(kept + loop)
+        def circuits() -> Pairs:
+            pairs = self.minor_contract(e).circuit_pairs[::2]
+            kept = [tuple(s & low - 1 | (s & -low) << 1 for s in pair) for pair in pairs]
+            return _sorted_family(kept + [(low, low)])
 
-        return self._derived(self.ground, lambda: _loop_table(self.rank_table(), i),
-                             lambda: spread(con.circuit_pairs, [(low, low)]),
-                             lambda: spread(con.cocircuit_pairs, []))
+        return self._derived(self.ground, lambda: _loop_table(self.rank_table(), i), circuits,
+                             lambda: tuple(p for p in self.cocircuit_pairs if not p[1] & low))
 
     def __repr__(self) -> str:
         # like the realization's repr, this builds neither a rank table nor a family

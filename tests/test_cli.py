@@ -2,6 +2,7 @@
 
 import atexit
 import io
+import itertools
 import json
 import os
 import random
@@ -28,7 +29,28 @@ PAIR = "pair: digraph\n1 a b\n2 b c\n3 c a\n---\n1 a b\n2 b a\n3 a a\n"
 # a wheel with 6 spokes: spokes h -> r_i, then rim arcs r_i -> r_(i+1); 12 arcs
 W6_ARCS = [("h", f"r{i}") for i in range(6)] + [(f"r{i}", f"r{(i + 1) % 6}") for i in range(6)]
 W6 = "".join(f"{label} {tail} {head}\n" for label, (tail, head) in enumerate(W6_ARCS, start=1))
+VERIFIED = ("expansion identity: pass\nspecialization suite: pass\ndichotomy: case {}\n"
+            "deletion/contraction recursion: pass\n")
+# U(2,4) with rational entries, cleared to integers column by column: 4 lines through the
+# origin cut the plane into 8 regions
+U24 = "2 4\n1 0 1/2 -3/4\n0 1 1 2/3\n"
+# U(3,6), the Vandermonde rows (j+1)^i: 6 generic planes cut space into 2(1+5+10) = 32 regions
+U36 = "3 6\n1 1 1 1 1 1\n1 2 3 4 5 6\n1 4 9 16 25 36\n"
+# the complete digraph K7: 21 arcs, past the guard at 20 without --force
+K7 = "".join(f"{n} k{i} k{j}\n"
+             for n, (i, j) in enumerate(itertools.combinations(range(7), 2), start=1))
+# a 13-arc directed cycle: its JSON table has 8192 rows and leaves in several blocks
+C13 = "".join(f"{i + 1} v{i} v{(i + 1) % 13}\n" for i in range(13))
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _major_text(digraph, contract) -> str:
+    return ("major: digraph\n" + "".join(f"{a} {t} {h}\n" for a, t, h in digraph.arcs)
+            + "contract: " + " ".join(map(str, sorted(contract))) + "\n")
+
+
+# a perspective with M != M': the bridged triangle, two arcs contracted
+BRIDGED = _major_text(*gallery.bridged_triangle_major())
 
 
 def run_cli(capsys, *argv):
@@ -64,7 +86,7 @@ def test_tutte3_on_digraph_uses_identity_perspective(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, argv", [
     (TRIANGLE, ["tutte"]),
-    ("2 4\n1 0 1/2 -3/4\n0 1 1 2/3\n", ["tutte", "--format", "matrix"]),
+    (U24, ["tutte", "--format", "matrix"]),
     (MAJOR, ["tutte3", "--format", "perspective"]),
 ], ids=["digraph", "matrix", "perspective"])
 def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, text, argv):
@@ -121,9 +143,7 @@ def test_pair_header_with_one_format_word(tmp_path, capsys):
 
 def _majors_contracting_their_top_labels():
     """``major:`` texts whose C holds the greatest labels, so that M's labels are 1..|E|."""
-    digraph, contract = gallery.bridged_triangle_major()
-    yield ("major: digraph\n" + "".join(f"{a} {t} {h}\n" for a, t, h in digraph.arcs)
-           + "contract: " + " ".join(map(str, sorted(contract))) + "\n")
+    yield BRIDGED
     yield "major: digraph\n" + W6 + "contract: 11 12\n"
     # U(2,3) -> U(1,3): a generic column, a zero column (a loop) and an isthmus contracted
     yield "major: matrix\n3 6\n1 0 1 1 0 0\n0 1 1 -1 0 0\n0 0 0 0 0 1\ncontract: 4 5 6\n"
@@ -262,10 +282,9 @@ def test_huge_derivative_orders_answer_zero_without_their_factorials(tmp_path, c
 def test_negative_derivative_order_exits_two(tmp_path, capsys, order):
     path = tmp_path / "d.dg"
     path.write_text(DOUBLED)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["derivative", *order, "--input", str(path)])
-    assert exc.value.code == 2
-    assert "derivative orders must be non-negative" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, "derivative", *order, "--input", str(path))
+    assert code == 2
+    assert "derivative orders must be non-negative" in err
 
 
 def test_missing_file_exits_two(tmp_path, capsys):
@@ -480,11 +499,8 @@ def _count_family_builds(monkeypatch):
 
 
 def test_families_are_built_only_where_read(tmp_path, capsys, monkeypatch):
-    digraph, contract = gallery.bridged_triangle_major()
     path = tmp_path / "bridged.persp"
-    path.write_text("major: digraph\n"
-                    + "".join(f"{label} {tail} {head}\n" for label, tail, head in digraph.arcs)
-                    + "contract: " + " ".join(map(str, sorted(contract))) + "\n")
+    path.write_text(BRIDGED)
     calls = _count_family_builds(monkeypatch)
     # validation reads only M's circuits and M''s cocircuits: one build each
     code, _, _ = run_cli(capsys, "tutte3", "--input", str(path), "--format", "perspective")
@@ -576,22 +592,18 @@ def test_activities_streams_blocks_of_rows(tmp_path, monkeypatch):
 def test_usage_errors_exit_two(tmp_path, capsys, argv, token):
     path = tmp_path / "d.dg"
     path.write_text(DOUBLED)
-    with pytest.raises(SystemExit) as exc:
-        cli.main([arg.format(path=path) for arg in argv])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "usage:" in captured.err
-    assert "error:" in captured.err
-    assert token in captured.err
+    code, out, err = run_cli(capsys, *[arg.format(path=path) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err
+    assert "error:" in err
+    assert token in err
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])
 def test_help_lists_every_command(capsys, flag):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([flag])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
+    code, out, _ = run_cli(capsys, flag)
+    assert code == 0
     for command in ("tutte", "tutte3", "activities", "verify", "count", "derivative"):
         assert command in out
     assert "141" in out
@@ -609,6 +621,64 @@ def test_equals_form_and_trailing_positional(tmp_path, capsys, spaced, other):
                for argv in (spaced, other)]
     assert outputs[0][0] == 0
     assert outputs[0] == outputs[1]
+
+
+def _json_table_of(rows: int):
+    """Whether stdout is a passing JSON activity table of ``rows`` rows, each of every column."""
+    columns = {"A", "dual_active", "active", "dual_out", "dual_in", "active_out", "active_in",
+               "monomial"}
+
+    def check(out: str) -> bool:
+        report = json.loads(out)
+        return (report["pass"] is True and len(report["rows"]) == rows
+                and all(set(row) == columns for row in report["rows"]))
+    return check
+
+
+@pytest.mark.parametrize("source, argv, code, expected", [
+    (TRIANGLE, ["verify"], 0, VERIFIED.format("ii")),
+    (TRIANGLE, ["tutte3"], 0, "x^2 + x + y\n"),
+    # d/dx of x^2 + x + y; past |E| = 3 both sides are 0, since the expansion has no u^4 term
+    (TRIANGLE, ["derivative", "-p", "1"], 0,
+     "activity side: 2*x + 1\nformal derivative: 2*x + 1\n"),
+    (TRIANGLE, ["derivative", "-p", "4"], 0, "activity side: 0\nformal derivative: 0\n"),
+    # t = x^2 + x*y + y^2 + x + y: the mixed derivative reads its x*y term
+    (DOUBLED, ["derivative", "-p", "1", "-q", "1"], 0, "activity side: 1\nformal derivative: 1\n"),
+    (DOUBLED, ["derivative", "-p", "2"], 0, "activity side: 2\nformal derivative: 2\n"),
+    # a header and one row per reorientation, 2^3 of them
+    (TRIANGLE, ["activities"], 0,
+     "A\tdual_active\tactive\tdual_out\tdual_in\tactive_out\tactive_in\tmonomial\n"
+     "-\t-\t1\t-\t-\t1\t-\ty\n1\t1\t-\t-\t1\t-\t-\tu\n2\t12\t-\t1\t2\t-\t-\tx*u\n"
+     "12\t12\t-\t-\t12\t-\t-\tu^2\n3\t12\t-\t12\t-\t-\t-\tx^2\n"
+     "13\t12\t-\t2\t1\t-\t-\tx*u\n23\t1\t-\t1\t-\t-\t-\tx\n123\t-\t1\t-\t-\t-\t1\tv\n"),
+    (TRIANGLE, ["activities", "--json"], 0, _json_table_of(8)),
+    (C13, ["activities", "--json"], 0, _json_table_of(8192)),
+    # at z = 1 this is the x^2 + 5x + 4y + 10 of gallery.bridged_triangle_major
+    (BRIDGED, ["tutte3", "--format", "perspective"], 0,
+     "x^2*z^2 + 3*x*z^2 + y*z^2 + 2*x*z + 2*y*z + 3*z^2 + y + 5*z + 2\n"),
+    (BRIDGED, ["verify", "--format", "perspective"], 0, VERIFIED.format("i")),
+    (U24, ["tutte", "--format", "matrix"], 0, "x^2 + y^2 + 2*x + 2*y\n"),
+    (U24, ["count", "acyclic", "--format", "matrix"], 0, "8 (t(2,0)=8)\n"),
+    (U24, ["verify", "--format", "matrix"], 0, VERIFIED.format("i")),
+    (U36, ["count", "acyclic", "--format", "matrix"], 0, "32 (t(2,0)=32)\n"),
+    (U36, ["verify", "--format", "matrix"], 0, VERIFIED.format("i")),
+    # 7! acyclic orientations and 7^5 spanning trees
+    (K7, ["count", "acyclic", "--force"], 0, "5040 (t(2,0)=5040)\n"),
+    (K7, ["count", "bases", "--force"], 0,
+     "16807 (t(1,1)=16807, basic orientations=16807,16807)\n"),
+    (K7, ["verify"], 2, ""),
+], ids=["triangle-verify", "triangle-tutte3", "triangle-derivative-p1", "triangle-derivative-p4",
+        "doubled-derivative-p1-q1", "doubled-derivative-p2", "triangle-activities",
+        "triangle-activities-json", "c13-activities-json", "bridged-tutte3", "bridged-verify",
+        "u24-tutte", "u24-count-acyclic", "u24-verify", "u36-count-acyclic", "u36-verify",
+        "k7-count-acyclic", "k7-count-bases", "k7-verify-unforced"])
+def test_end_to_end_cases(tmp_path, capsys, source, argv, code, expected):
+    path = tmp_path / "input"
+    path.write_text(source)
+    status, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert status == code
+    assert expected(out) if callable(expected) else out == expected
+    assert err.startswith("error: ") if code == 2 else err == ""
 
 
 def run_python(*args, stdout=subprocess.PIPE, unbuffered=True):
@@ -648,18 +718,16 @@ def test_closed_output_pipe_exits_141_silently(tmp_path, text, argv, unbuffered)
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-@pytest.mark.parametrize("argv, code, out, fast", [
-    (["tutte", "--input", "{triangle}"], 0, "x^2 + x + y\n", True),
-    (["tutte", "--input", "{missing}"], 2, "", True),
-    (["--help"], 0, cli._HELP, False),
+@pytest.mark.parametrize("argv, code, out", [
+    (["tutte", "--input", "{triangle}"], 0, "x^2 + x + y\n"),
+    (["tutte", "--input", "{missing}"], 2, ""),
+    (["--help"], 0, cli._HELP),
 ], ids=["tutte", "missing-input", "help"])
-def test_entry_exits_with_mains_status_and_freezes_once(tmp_path, capsys, monkeypatch,
-                                                         argv, code, out, fast):
+def test_entry_exits_with_mains_status(tmp_path, capsys, monkeypatch, argv, code, out):
     triangle = tmp_path / "triangle.dg"
     triangle.write_text(TRIANGLE)
     paths = {"triangle": triangle, "missing": tmp_path / "nope.dg"}
-    freezes, exits, handlers = [], [], []
-    monkeypatch.setattr(cli.gc, "freeze", lambda: freezes.append(None))
+    exits, handlers = [], []
     # the recorders return, so entry goes on to sys.exit and the test process lives
     monkeypatch.setattr(cli.os, "_exit", exits.append)
     monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: handlers.append(None))
@@ -668,10 +736,8 @@ def test_entry_exits_with_mains_status_and_freezes_once(tmp_path, capsys, monkey
         cli.entry()
     assert exc.value.code == code
     assert capsys.readouterr().out == out
-    assert len(freezes) == 1
-    # main's return ends the process after the handlers; --help's SystemExit takes the
-    # interpreter's exit, which runs them itself
-    assert (exits, len(handlers)) == (([code], 1) if fast else ([], 0))
+    # main's return ends the process after the handlers
+    assert (exits, len(handlers)) == ([code], 1)
 
 
 @pytest.mark.parametrize("observer", [
@@ -702,7 +768,7 @@ def test_an_observed_entry_takes_the_interpreters_exit(tmp_path, capsys, monkeyp
     assert capsys.readouterr().out == "x^2 + x + y\n"
 
 
-def test_module_run_through_the_real_freeze(tmp_path):
+def test_module_run_exits_zero_with_its_output(tmp_path):
     path = tmp_path / "doubled.dg"
     path.write_text(DOUBLED)
     proc = run_module("tutte", "--input", str(path))
@@ -716,7 +782,7 @@ def test_module_run_through_the_real_freeze(tmp_path):
     ["--help"],
 ], ids=["parse-error", "missing-input", "usage-error", "help"])
 def test_a_fresh_process_exits_as_main_returns_byte_for_byte(tmp_path, capsys, argv):
-    # exit 0 is test_module_run_through_the_real_freeze, exit 141 the closed-pipe tests
+    # exit 0 is test_module_run_exits_zero_with_its_output, exit 141 the closed-pipe tests
     path = tmp_path / "doubled.dg"
     path.write_text(DOUBLED)
     argv = [arg.format(path=path, missing=tmp_path / "nope.dg") for arg in argv]

@@ -31,8 +31,10 @@ def major_text(ncols: int, contract: str) -> str:
             + " ".join(str(i) for i in range(ncols)) + f"\ncontract: {contract}\n")
 
 
-# deleting and contracting {20, 21} leaves a 19-element perspective, {22, 23} a 21-element one
+# deleting and contracting {20, 21} leaves a 19-element perspective, {21, 22} a 20-element
+# one, at the guard, and {22, 23} a 21-element one
 MAJOR21 = major_text(21, "20 21")
+MAJOR22 = major_text(22, "21 22")
 MAJOR23 = major_text(23, "22 23")
 
 
@@ -63,6 +65,12 @@ def test_cli_counts_the_perspective_not_its_major(tmp_path, capsys):
         "y^17 + 2*y^16 + 3*y^15 + 4*y^14 + 5*y^13 + 6*y^12 + 7*y^11 + 8*y^10 + 9*y^9"
         " + 10*y^8 + 11*y^7 + 12*y^6 + 13*y^5 + 14*y^4 + 15*y^3 + 16*y^2 + z^2 + 17*y"
         " + 19*z + 18\n")
+    path.write_text(MAJOR22)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (
+        "y^18 + 2*y^17 + 3*y^16 + 4*y^15 + 5*y^14 + 6*y^13 + 7*y^12 + 8*y^11 + 9*y^10 + 10*y^9"
+        " + 11*y^8 + 12*y^7 + 13*y^6 + 14*y^5 + 15*y^4 + 16*y^3 + 17*y^2 + z^2 + 18*y + 20*z"
+        " + 19\n")
     path.write_text(MAJOR23)
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
