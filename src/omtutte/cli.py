@@ -15,14 +15,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn
 
-from .matroid import (
-    IdentityError,
-    MatroidError,
-    OrientedRealization,
-    _parse_payload,
-    bases,
-    tutte_closed,
-)
+from .matroid import IdentityError, MatroidError, OrientedRealization, _parse_payload, tutte_closed
 
 if TYPE_CHECKING:
     from .perspective import Perspective
@@ -135,7 +128,7 @@ def _load(args) -> tuple[OrientedRealization | None, Perspective | None]:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read().removeprefix("\ufeff")  # a leading BOM is not data
     if args.format == "perspective":
-        from .perspective import parse_perspective
+        from .perspective_file import parse_perspective
 
         return None, parse_perspective(text, force=args.force)
     realization = _parse_payload(args.format, text)
@@ -199,6 +192,8 @@ def run(args) -> int:
             value = count_acyclic(perspective.m)
             sides = {"t(2,0)": (report.tutte.evaluate({"x": 2, "y": 0}),)}
         else:
+            from .routes import bases
+
             value = len(bases(realization))
             sides = {"t(1,1)": (report.tutte.evaluate({"x": 1, "y": 1}),),
                      "basic orientations": count_basic_orientations(perspective.m)}

@@ -5,23 +5,21 @@ of A in which it is active in -_A M and the set in which it is dual-active in
 -_A M'.  Counters over those sets count the A per value of the four activity
 counts, which gives ``total``, the 4-variable generating function.  Every
 other quantity here is a substitution, evaluation or derivative of it.  Per-A
-rows are transposed from the sets only when read.  The reference side of the
-main identity is the closed rank formula at x -> x+u, y -> y+v, never the
-sweep itself.
+rows are transposed from the sets only when read, by the table writer in
+``render``.  The reference side of the main identity is the closed rank
+formula at x -> x+u, y -> y+v, never the sweep itself.
 """
 
 from __future__ import annotations
 
-import itertools
-import sys
 from collections import Counter
 from collections.abc import Sequence
 from enum import Enum
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import Callable, Iterator, NamedTuple
 
 from .matroid import IdentityError, MatroidError, OrientedRealization
-from .oriented import ActivityRecord, OrientedMatroid, _labels, _positive_minima
+from .oriented import OrientedMatroid, _labels, _positive_minima
 from .perspective import Perspective, identity_perspective, tutte3_closed
 from .poly import Monomial, Polynomial, X, U, Y, V, ONE
 
@@ -86,37 +84,6 @@ def _split(subset: int, planes: Sequence[tuple[int, int, int]], key: tuple[int, 
         _split(subset ^ inside, rest, key, histogram)
 
 
-_BYTE_ORDER = 7 if sys.byteorder == "big" else 0  # byte k of a native 8-byte word is at k ^ this
-
-
-def _transposed(sets: Sequence[int]) -> memoryview:
-    """Per A, the mask of the ground indices whose set holds A."""
-    size = 1 << len(sets)
-    lanes = bytearray(8 * size)  # one native 8-byte word per A, its byte g holding sets 8g..8g+7
-    for g in range(0, len(sets), 8):
-        value = 0
-        for j, bits in enumerate(sets[g:g + 8]):
-            digits = format(bits, f"0{size}b").encode()  # bit A is digit size-1-A
-            lane = digits.translate(bytes.maketrans(b"01", bytes((0, 1 << j))))
-            value |= int.from_bytes(lane, "big")
-        lanes[g // 8 ^ _BYTE_ORDER::8] = value.to_bytes(size, "little")
-    return memoryview(lanes).cast("Q")
-
-
-def _key(a_mask: int, active: int, dual: int) -> tuple[int, int, int, int, int]:
-    """The exponents (dual_out, dual_in, active_out, active_in, 0) of one reorientation A."""
-    return ((dual & ~a_mask).bit_count(), (dual & a_mask).bit_count(),
-            (active & ~a_mask).bit_count(), (active & a_mask).bit_count(), 0)
-
-
-_COLUMNS = ("A", "dual_active", "active", "dual_out", "dual_in",
-            "active_out", "active_in", "monomial")
-_BLOCK_ROWS = 4096
-# one JSON row object, keys sorted, each value read from its column of a _texts row
-_JSON_ROW = "    {{\n%s\n    }}" % ",\n".join(
-    f'      "{name}": "{{0[{_COLUMNS.index(name)}]}}"' for name in sorted(_COLUMNS))
-
-
 class ExpansionReport:
     """One reorientation sweep of a perspective, in binary counting order.
 
@@ -135,11 +102,20 @@ class ExpansionReport:
         self.dual_sets = dual_sets
         self.total = total
 
-    active = cached_property(lambda self: _transposed(self.active_sets))
-    dual = cached_property(lambda self: _transposed(self.dual_sets))
+    @cached_property
+    def active(self) -> memoryview:
+        from .render import _transposed
+
+        return _transposed(self.active_sets)
+
+    @cached_property
+    def dual(self) -> memoryview:
+        from .render import _transposed
+
+        return _transposed(self.dual_sets)
 
     @property
-    def rows(self) -> Sequence[ActivityRecord]:
+    def rows(self) -> _Rows:
         return _Rows(self)
 
     @cached_property
@@ -155,38 +131,11 @@ class ExpansionReport:
     def passed(self) -> bool:
         return self.total == self.reference
 
-    def _texts(self) -> Iterator[list[str]]:
-        """The rendered columns of every row, read straight off the masks."""
-        ground = self.perspective.ground
-        labels = [(1 << i, str(e)) for i, e in enumerate(ground)]
-
-        @cache
-        def text(mask: int) -> str:
-            return "".join(label for bit, label in labels if mask & bit)
-
-        # A's 2^|E| masks are all distinct: join the texts of its low and high halves
-        low = (1 << len(ground) // 2) - 1
-        high = ((1 << len(ground)) - 1) ^ low
-        monomial = cache(lambda key: str(Monomial(key)))
-        for a, (act, dual) in enumerate(zip(self.active, self.dual)):
-            yield [text(a & low) + text(a & high) or "-", text(dual) or "-", text(act) or "-",
-                   text(dual & ~a) or "-", text(dual & a) or "-", text(act & ~a) or "-",
-                   text(act & a) or "-", monomial(_key(a, act, dual))]
-
     def blocks(self, json: bool = False) -> Iterator[str]:
-        """The table in blocks of _BLOCK_ROWS rows, one write each: TSV under a header line, or
-        what ``print(json.dumps(..., indent=2, sort_keys=True))`` writes, which here needs no
-        escape: every text is integer labels, ``-`` or a polynomial."""
-        head, row, sep, tail = "\t".join(_COLUMNS) + "\n", "\t".join, "\n", "\n"
-        if json:
-            head = (f'{{\n  "pass": {str(self.passed).lower()},\n'
-                    f'  "reference": "{self.reference}",\n  "rows": [\n')
-            row, sep, tail = _JSON_ROW.format, ",\n", f'\n  ],\n  "sum": "{self.total}"\n}}\n'
-        texts = self._texts()
-        while block := list(itertools.islice(texts, _BLOCK_ROWS)):
-            yield head + sep.join(map(row, block))
-            head = sep
-        yield tail
+        """The table in TSV or JSON, in blocks of rows, one write each (``render.blocks``)."""
+        from .render import blocks
+
+        return blocks(self, json)
 
     def to_tsv(self) -> str:
         return "".join(self.blocks())
@@ -207,6 +156,8 @@ class _Rows(Sequence):
         return 1 << len(self._expansion.perspective.ground)
 
     def __getitem__(self, index):
+        from .render import ActivityRecord, _key
+
         picked = range(len(self))[index]
         if isinstance(picked, range):
             return [self[a] for a in picked]

@@ -13,11 +13,11 @@ rank question, and the tables of its minors and its dual, are read off it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
+from . import _forwarder
 from .poly import Polynomial, X, Y
 
 if TYPE_CHECKING:
@@ -435,52 +435,5 @@ def tutte_closed(m: OrientedRealization) -> Polynomial:
     return _closed_sum(table, table)
 
 
-def bases(m: OrientedRealization) -> list[frozenset[int]]:
-    """All maximal independent sets, in lexicographic order of their elements."""
-    n = len(m.ground)
-    table = m.rank_table()
-    r = table[-1]
-    return [frozenset(m.ground[i] for i in combo)
-            for combo in itertools.combinations(range(n), r)
-            if table[sum(1 << i for i in combo)] == r]
-
-
-class BasisActivity(NamedTuple):
-    internal: frozenset[int]
-    external: frozenset[int]
-
-    @property
-    def iota(self) -> int:
-        return len(self.internal)
-
-    @property
-    def epsilon(self) -> int:
-        return len(self.external)
-
-
-def basis_activities(m: OrientedRealization, b: Iterable[int]) -> BasisActivity:
-    """Internally/externally active elements of a basis.
-
-    An element e of B is internally active when it is smallest in its
-    fundamental cocircuit; e outside B is externally active when it is
-    smallest in its fundamental circuit.
-    """
-    b = frozenset(b)
-    b_mask = m.mask_of(b)
-    table = m.rank_table()
-    r = table[-1]
-    if len(b) != r or table[b_mask] != r:
-        raise MatroidError(f"{sorted(b)} is not a basis")
-    inside = [(e, 1 << m.index_of(e)) for e in b]
-    outside = [(e, 1 << i) for i, e in enumerate(m.ground) if not b_mask >> i & 1]
-    internal = {e for e, bit in inside
-                if all(f > e for f, other in outside if table[b_mask ^ bit | other] == r)}
-    external = {e for e, bit in outside
-                if all(f > e for f, other in inside if table[b_mask ^ other | bit] == r)}
-    return BasisActivity(frozenset(internal), frozenset(external))
-
-
-def tutte_bases(m: OrientedRealization) -> Polynomial:
-    """Tutte polynomial as the basis-activity state sum; equals tutte_closed."""
-    activities = (basis_activities(m, b) for b in bases(m))
-    return Polynomial(Counter((act.iota, 0, act.epsilon, 0, 0) for act in activities))
+# the basis-activity route lives in ``routes``, which only ``count bases`` compiles
+__getattr__ = _forwarder(__name__, ("BasisActivity", "bases", "basis_activities", "tutte_bases"))

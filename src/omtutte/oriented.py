@@ -17,6 +17,7 @@ import functools
 import operator
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import _forwarder
 from .matroid import (
     MatroidError,
     OrientedRealization,
@@ -28,7 +29,6 @@ from .matroid import (
     _minor_table,
     popcounts,
 )
-from .poly import Monomial
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -255,38 +255,6 @@ def _positive_minima(pairs: Pairs) -> int:
     return functools.reduce(operator.or_, (sup & -sup for pos, sup in pairs if pos == sup), 0)
 
 
-def _positive_cover(pairs: Pairs) -> int:
-    """Mask of the elements that lie in some positive member of a family."""
-    return functools.reduce(operator.or_, (sup for pos, sup in pairs if pos == sup), 0)
-
-
-def orientation_active_sets(om: OrientedMatroid) -> tuple[frozenset[int], frozenset[int]]:
-    """(active, dual-active): smallest elements of positive circuits resp. cocircuits."""
-    return (frozenset(_labels(om.ground, _positive_minima(om.circuit_pairs))),
-            frozenset(_labels(om.ground, _positive_minima(om.cocircuit_pairs))))
-
-
-def minty_check(om: OrientedMatroid) -> bool:
-    """Each element sits in a positive circuit or a positive cocircuit, never both."""
-    in_circuit = _positive_cover(om.circuit_pairs)
-    in_cocircuit = _positive_cover(om.cocircuit_pairs)
-    return in_circuit | in_cocircuit == (1 << len(om.ground)) - 1 and not in_circuit & in_cocircuit
-
-
-class ActivityRecord(NamedTuple):
-    """Activity data of one reorientation A, plus its monomial contribution.
-
-    ``active`` and ``dual_active`` are the active sets of the reoriented
-    matroid; each is split by membership outside/inside A into the four
-    refinement sets.  The monomial is
-    x^|dual_out| * u^|dual_in| * y^|active_out| * v^|active_in|.
-    """
-
-    A: frozenset[int]
-    active: frozenset[int]
-    dual_active: frozenset[int]
-    active_out: frozenset[int]
-    active_in: frozenset[int]
-    dual_out: frozenset[int]
-    dual_in: frozenset[int]
-    monomial: Monomial
+# the orientation-activity route lives in ``routes`` and ``ActivityRecord`` in ``render``, which
+# only ``count bases`` and ``activities`` compile
+__getattr__ = _forwarder(__name__, ("ActivityRecord", "minty_check", "orientation_active_sets"))

@@ -786,10 +786,7 @@ def test_a_fresh_process_exits_as_main_returns_byte_for_byte(tmp_path, capsys, a
     path = tmp_path / "doubled.dg"
     path.write_text(DOUBLED)
     argv = [arg.format(path=path, missing=tmp_path / "nope.dg") for arg in argv]
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = cli.main(argv)
     captured = capsys.readouterr()
     proc = run_module(*argv, unbuffered=False)
     assert (proc.returncode, proc.stdout, proc.stderr) == \

@@ -8,6 +8,10 @@ text parser ``omtutte._polytext`` loads only when ``Polynomial.parse`` runs.
 ``import omtutte`` loads no submodule, ``tutte`` and a digraph or matrix
 ``tutte3`` run on ``matroid`` and ``poly`` alone, and a perspective's
 ``tutte3`` adds ``oriented`` and ``perspective`` but never ``expansions``.
+Three leaf modules load for one command each: ``render``, the activity-table
+writer, for ``activities``; ``perspective_file`` for ``--format perspective``;
+``routes``, the basis-activity route, for ``count bases``.  The old modules
+forward the names that moved, loading the leaf only when one is read.
 The sweep's per-A masks are views of one ``bytearray``, so ``array`` never
 loads.  Realizations are held as integer columns, so ``fractions``
 (with ``decimal`` and ``numbers``) loads only where a rational is shown or
@@ -28,8 +32,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 AVOIDED = ("dataclasses", "inspect", "ast", "json", "argparse", "gettext", "locale",
            "omtutte._polytext", "fractions", "decimal", "numbers", "array",
            "encodings.utf_8_sig")
-SUBMODULES = ("poly", "matroid", "oriented", "perspective", "expansions")
+SUBMODULES = ("poly", "matroid", "oriented", "perspective", "expansions", "render",
+              "perspective_file", "routes")
 TABLE_MODULES = {"omtutte.oriented", "omtutte.perspective", "omtutte.expansions"}
+LEAF_MODULES = {"omtutte.render", "omtutte.perspective_file", "omtutte.routes"}
+TRIANGLE = "1 a b\n2 b c\n3 c a\n"
+MAJOR = "major: digraph\n1 a b\n2 b c\n3 c a\ncontract: 3\n"
 
 
 def loaded_after(code: str) -> set[str]:
@@ -75,7 +83,7 @@ def test_tutte_runs_without_the_table_modules(tmp_path):
     for command in ("tutte", "tutte3"):
         loaded = run_main(tmp_path, "triangle.dg", "1 a b\n2 b c\n3 c a\n", command)
         assert {"omtutte.matroid", "omtutte.poly"} <= loaded, command
-        assert sorted(loaded & TABLE_MODULES) == [], command
+        assert sorted(loaded & (TABLE_MODULES | LEAF_MODULES)) == [], command
         assert sorted(loaded.intersection(AVOIDED)) == [], command
 
 
@@ -93,6 +101,45 @@ def test_tutte3_on_a_major_runs_without_expansions(tmp_path):
     assert {"omtutte.oriented", "omtutte.perspective"} <= loaded
     assert "omtutte.expansions" not in loaded
     assert sorted(loaded.intersection(AVOIDED)) == []
+
+
+@pytest.mark.parametrize("name, text, argv, leaf", [
+    ("triangle.dg", TRIANGLE, ("verify",), None),
+    ("triangle.dg", TRIANGLE, ("derivative", "-p", "1"), None),
+    ("triangle.dg", TRIANGLE, ("count", "bounded"), None),
+    ("triangle.dg", TRIANGLE, ("activities",), "omtutte.render"),
+    ("triangle.dg", TRIANGLE, ("count", "bases"), "omtutte.routes"),
+    ("major.persp", MAJOR, ("verify", "--format", "perspective"), "omtutte.perspective_file"),
+])
+def test_each_leaf_module_loads_only_for_its_command(tmp_path, name, text, argv, leaf):
+    # the table writer, the perspective file reader and the basis route each compile only
+    # for the one command, or the one input format, that runs them
+    loaded = run_main(tmp_path, name, text, *argv)
+    assert sorted(loaded & LEAF_MODULES) == ([leaf] if leaf else []), argv
+
+
+@pytest.mark.parametrize("module, name, leaf", [
+    ("matroid", "bases", "routes"),
+    ("oriented", "ActivityRecord", "render"),
+    ("perspective", "parse_perspective", "perspective_file"),
+])
+def test_a_moved_name_loads_its_leaf_module_only_when_read(module, name, leaf):
+    loaded = loaded_after(f"import omtutte.{module}\n"
+                          f"assert 'omtutte.{leaf}' not in sys.modules\n"
+                          f"from omtutte.{module} import {name}\n"
+                          f"from omtutte.{leaf} import {name} as moved\n"
+                          f"assert {name} is moved")
+    assert f"omtutte.{leaf}" in loaded
+
+
+def test_a_row_count_loads_no_table_writer():
+    # bench/traced_job.py reads len(report.rows) after every sweep it traces
+    loaded = loaded_after(
+        "from omtutte import Digraph, expansion_sum, from_digraph, identity_perspective\n"
+        f"m = from_digraph(Digraph.parse({TRIANGLE!r}))\n"
+        "assert len(expansion_sum(identity_perspective(m)).rows) == 8")
+    assert "omtutte.expansions" in loaded
+    assert "omtutte.render" not in loaded
 
 
 def test_tutte_on_a_rational_matrix_avoids_fractions(tmp_path):

@@ -36,7 +36,7 @@ from omtutte.perspective import (
     validate,
 )
 from omtutte.poly import Monomial, Polynomial, ONE, U, V, X, Y
-from omtutte import expansions, gallery
+from omtutte import expansions, gallery, render
 
 from helpers import (
     DOUBLED_TRIANGLE_ROWS,
@@ -337,7 +337,7 @@ def test_a_table_of_two_blocks_matches_the_oracle_records():
     for counted in (tsv_rows, json_rows):
         assert len(counted) > 2
         assert sum(counted) == 8192
-        assert max(counted) <= expansions._BLOCK_ROWS
+        assert max(counted) <= render._BLOCK_ROWS
 
 
 # -- two-variable specializations -------------------------------------------------------

@@ -120,7 +120,8 @@ def test_guard_fires_before_any_table_is_built(no_table_built, entry):
 def taking(parameter: str) -> set[str]:
     """The package's functions and methods with ``parameter`` in their signature."""
     functions = []
-    for module in (cli, matroid, omtutte.oriented, omtutte.perspective, omtutte.expansions):
+    for module in (cli, matroid, omtutte.oriented, omtutte.perspective, omtutte.expansions,
+                   omtutte.perspective_file, omtutte.render, omtutte.routes):
         for name, value in vars(module).items():
             if getattr(value, "__module__", None) != module.__name__:
                 continue
