@@ -16,10 +16,10 @@ from collections import Counter
 from collections.abc import Sequence
 from enum import Enum
 from functools import cached_property, partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .matroid import IdentityError, MatroidError, OrientedRealization
-from .oriented import OrientedMatroid, _labels, _positive_minima
+from .oriented import OrientedMatroid, _labels
 from .perspective import Perspective, identity_perspective, tutte3_closed
 from .poly import Monomial, Polynomial, X, U, Y, V, ONE
 
@@ -318,22 +318,23 @@ def dichotomy_case(p: Perspective) -> DichotomyCase:
     Case i: deleting the greatest element e preserves the base indicators
     and contracting e matches the e-flipped ones, for every smaller element;
     case ii swaps the roles of deletion and contraction.  A valid
-    perspective always satisfies at least one case.
+    perspective always satisfies at least one case.  The indicators are read off
+    sweeps: p's at A = {} and {e}, and its two minors' (one, if they are equal) at A = {}.
     """
     ground = p.ground
     if not ground:
         raise MatroidError("the dichotomy needs at least one ground element")
-    e = ground[-1]
-    others = (1 << len(ground) - 1) - 1  # M\e and M/e drop only e, the top bit
+    e, top = ground[-1], len(ground) - 1  # the minors drop only e, the top index
 
-    def minima(derive: Callable[[OrientedMatroid], OrientedMatroid]) -> tuple[int, int]:
-        """Masks below e: the active set of derive(M) and the dual-active set of derive(M')."""
-        return (_positive_minima(derive(p.m).circuit_pairs) & others,
-                _positive_minima(derive(p.mprime).cocircuit_pairs) & others)
+    def masks(q: Perspective, a: int = 0) -> tuple[int, int]:
+        """Masks below e: the active and dual-active sets of the reorientation of q on A = a."""
+        report = expansion_sum(q)
+        return tuple(sum((s >> a & 1) << i for i, s in enumerate(sets[:top]))
+                     for sets in (report.active_sets, report.dual_sets))
 
-    base, flipped = minima(lambda om: om), minima(lambda om: om.reorient((e,)))
-    deleted = minima(lambda om: om.minor_delete(e))
-    contracted = minima(lambda om: om.minor_contract(e))
+    base, flipped = masks(p), masks(p, 1 << top)
+    deleted = masks(p.minor_delete(e))
+    contracted = deleted if p.mprime.is_isthmus(e) or p.m.is_loop(e) else masks(p.minor_contract(e))
     case_i = base == deleted and flipped == contracted
     case_ii = base == contracted and flipped == deleted
     if case_i and case_ii:

@@ -1,4 +1,4 @@
-"""Signed circuits and cocircuits, reorientation, and orientation activities.
+"""Signed circuits and cocircuits, reorientation and minors.
 
 A family is held once, as (positive, support) bitmask pairs (bit i is
 ground[i]) ordered by support, then positive part, each lexicographically by
@@ -8,13 +8,12 @@ independent), their signs off one fraction-free echelon form of the matrix;
 cocircuits are the circuits of the dual.  Reorientations, duals and minors read
 their rank tables and families off their parent's, so only a matroid built from
 a matrix runs linear algebra.  "Smallest" is the lowest bit: the ground tuple is
-the ordered set E.
+the ordered set E.  The smallest-element activity rule is applied in ``expansions._active_sets``
+(the sweep) and ``routes._positive_minima`` (the oracle route), not here.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import _forwarder
@@ -248,11 +247,6 @@ class OrientedMatroid(_Ground):
     def __repr__(self) -> str:
         # like the realization's repr, this builds neither a rank table nor a family
         return f"OrientedMatroid(|E|={len(self.ground)})"
-
-
-def _positive_minima(pairs: Pairs) -> int:
-    """Mask of the smallest elements (lowest bits) of the positive members of a family."""
-    return functools.reduce(operator.or_, (sup & -sup for pos, sup in pairs if pos == sup), 0)
 
 
 # the orientation-activity route lives in ``routes`` and ``ActivityRecord`` in ``render``, which

@@ -73,7 +73,7 @@ class Perspective:
     ``_expansion`` holds the pair's one activity sweep once ``expansion_sum`` has run it.
     """
 
-    __slots__ = ("m", "mprime", "_expansion")
+    __slots__ = ("m", "mprime", "_expansion", "_minors")
 
     def __init__(self, m: OrientedMatroid, mprime: OrientedMatroid):
         report = validate(m, mprime)
@@ -88,6 +88,7 @@ class Perspective:
         self.m = m
         self.mprime = mprime
         self._expansion = None
+        self._minors = {}
 
     @property
     def ground(self) -> tuple[int, ...]:
@@ -97,10 +98,17 @@ class Perspective:
         return self.m.rank_table()[-1] - self.mprime.rank_table()[-1]
 
     def minor_delete(self, e: int) -> "Perspective":
-        return Perspective(self.m.minor_delete(e), self.mprime.minor_delete(e))
+        return self._minor("minor_delete", e)
 
     def minor_contract(self, e: int) -> "Perspective":
-        return Perspective(self.m.minor_contract(e), self.mprime.minor_contract(e))
+        return self._minor("minor_contract", e)
+
+    def _minor(self, name: str, e: int) -> "Perspective":
+        """The minor ``name`` of both matroids at e, held on this pair: validated and swept once."""
+        if (name, e) not in self._minors:
+            minors = (getattr(om, name)(e) for om in (self.m, self.mprime))
+            self._minors[name, e] = Perspective(*minors)
+        return self._minors[name, e]
 
     def __repr__(self) -> str:
         return f"Perspective(|E|={len(self.ground)}, rank_drop={self.rank_drop()})"

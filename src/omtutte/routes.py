@@ -2,9 +2,9 @@
 
 ``tutte_bases`` sums the internal and external activities of the bases, read off
 the rank table, to the polynomial ``tutte_closed`` gives; ``orientation_active_sets``
-reads one orientation's active sets off its signed families, as the sweep in
-``expansions`` does for every reorientation at once.  Only ``omtutte count bases``
-loads this module, for ``bases``; ``matroid`` and ``oriented`` forward to it.
+reads one orientation's active sets off its signed families by ``_positive_minima``, the
+oracle's copy of the rule the sweep's ``expansions._active_sets`` applies to every A at once.
+Only ``omtutte count bases`` loads this module; ``matroid`` and ``oriented`` forward to it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .matroid import MatroidError, OrientedRealization
-from .oriented import OrientedMatroid, Pairs, _labels, _positive_minima
+from .oriented import OrientedMatroid, Pairs, _labels
 from .poly import Polynomial
 
 
@@ -69,6 +69,11 @@ def tutte_bases(m: OrientedRealization) -> Polynomial:
     """Tutte polynomial as the basis-activity state sum; equals tutte_closed."""
     activities = (basis_activities(m, b) for b in bases(m))
     return Polynomial(Counter((act.iota, 0, act.epsilon, 0, 0) for act in activities))
+
+
+def _positive_minima(pairs: Pairs) -> int:
+    """Mask of the smallest elements (lowest bits) of the positive members of a family."""
+    return functools.reduce(operator.or_, (sup & -sup for pos, sup in pairs if pos == sup), 0)
 
 
 def _positive_cover(pairs: Pairs) -> int:

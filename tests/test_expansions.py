@@ -1,5 +1,7 @@
 """The 4-variable activity expansion, its specializations, counts, and derivatives."""
 
+import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -36,7 +38,7 @@ from omtutte.perspective import (
     validate,
 )
 from omtutte.poly import Monomial, Polynomial, ONE, U, V, X, Y
-from omtutte import expansions, gallery, render
+from omtutte import cli, expansions, gallery, render
 
 from helpers import (
     DOUBLED_TRIANGLE_ROWS,
@@ -573,6 +575,7 @@ def test_dichotomy_error_names_every_minimum_on_an_unvalidated_pair():
     real_mp = OrientedRealization((3, 5), [[-1, 1]])
     p = Perspective.__new__(Perspective)  # bypasses the strong-map scans, which reject the pair
     p.m, p.mprime = OrientedMatroid(real_m), OrientedMatroid(real_mp)
+    p._expansion, p._minors = None, {}  # the slots __init__ sets; the pair's minors pass validation
     assert not validate(p.m, p.mprime).passed
     assert oracle_dichotomy_case(real_m, real_mp) is None
     with pytest.raises(DichotomyError) as raised:
@@ -636,6 +639,94 @@ def test_dichotomy_case_matches_the_matrix_oracle():
     assert set(seen) == {(kind, case) for kind in ("from_major", "identity", "bounded")
                          for case in DichotomyCase}
     assert tops["loop"] and tops["isthmus"]
+
+
+def _greatest_element_rule(masks, in_a, out_a, full):
+    """``_active_sets`` with the wrong rule: each positive member credits its greatest element."""
+    out = [0] * len(in_a)
+    for pos, sup in masks:
+        positive = full
+        for i in range(len(in_a)):
+            if sup >> i & 1:
+                positive &= out_a[i] if pos >> i & 1 else in_a[i]
+        out[sup.bit_length() - 1] |= positive
+    return out
+
+
+def _greatest_on_cocircuits():
+    """The right rule for circuits, the greatest-element rule for cocircuits: a sweep reads
+    M's circuits, then M''s cocircuits."""
+    rules = itertools.cycle((expansions._active_sets, _greatest_element_rule))
+    return lambda *args: next(rules)(*args)
+
+
+def _verify_fails(p):
+    """Whether one of the checks ``omtutte verify`` runs fails on p."""
+    if not (expansion_sum(p).passed and specialization_suite(p).passed):
+        return True
+    try:
+        dichotomy_case(p)
+    except DichotomyError:
+        return True
+    return not deletion_contraction_check(p)
+
+
+@pytest.mark.parametrize("mutant, floor", [
+    (lambda: _greatest_element_rule, 70),
+    (_greatest_on_cocircuits, 35),
+], ids=["greatest", "greatest-on-cocircuits"])
+def test_verify_catches_a_sweep_with_the_wrong_activity_rule(tmp_path, capsys, monkeypatch,
+                                                             mutant, floor):
+    # the greatest-element rule is the smallest-element rule in the reversed order, so the
+    # expansion and the recursion still hold: only the dichotomy, read off the sweeps, fails
+    monkeypatch.setattr(expansions, "_active_sets", mutant())
+    for digraph in (gallery.directed_triangle(), gallery.doubled_triangle()):
+        path = tmp_path / "d.dg"
+        path.write_text("".join(f"{a} {t} {h}\n" for a, t, h in digraph.arcs))
+        assert cli.main(["verify", "--input", str(path)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error.startswith("neither dichotomy case holds at greatest element ")
+    instances = [p for _, p, _, _ in _dichotomy_instances(random.Random(97))]
+    assert len(instances) == 196
+    assert sum(map(_verify_fails, instances)) >= floor
+
+
+@pytest.mark.parametrize("text, sweeps", [
+    ("".join(f"{n} k{i} k{j}\n" for n, (i, j) in
+             enumerate(itertools.combinations(range(5), 2), start=1)), 3),  # K5
+    ("major: digraph\n1 a b\n2 b c\n3 c a\ncontract: 3\n", 3),
+    # the top arc 4 is a bridge of M = N minus 5 and of M' = N/5
+    ("major: digraph\n1 a b\n2 b c\n3 c a\n4 c d\n5 b c\ncontract: 5\n", 2),
+    ("major: digraph\n1 a b\n2 b c\n3 c a\n4 a a\n5 b c\ncontract: 5\n", 2),  # 4 a loop
+], ids=["K5", "major", "major-isthmus", "major-loop"])
+def test_verify_sweeps_p_and_each_minor_once_and_reorients_nothing(tmp_path, capsys,
+                                                                   monkeypatch, text, sweeps):
+    def refuse(self, labels):
+        raise AssertionError("verify reoriented a matroid")
+
+    built, validated = [], []
+    check = validate
+
+    class Counted(ExpansionReport):
+        def __init__(self, perspective, *sets):
+            built.append(perspective)
+            super().__init__(perspective, *sets)
+
+    monkeypatch.setattr(OrientedMatroid, "reorient", refuse)
+    monkeypatch.setattr(expansions, "ExpansionReport", Counted)
+    monkeypatch.setattr("omtutte.perspective.validate",
+                        lambda m, mprime: validated.append(m) or check(m, mprime))
+    path = tmp_path / "p.in"
+    path.write_text(text)
+    fmt = "perspective" if text.startswith("major:") else "digraph"
+    assert cli.main(["verify", "--input", str(path), "--format", fmt]) == 0
+    assert capsys.readouterr().out.endswith("deletion/contraction recursion: pass\n")
+    assert len(built) == len(validated) == len(set(map(id, built))) == sweeps
+    p = built[0]
+    top = p.ground[-1]
+    assert p.minor_delete(top) is p.minor_delete(top)
+    # p minus e, then p/e unless e is an isthmus of M' or a loop of M; a Perspective is its identity
+    assert built[1:] == [p.minor_delete(top), p.minor_contract(top)][:sweeps - 1]
 
 
 def test_deletion_contraction_general_case():

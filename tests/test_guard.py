@@ -1,6 +1,8 @@
 """The enumeration guard: checked once, where a root rank table is built."""
 
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -118,10 +120,11 @@ def test_guard_fires_before_any_table_is_built(no_table_built, entry):
 
 
 def taking(parameter: str) -> set[str]:
-    """The package's functions and methods with ``parameter`` in their signature."""
+    """The functions and methods of every module in the package with ``parameter`` in their
+    signature."""
     functions = []
-    for module in (cli, matroid, omtutte.oriented, omtutte.perspective, omtutte.expansions,
-                   omtutte.perspective_file, omtutte.render, omtutte.routes):
+    for info in pkgutil.iter_modules(omtutte.__path__):
+        module = importlib.import_module(f"omtutte.{info.name}")
         for name, value in vars(module).items():
             if getattr(value, "__module__", None) != module.__name__:
                 continue
