@@ -8,84 +8,56 @@ from __future__ import annotations
 
 import re
 
-from .poly import _NVARS, _VAR_INDEX, Monomial, Polynomial, PolynomialParseError
+from .poly import _NVARS, _VAR_INDEX, Polynomial, PolynomialParseError
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[a-zA-Z])|(?P<op>[-+*^]))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise PolynomialParseError(f"unexpected character {text[bad_at]!r}", bad_at)
+def parse(text: str) -> Polynomial:
+    """Terms joined by ``+`` or ``-``, the first optionally led by ``-``; a term is ``*``-joined
+    factors, each an integer or a variable with an optional ``^`` and integer exponent."""
+    tokens, pos = [], 0
+    while match := _TOKEN.match(text, pos):
         kind = match.lastgroup
         tokens.append((kind, match.group(kind), match.start(kind)))
         pos = match.end()
-    return tokens
-
-
-def parse(text: str) -> Polynomial:
-    tokens = _tokenize(text)
+    if rest := text[pos:].lstrip():
+        raise PolynomialParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
     if not tokens:
         raise PolynomialParseError("empty polynomial text", 0)
-    terms: dict[Monomial, int] = {}
-    i = 0
-    while i < len(tokens):  # every term but the first starts at the '+' or '-' ending the last
-        sign = 1
-        kind, value, at = tokens[i]
-        if kind == "op" and value in "+-":
-            if value == "+" and i == 0:
-                raise PolynomialParseError("polynomial cannot start with '+'", at)
-            sign = -1 if value == "-" else 1
-            i += 1
-        coeff, exps, i = _parse_term(tokens, i)
-        mono = Monomial(tuple(exps))
-        terms[mono] = terms.get(mono, 0) + sign * coeff
-    return Polynomial(terms)
-
-
-def _parse_term(tokens, i) -> tuple[int, list[int], int]:
-    coeff = 1
-    exps = [0] * _NVARS
-    expect_factor = True
+    if tokens[0][1] == "+":
+        raise PolynomialParseError("polynomial cannot start with '+'", tokens[0][2])
+    tokens.append(("end", "+", tokens[-1][2]))  # closes the last term as a '+' would
+    terms: dict[tuple[int, ...], int] = {}
+    i, coeff = (1, -1) if tokens[0][1] == "-" else (0, 1)
+    exps = [0] * _NVARS  # the term being read; coeff carries its sign
     while True:
-        if i >= len(tokens):
-            if expect_factor:
-                last = tokens[-1][2] if tokens else 0
-                raise PolynomialParseError("term ends without a factor", last)
-            return coeff, exps, i
-        kind, value, at = tokens[i]
-        if expect_factor:
-            if kind == "int":
-                coeff *= int(value)
-                i += 1
-            elif kind == "var":
-                if value not in _VAR_INDEX:
-                    raise PolynomialParseError(f"unknown variable {value!r}", at)
-                power = 1
-                i += 1
-                if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
-                    if i + 1 >= len(tokens) or tokens[i + 1][0] != "int":
-                        raise PolynomialParseError("'^' must be followed by an integer", at)
-                    power = int(tokens[i + 1][1])
-                    i += 2
-                exps[_VAR_INDEX[value]] += power
-            else:
-                raise PolynomialParseError(f"expected a coefficient or variable, got {value!r}", at)
-            expect_factor = False
+        kind, value, at = tokens[i]  # a factor
+        if kind == "int":
+            coeff *= int(value)
+        elif kind == "var":
+            if value not in _VAR_INDEX:
+                raise PolynomialParseError(f"unknown variable {value!r}", at)
+            power = 1
+            if tokens[i + 1][1] == "^":
+                if tokens[i + 2][0] != "int":
+                    raise PolynomialParseError("'^' must be followed by an integer", at)
+                power = int(tokens[i + 2][1])
+                i += 2
+            exps[_VAR_INDEX[value]] += power
+        elif kind == "end":
+            raise PolynomialParseError("term ends without a factor", at)
         else:
-            if kind == "op" and value == "*":
-                expect_factor = True
-                i += 1
-            elif kind == "op" and value == "^":
-                raise PolynomialParseError("'^' is only allowed on variables", at)
-            elif kind == "op" and value in "+-":
-                return coeff, exps, i
-            else:
-                raise PolynomialParseError(f"expected an operator, got {value!r}", at)
+            raise PolynomialParseError(f"expected a coefficient or variable, got {value!r}", at)
+        kind, value, at = tokens[i + 1]  # what follows it: the end token follows every factor
+        i += 2
+        if value in ("+", "-"):
+            key = tuple(exps)
+            terms[key] = terms.get(key, 0) + coeff
+            if kind == "end":
+                return Polynomial(terms)
+            coeff, exps = -1 if value == "-" else 1, [0] * _NVARS
+        elif value == "^":
+            raise PolynomialParseError("'^' is only allowed on variables", at)
+        elif value != "*":
+            raise PolynomialParseError(f"expected an operator, got {value!r}", at)

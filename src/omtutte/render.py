@@ -9,6 +9,7 @@ sweeps without writing the table never compiles it.
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from collections.abc import Sequence
 from functools import cache
@@ -65,9 +66,9 @@ def _key(a_mask: int, active: int, dual: int) -> tuple[int, int, int, int, int]:
 _COLUMNS = ("A", "dual_active", "active", "dual_out", "dual_in",
             "active_out", "active_in", "monomial")
 _BLOCK_ROWS = 4096
-# one JSON row object, keys sorted, each value read from its column of a _texts row
-_JSON_ROW = "    {{\n%s\n    }}" % ",\n".join(
-    f'      "{name}": "{{0[{_COLUMNS.index(name)}]}}"' for name in sorted(_COLUMNS))
+# one JSON row object, keys sorted: _JSON_CELLS picks a _texts row's values in that order
+_JSON_ROW = "    {\n%s\n    }" % ",\n".join(f'      "{name}": "%s"' for name in sorted(_COLUMNS))
+_JSON_CELLS = operator.itemgetter(*map(_COLUMNS.index, sorted(_COLUMNS)))
 
 
 def _texts(expansion: ExpansionReport) -> Iterator[list[str]]:
@@ -97,7 +98,8 @@ def blocks(expansion: ExpansionReport, json: bool = False) -> Iterator[str]:
     if json:
         head = (f'{{\n  "pass": {str(expansion.passed).lower()},\n'
                 f'  "reference": "{expansion.reference}",\n  "rows": [\n')
-        row, sep, tail = _JSON_ROW.format, ",\n", f'\n  ],\n  "sum": "{expansion.total}"\n}}\n'
+        row, sep = lambda texts: _JSON_ROW % _JSON_CELLS(texts), ",\n"
+        tail = f'\n  ],\n  "sum": "{expansion.total}"\n}}\n'
     texts = _texts(expansion)
     while block := list(itertools.islice(texts, _BLOCK_ROWS)):
         yield head + sep.join(map(row, block))

@@ -691,6 +691,50 @@ def test_verify_catches_a_sweep_with_the_wrong_activity_rule(tmp_path, capsys, m
     assert sum(map(_verify_fails, instances)) >= floor
 
 
+def _dichotomy_at_every_a(p):
+    """Whether e's own sets are right, and the mask of 2^(|E|-1) bits of the A in E minus e at
+    which the dichotomy fails.  Below e, p's sets at A and at A+e are the low and high halves
+    of its per-element sets; they must be those of p minus e and p/e at A, in one order or the
+    other.  e is dual-active at every A when an isthmus of M', active at every A when a loop of
+    M, and neither otherwise."""
+    report = expansion_sum(p)
+    top = len(p.ground) - 1
+    e, half = p.ground[top], 1 << top
+    low, full = (1 << half) - 1, (1 << 2 * half) - 1
+    isthmus, loop = p.mprime.is_isthmus(e), p.m.is_loop(e)
+    deleted = expansion_sum(p.minor_delete(e))
+    contracted = deleted if isthmus or loop else expansion_sum(p.minor_contract(e))
+    case_i = case_ii = low
+    for sets, del_sets, con_sets in ((report.active_sets, deleted.active_sets,
+                                      contracted.active_sets),
+                                     (report.dual_sets, deleted.dual_sets, contracted.dual_sets)):
+        for s, d, c in zip(sets[:top], del_sets, con_sets, strict=True):
+            at_a, at_a_plus_e = s & low, s >> half
+            case_i &= ~(at_a ^ d | at_a_plus_e ^ c)
+            case_ii &= ~(at_a ^ c | at_a_plus_e ^ d)
+    own = (report.active_sets[top], report.dual_sets[top]) == (full if loop else 0,
+                                                             full if isthmus else 0)
+    return own, low & ~(case_i | case_ii)
+
+
+def test_dichotomy_holds_at_every_reorientation():
+    instances = [p for _, p, _, _ in _dichotomy_instances(random.Random(97))]
+    instances += [identity_of(gallery.directed_triangle()), identity_of(gallery.doubled_triangle())]
+    for p in instances:
+        assert _dichotomy_at_every_a(p) == (True, 0), (p.ground, p.m, p.mprime)
+
+
+def test_the_dichotomy_at_every_reorientation_catches_the_greatest_element_rule(monkeypatch):
+    monkeypatch.setattr(expansions, "_active_sets", _greatest_element_rule)
+    for digraph in (gallery.directed_triangle(), gallery.doubled_triangle()):
+        assert _dichotomy_at_every_a(identity_of(digraph)) != (True, 0)
+    checks = [_dichotomy_at_every_a(p) for _, p, _, _ in _dichotomy_instances(random.Random(97))]
+    assert len(checks) == 196
+    # each half of the check, e's own sets and the sets below e, catches it on its own
+    assert sum(not own for own, _ in checks) >= 70
+    assert sum(failing != 0 for _, failing in checks) >= 70
+
+
 @pytest.mark.parametrize("text, sweeps", [
     ("".join(f"{n} k{i} k{j}\n" for n, (i, j) in
              enumerate(itertools.combinations(range(5), 2), start=1)), 3),  # K5

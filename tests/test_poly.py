@@ -1,6 +1,8 @@
 """Polynomial ring: examples plus hypothesis property checks."""
 
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from omtutte.poly import (
     Z,
 )
 
-from helpers import oracle_partial_derivative, oracle_product, oracle_substitute
+from helpers import oracle_parse, oracle_partial_derivative, oracle_product, oracle_substitute
 
 BASE = Polynomial.parse("x^2 + x*y + y^2 + x + y")
 
@@ -111,6 +113,14 @@ PARSE_ERRORS = [
     ("x ^ y", "'^' must be followed by an integer", 0),
     ("x +", "term ends without a factor", 2),
     ("w + 1", "unknown variable 'w'", 0),
+    (" +x", "polynomial cannot start with '+'", 1),
+    ("x + -y", "expected a coefficient or variable, got '-'", 4),
+    ("x*-y", "expected a coefficient or variable, got '-'", 2),
+    ("x^2^3", "'^' is only allowed on variables", 3),
+    ("2x", "expected an operator, got 'x'", 1),
+    ("x**2", "expected a coefficient or variable, got '*'", 2),
+    ("x^-1", "'^' must be followed by an integer", 0),
+    ("3 ^ 2", "'^' is only allowed on variables", 2),
 ]
 
 
@@ -120,6 +130,32 @@ def test_parse_errors_carry_position():
             Polynomial.parse(text)
         assert exc.value.position == position, text
         assert str(exc.value).endswith(f"(position {position})"), text
+
+
+# multi-digit numbers, leading zeros, every variable and one unknown letter, every operator,
+# both blanks, a bracket and a non-ASCII digit (Arabic-Indic three, which \d and int() read)
+PARSE_ALPHABET = ["0", "7", "12", "007", "x", "u", "y", "v", "z", "w",
+                  "+", "-", "*", "^", " ", "\t", "(", "\u0663"]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "parsed", parse(text)
+    except PolynomialParseError as exc:
+        return "error", str(exc), exc.position
+
+
+def test_parse_matches_the_two_function_oracle_on_random_text():
+    rng = random.Random(37)
+    outcomes = Counter()
+    for _ in range(50_000):
+        text = "".join(rng.choice(PARSE_ALPHABET) for _ in range(10))[:rng.randint(0, 10)]
+        expected = _parse_outcome(oracle_parse, text)
+        assert _parse_outcome(Polynomial.parse, text) == expected, text
+        outcomes[expected[1] if expected[0] == "error" else "parsed"] += 1
+    # thousands of texts parse, and every message of PARSE_ERRORS comes out of one of them
+    assert outcomes["parsed"] > 2_000
+    assert all(any(message in seen for seen in outcomes) for _, message, _ in PARSE_ERRORS)
 
 
 def test_nonconstant_polynomials_hash_by_their_terms():
