@@ -217,9 +217,9 @@ def run(args) -> int:
     # verify: the checks run in this order, and the first that fails is reported
     if not report.passed:
         return _fail("expansion identity", report.reference, report.total)
-    suite = specialization_suite(perspective)
-    if not suite.passed:
-        return _fail("specialization suite", suite.tutte, suite.interpolation)
+    mismatch = specialization_suite(perspective).mismatch
+    if mismatch:
+        return _fail("specialization suite", *mismatch)
     case = dichotomy_case(perspective) if perspective.ground else DichotomyCase.BOTH
     if not deletion_contraction_check(perspective):
         return _fail("deletion/contraction recursion", "minor sums to match", "mismatch")

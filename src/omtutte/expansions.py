@@ -214,9 +214,14 @@ class SpecializationReport(NamedTuple):
     two_zero: int
 
     @property
+    def mismatch(self) -> tuple[Polynomial | int, Polynomial | int] | None:
+        """The first (expected, actual) pair of checks (a)-(d) that differ, in field order."""
+        pairs = zip((self.tutte,) * 3 + (self.two_zero,) * 2, self[1:6])
+        return next((pair for pair in pairs if pair[0] != pair[1]), None)
+
+    @property
     def passed(self) -> bool:
-        return (self.interpolation == self.restricted == self.restricted_swap == self.tutte
-                and self.doubling_out == self.two_zero == self.doubling_in)
+        return self.mismatch is None
 
 
 def specialization_suite(p: Perspective) -> SpecializationReport:

@@ -417,13 +417,14 @@ def from_digraph(g: Digraph) -> OrientedRealization:
 def _closed_sum(table: bytes, table_prime: bytes) -> Polynomial:
     """Sum over S of (x-1)^(r'(E)-r'(S)) (y-1)^(|S|-r(S)) z^(r(E)-r'(E)-r(S)+r'(S)).
 
-    r and r' are the rank tables of M and M'; it raises ValueError itself on a negative z exponent.
+    r and r' are the rank tables of M and M'; a negative z exponent raises ValueError(why, S).
     """
     n = len(table).bit_length() - 1
     drop = table[-1] - table_prime[-1]
     counts = Counter(zip(popcounts(n), table, table_prime))
-    if any(ra - rpa > drop for _, ra, rpa in counts):
-        raise ValueError("r(S) - r'(S) exceeds r(E) - r'(E): a negative z exponent")
+    if any(ra - rpa > drop for _, ra, rpa in counts):  # per key; masks are scanned only on failure
+        first = next(s for s, (ra, rpa) in enumerate(zip(table, table_prime)) if ra - rpa > drop)
+        raise ValueError("r(S) - r'(S) exceeds r(E) - r'(E): a negative z exponent", first)
     return Polynomial({(table_prime[-1] - rpa, 0, size - ra, 0, drop - ra + rpa): count
                        for (size, ra, rpa), count in counts.items()}
                       ).substitute({"x": X - 1, "y": Y - 1})

@@ -102,7 +102,7 @@ def signed_circuits(m: OrientedRealization) -> Pairs:
     echelon = [(c, rows[r]) for r, c in pivots]
     bound = sum(1 << c for c, _ in echelon)
     family: list[tuple[int, int]] = []
-    for support in sorted(_circuit_supports(m.rank_table()), key=lambda s: _labels(range(n), s)):
+    for support in _circuit_supports(m.rank_table()):
         free = [i for i in range(n) if (support & ~bound) >> i & 1]
         (x,) = _integer_kernel([[row[f] for f in free] for c, row in echelon
                                 if not support >> c & 1], len(free))
@@ -113,7 +113,7 @@ def signed_circuits(m: OrientedRealization) -> Pairs:
         if not all(signs.values()):
             raise MatroidError("internal error: zero coefficient on a circuit support")
         family.append((sum(1 << i for i, v in signs.items() if v > 0), support))
-    return _in_family_order(family)
+    return _sorted_family(family)
 
 
 def signed_cocircuits(m: OrientedRealization) -> Pairs:

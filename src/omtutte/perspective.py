@@ -126,13 +126,10 @@ def identity_perspective(m: OrientedRealization | OrientedMatroid) -> Perspectiv
 
 def tutte3_closed(p: Perspective) -> Polynomial:
     """3-variable Tutte polynomial of the perspective via the closed subset sum."""
-    table_m, table_mp = p.m.rank_table(), p.mprime.rank_table()
     try:
-        return _closed_sum(table_m, table_mp)
-    except ValueError:  # a negative z exponent: r(S) - r'(S) exceeds r(E) - r'(E)
-        drop = table_m[-1] - table_mp[-1]
-        first = next(s for s in range(len(table_m)) if table_m[s] - table_mp[s] > drop)
-        raise PerspectiveError(f"negative z exponent at subset {_labels(p.ground, first)}; "
+        return _closed_sum(p.m.rank_table(), p.mprime.rank_table())
+    except ValueError as exc:  # a negative z exponent at the subset S = exc.args[1]
+        raise PerspectiveError(f"negative z exponent at subset {_labels(p.ground, exc.args[1])}; "
                                "the pair violates the strong-map rank axiom") from None
 
 

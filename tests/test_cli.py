@@ -19,10 +19,12 @@ from omtutte.matroid import Digraph, OrientedRealization, from_digraph
 from omtutte.perspective import identity_perspective
 from omtutte.poly import ONE
 
-from helpers import matrix_text, random_digraph, random_realization, rows_of
+from helpers import matrix_text, oracle_json_table, random_digraph, random_realization, rows_of
 
 TRIANGLE = "1 a b\n2 b c\n3 c a\n"
 DOUBLED = "1 a b\n2 a b\n3 c b\n4 c a\n"
+T_DOUBLED = "x^2 + x*y + y^2 + x + y"  # its Tutte polynomial; E_DOUBLED its 4-variable expansion
+E_DOUBLED = "x^2 + 2*x*u + x*y + x*v + u^2 + u*y + u*v + y^2 + 2*y*v + v^2 + x + u + y + v"
 MAJOR = "major: digraph\n1 a b\n2 b c\n3 c a\ncontract: 3\n"
 # one format word for both payloads: M the directed triangle, M' = M/3 with arc 3 kept as a loop
 PAIR = "pair: digraph\n1 a b\n2 b c\n3 c a\n---\n1 a b\n2 b a\n3 a a\n"
@@ -59,31 +61,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_tutte_on_doubled_triangle(tmp_path, capsys):
-    path = tmp_path / "doubled.dg"
-    path.write_text(DOUBLED)
-    code, out, _ = run_cli(capsys, "tutte", "--input", str(path))
-    assert code == 0
-    assert out == "x^2 + x*y + y^2 + x + y\n"
-
-
-def test_tutte3_on_perspective(tmp_path, capsys):
-    path = tmp_path / "p.persp"
-    path.write_text(MAJOR)
-    code, out, _ = run_cli(capsys, "tutte3", "--input", str(path),
-                           "--format", "perspective")
-    assert code == 0
-    assert out == "x*z + z + 1\n"
-
-
-def test_tutte3_on_digraph_uses_identity_perspective(tmp_path, capsys):
-    path = tmp_path / "d.dg"
-    path.write_text(DOUBLED)
-    code, out, _ = run_cli(capsys, "tutte3", "--input", str(path))
-    assert code == 0
-    assert out == "x^2 + x*y + y^2 + x + y\n"
-
-
 @pytest.mark.parametrize("text, argv", [
     (TRIANGLE, ["tutte"]),
     (U24, ["tutte", "--format", "matrix"]),
@@ -97,48 +74,6 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, text, argv):
         outputs.append(run_cli(capsys, *argv, "--input", str(path)))
     assert outputs[0][0] == 0
     assert outputs[1] == outputs[0]
-
-
-def test_matrix_format_input(tmp_path, capsys):
-    path = tmp_path / "loops.mat"
-    path.write_text("0 3\n")
-    code, out, _ = run_cli(capsys, "tutte", "--input", str(path), "--format", "matrix")
-    assert code == 0
-    assert out == "y^3\n"
-
-
-def test_count_acyclic_triangle(tmp_path, capsys):
-    path = tmp_path / "t.dg"
-    path.write_text(TRIANGLE)
-    code, out, _ = run_cli(capsys, "count", "acyclic", "--input", str(path))
-    assert code == 0
-    assert out == "6 (t(2,0)=6)\n"
-
-
-def test_count_bases_and_bounded(tmp_path, capsys):
-    path = tmp_path / "d.dg"
-    path.write_text(DOUBLED)
-    code, out, _ = run_cli(capsys, "count", "bases", "--input", str(path))
-    assert code == 0
-    assert out == "5 (t(1,1)=5, basic orientations=5,5)\n"
-    persp = tmp_path / "p.persp"
-    persp.write_text(MAJOR)
-    code, out, _ = run_cli(capsys, "count", "bounded", "--input", str(persp),
-                           "--format", "perspective")
-    assert code == 0
-    assert out == "2 (t(0,0,1)=2, signed sum=2)\n"
-
-
-def test_pair_header_with_one_format_word(tmp_path, capsys):
-    path = tmp_path / "pair.persp"
-    path.write_text(PAIR)
-    code, out, _ = run_cli(capsys, "count", "bounded", "--input", str(path),
-                           "--format", "perspective")
-    assert code == 0
-    assert out == "2 (t(0,0,1)=2, signed sum=2)\n"  # 2(n-2)! bounded orientations at n = 3
-    code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--format", "perspective")
-    assert code == 0
-    assert "dichotomy: case ii" in out.splitlines()
 
 
 def _majors_contracting_their_top_labels():
@@ -173,49 +108,6 @@ def test_a_major_file_and_the_pair_of_its_two_matrices_print_the_same(tmp_path, 
         assert outputs[1] == outputs[0], text
         checked += 1
     assert checked == 7
-
-
-def test_verify_passes(tmp_path, capsys):
-    path = tmp_path / "p.persp"
-    path.write_text(MAJOR)
-    code, out, _ = run_cli(capsys, "verify", "--input", str(path),
-                           "--format", "perspective")
-    assert code == 0
-    assert "expansion identity: pass" in out
-    assert "dichotomy: case" in out
-
-
-def test_verify_on_digraph_input(tmp_path, capsys):
-    path = tmp_path / "d.dg"
-    path.write_text(DOUBLED)
-    code, out, _ = run_cli(capsys, "verify", "--input", str(path))
-    assert code == 0
-
-
-def test_activities_tsv_and_json(tmp_path, capsys):
-    path = tmp_path / "d.dg"
-    path.write_text(DOUBLED)
-    code, out, _ = run_cli(capsys, "activities", "--input", str(path))
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "A\tdual_active\tactive\tdual_out\tdual_in\tactive_out\tactive_in\tmonomial"
-    assert lines[1] == "-\t13\t-\t13\t-\t-\t-\tx^2"
-    assert len(lines) == 17
-
-    code, out, _ = run_cli(capsys, "activities", "--input", str(path), "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["pass"] is True
-    assert payload["sum"].startswith("x^2 + 2*x*u")
-
-
-def test_derivative_prints_both_sides(tmp_path, capsys):
-    path = tmp_path / "d.dg"
-    path.write_text(DOUBLED)
-    code, out, _ = run_cli(capsys, "derivative", "-p", "1", "-q", "0",
-                           "--input", str(path))
-    assert code == 0
-    assert out == "activity side: 2*x + y + 1\nformal derivative: 2*x + y + 1\n"
 
 
 def test_parse_error_exits_two(tmp_path, capsys):
@@ -322,7 +214,7 @@ def test_guard_exits_two_without_force(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("text, fmt, expected", [
-    (DOUBLED, "digraph", "x^2 + x*y + y^2 + x + y\n"),
+    (DOUBLED, "digraph", T_DOUBLED + "\n"),
     ("2 4\n1 0 1 2\n0 1 1 -1\n", "matrix", "x^2 + y^2 + 2*x + 2*y\n"),
 ])
 def test_tutte_builds_no_signed_families(tmp_path, capsys, monkeypatch, text, fmt, expected):
@@ -405,29 +297,29 @@ def test_identity_failure_exits_one(tmp_path, capsys, monkeypatch):
     assert diff["expected"] != diff["actual"]
 
 
-def test_verify_on_empty_ground_set(tmp_path, capsys):
-    path = tmp_path / "empty.mat"
-    path.write_text("0 0\n")
-    code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--format", "matrix")
-    assert code == 0
-    assert "dichotomy: case both" in out.splitlines()
+def _skewed_suite(field, expected, actual):
+    """A row below: the suite's ``field`` reads one too high, and verify prints this pair."""
+    def falsify(real):
+        def skewed(*args, **kwargs):
+            suite = real(*args, **kwargs)
+            return suite._replace(**{field: getattr(suite, field) + 1})
+        return skewed
+    return ("specialization_suite", falsify,
+            {"check": "specialization suite", "expected": expected, "actual": actual})
 
 
-def _skewed_suite(real):
-    def skewed(*args, **kwargs):
-        suite = real(*args, **kwargs)
-        return suite._replace(interpolation=suite.interpolation + 1)
-    return skewed
-
-
+# a skewed specialization prints t(x,y,1) against it, a skewed doubling t(2,0,1) = 6 against 7
 @pytest.mark.parametrize("patched, falsify, expected", [
-    ("specialization_suite", _skewed_suite,
-     {"check": "specialization suite", "expected": "x^2 + x*y + y^2 + x + y",
-      "actual": "x^2 + x*y + y^2 + x + y + 1"}),
+    _skewed_suite("interpolation", T_DOUBLED, T_DOUBLED + " + 1"),
+    _skewed_suite("restricted", T_DOUBLED, T_DOUBLED + " + 1"),
+    _skewed_suite("restricted_swap", T_DOUBLED, T_DOUBLED + " + 1"),
+    _skewed_suite("doubling_out", "6", "7"),
+    _skewed_suite("doubling_in", "6", "7"),
     ("deletion_contraction_check", lambda real: lambda *args, **kwargs: False,
      {"check": "deletion/contraction recursion", "expected": "minor sums to match",
       "actual": "mismatch"}),
-], ids=["suite", "recursion"])
+], ids=["suite", "suite-restricted", "suite-restricted-swap", "suite-doubling-out",
+        "suite-doubling-in", "recursion"])
 def test_verify_check_failure_exits_one(tmp_path, capsys, monkeypatch, patched, falsify,
                                         expected):
     path = tmp_path / "d.dg"
@@ -517,7 +409,7 @@ def test_families_are_built_only_where_read(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, source, expected", [
-    (["tutte"], DOUBLED, "x^2 + x*y + y^2 + x + y"),
+    (["tutte"], DOUBLED, T_DOUBLED),
     (["tutte3", "--format", "perspective"], MAJOR, "x*z + z + 1"),
     (["count", "acyclic"], TRIANGLE, {"value": 6, "sides": {"t(2,0)": [6]}, "agree": True}),
     (["count", "bounded", "--format", "perspective"], MAJOR,
@@ -525,9 +417,7 @@ def test_families_are_built_only_where_read(tmp_path, capsys, monkeypatch):
     (["count", "bases"], DOUBLED,
      {"value": 5, "sides": {"t(1,1)": [5], "basic orientations": [5, 5]}, "agree": True}),
     (["verify"], DOUBLED,
-     {"pass": True, "dichotomy_case": "i",
-      "sum": "x^2 + 2*x*u + x*y + x*v + u^2 + u*y + u*v + y^2 + 2*y*v + v^2 + x + u + y + v",
-      "reference": "x^2 + 2*x*u + x*y + x*v + u^2 + u*y + u*v + y^2 + 2*y*v + v^2 + x + u + y + v"}),
+     {"pass": True, "dichotomy_case": "i", "sum": E_DOUBLED, "reference": E_DOUBLED}),
     (["derivative", "-p", "1", "-q", "0"], DOUBLED,
      {"activity": "2*x + y + 1", "formal": "2*x + y + 1", "equal": True}),
 ])
@@ -636,6 +526,32 @@ def _json_table_of(rows: int):
 
 
 @pytest.mark.parametrize("source, argv, code, expected", [
+    (DOUBLED, ["tutte"], 0, T_DOUBLED + "\n"),
+    # a digraph is the perspective M -> M, whose t has no z term
+    (DOUBLED, ["tutte3"], 0, T_DOUBLED + "\n"),
+    (MAJOR, ["tutte3", "--format", "perspective"], 0, "x*z + z + 1\n"),
+    ("0 3\n", ["tutte", "--format", "matrix"], 0, "y^3\n"),
+    (TRIANGLE, ["count", "acyclic"], 0, "6 (t(2,0)=6)\n"),
+    (DOUBLED, ["count", "bases"], 0, "5 (t(1,1)=5, basic orientations=5,5)\n"),
+    (MAJOR, ["count", "bounded", "--format", "perspective"], 0, "2 (t(0,0,1)=2, signed sum=2)\n"),
+    # 2(n-2)! bounded orientations at n = 3
+    (PAIR, ["count", "bounded", "--format", "perspective"], 0, "2 (t(0,0,1)=2, signed sum=2)\n"),
+    (PAIR, ["verify", "--format", "perspective"], 0, VERIFIED.format("ii")),
+    (MAJOR, ["verify", "--format", "perspective"], 0, VERIFIED.format("ii")),
+    (DOUBLED, ["verify"], 0, VERIFIED.format("i")),
+    ("0 0\n", ["verify", "--format", "matrix"], 0, VERIFIED.format("both")),
+    (DOUBLED, ["activities"], 0,
+     "A\tdual_active\tactive\tdual_out\tdual_in\tactive_out\tactive_in\tmonomial\n"
+     "-\t13\t-\t13\t-\t-\t-\tx^2\n1\t3\t1\t3\t-\t-\t1\tx*v\n2\t3\t1\t3\t-\t1\t-\tx*y\n"
+     "12\t13\t-\t3\t1\t-\t-\tx*u\n3\t-\t12\t-\t-\t12\t-\ty^2\n13\t-\t12\t-\t-\t2\t1\ty*v\n"
+     "23\t-\t1\t-\t-\t1\t-\ty\n123\t1\t-\t-\t1\t-\t-\tu\n4\t1\t-\t1\t-\t-\t-\tx\n"
+     "14\t-\t1\t-\t-\t-\t1\tv\n24\t-\t12\t-\t-\t1\t2\ty*v\n124\t-\t12\t-\t-\t-\t12\tv^2\n"
+     "34\t13\t-\t1\t3\t-\t-\tx*u\n134\t3\t1\t-\t3\t-\t1\tu*v\n234\t3\t1\t-\t3\t1\t-\tu*y\n"
+     "1234\t13\t-\t-\t13\t-\t-\tu^2\n"),
+    (DOUBLED, ["activities", "--json"], 0,
+     oracle_json_table(identity_perspective(from_digraph(gallery.doubled_triangle())))),
+    (DOUBLED, ["derivative", "-p", "1", "-q", "0"], 0,
+     "activity side: 2*x + y + 1\nformal derivative: 2*x + y + 1\n"),
     (TRIANGLE, ["verify"], 0, VERIFIED.format("ii")),
     (TRIANGLE, ["tutte3"], 0, "x^2 + x + y\n"),
     # d/dx of x^2 + x + y; past |E| = 3 both sides are 0, since the expansion has no u^4 term
@@ -667,7 +583,11 @@ def _json_table_of(rows: int):
     (K7, ["count", "bases", "--force"], 0,
      "16807 (t(1,1)=16807, basic orientations=16807,16807)\n"),
     (K7, ["verify"], 2, ""),
-], ids=["triangle-verify", "triangle-tutte3", "triangle-derivative-p1", "triangle-derivative-p4",
+], ids=["doubled-tutte", "doubled-tutte3", "major-tutte3", "three-loops-tutte",
+        "triangle-count-acyclic", "doubled-count-bases", "major-count-bounded",
+        "pair-count-bounded", "pair-verify", "major-verify", "doubled-verify", "empty-verify",
+        "doubled-activities", "doubled-activities-json", "doubled-derivative-p1-q0",
+        "triangle-verify", "triangle-tutte3", "triangle-derivative-p1", "triangle-derivative-p4",
         "doubled-derivative-p1-q1", "doubled-derivative-p2", "triangle-activities",
         "triangle-activities-json", "c13-activities-json", "bridged-tutte3", "bridged-verify",
         "u24-tutte", "u24-count-acyclic", "u24-verify", "u36-count-acyclic", "u36-verify",

@@ -28,14 +28,11 @@ import pytest
 
 import omtutte
 
+from cold_start_modules import AVOIDED, LEAF_MODULES, TABLE_MODULES
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-AVOIDED = ("dataclasses", "inspect", "ast", "json", "argparse", "gettext", "locale",
-           "omtutte._polytext", "fractions", "decimal", "numbers", "array",
-           "encodings.utf_8_sig")
 SUBMODULES = ("poly", "matroid", "oriented", "perspective", "expansions", "render",
               "perspective_file", "routes")
-TABLE_MODULES = {"omtutte.oriented", "omtutte.perspective", "omtutte.expansions"}
-LEAF_MODULES = {"omtutte.render", "omtutte.perspective_file", "omtutte.routes"}
 TRIANGLE = "1 a b\n2 b c\n3 c a\n"
 MAJOR = "major: digraph\n1 a b\n2 b c\n3 c a\ncontract: 3\n"
 

@@ -692,11 +692,11 @@ def test_verify_catches_a_sweep_with_the_wrong_activity_rule(tmp_path, capsys, m
 
 
 def _dichotomy_at_every_a(p):
-    """Whether e's own sets are right, and the mask of 2^(|E|-1) bits of the A in E minus e at
-    which the dichotomy fails.  Below e, p's sets at A and at A+e are the low and high halves
-    of its per-element sets; they must be those of p minus e and p/e at A, in one order or the
-    other.  e is dual-active at every A when an isthmus of M', active at every A when a loop of
-    M, and neither otherwise."""
+    """Whether e's own sets are right, and the masks of 2^(|E|-1) bits of the A in E minus e at
+    which the dichotomy fails, case i holds and case ii holds.  Below e, p's sets at A and at
+    A+e are the low and high halves of its per-element sets; they must be those of p minus e
+    and p/e at A, in one order or the other.  e is dual-active at every A when an isthmus of
+    M', active at every A when a loop of M, and neither otherwise."""
     report = expansion_sum(p)
     top = len(p.ground) - 1
     e, half = p.ground[top], 1 << top
@@ -714,25 +714,34 @@ def _dichotomy_at_every_a(p):
             case_ii &= ~(at_a ^ c | at_a_plus_e ^ d)
     own = (report.active_sets[top], report.dual_sets[top]) == (full if loop else 0,
                                                              full if isthmus else 0)
-    return own, low & ~(case_i | case_ii)
+    return own, low & ~(case_i | case_ii), case_i, case_ii
 
 
 def test_dichotomy_holds_at_every_reorientation():
-    instances = [p for _, p, _, _ in _dichotomy_instances(random.Random(97))]
-    instances += [identity_of(gallery.directed_triangle()), identity_of(gallery.doubled_triangle())]
-    for p in instances:
-        assert _dichotomy_at_every_a(p) == (True, 0), (p.ground, p.m, p.mprime)
+    cases = {(1, 1): DichotomyCase.BOTH, (1, 0): DichotomyCase.CASE_I,
+             (0, 1): DichotomyCase.CASE_II}
+    rng = random.Random(38)
+    for kind, p, real_m, real_mp in _dichotomy_instances(random.Random(97)):
+        own, failing, case_i, case_ii = _dichotomy_at_every_a(p)
+        assert (own, failing) == (True, 0), (p.ground, p.m, p.mprime)
+        # the case at two seeded A, against the oracle on the matrices reoriented on A
+        for a in (rng.getrandbits(len(p.ground) - 1) for _ in range(2)):
+            A = {e for i, e in enumerate(p.ground) if a >> i & 1}
+            oracle = oracle_dichotomy_case(real_m.negate_columns(A), real_mp.negate_columns(A))
+            assert cases.get((case_i >> a & 1, case_ii >> a & 1)) == oracle, (kind, p.ground, A)
+    for digraph in (gallery.directed_triangle(), gallery.doubled_triangle()):
+        assert _dichotomy_at_every_a(identity_of(digraph))[:2] == (True, 0)
 
 
 def test_the_dichotomy_at_every_reorientation_catches_the_greatest_element_rule(monkeypatch):
     monkeypatch.setattr(expansions, "_active_sets", _greatest_element_rule)
     for digraph in (gallery.directed_triangle(), gallery.doubled_triangle()):
-        assert _dichotomy_at_every_a(identity_of(digraph)) != (True, 0)
+        assert _dichotomy_at_every_a(identity_of(digraph))[:2] != (True, 0)
     checks = [_dichotomy_at_every_a(p) for _, p, _, _ in _dichotomy_instances(random.Random(97))]
     assert len(checks) == 196
     # each half of the check, e's own sets and the sets below e, catches it on its own
-    assert sum(not own for own, _ in checks) >= 70
-    assert sum(failing != 0 for _, failing in checks) >= 70
+    assert sum(not own for own, *_ in checks) >= 70
+    assert sum(failing != 0 for _, failing, *_ in checks) >= 70
 
 
 @pytest.mark.parametrize("text, sweeps", [
