@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .matroid import IdentityError, MatroidError, OrientedRealization
@@ -317,44 +317,68 @@ class DichotomyError(IdentityError):
     """Neither dichotomy case holds; the input is invalid or there is a bug."""
 
 
-def dichotomy_case(p: Perspective) -> DichotomyCase:
-    """Which indicator-transfer case holds at the greatest element.
+def _sweeps(p: Perspective) -> tuple[ExpansionReport, bool, bool, ExpansionReport, ExpansionReport]:
+    """p's sweep, whether its greatest element e is an isthmus of M' and whether a loop of M,
+    and the sweeps of p minus e and p/e; when e is either, p minus e stands for p/e."""
+    e = p.ground[-1]
+    report, isthmus, loop = expansion_sum(p), p.mprime.is_isthmus(e), p.m.is_loop(e)
+    deleted = expansion_sum(p.minor_delete(e))
+    contracted = deleted if isthmus or loop else expansion_sum(p.minor_contract(e))
+    return report, isthmus, loop, deleted, contracted
 
-    Case i: deleting the greatest element e preserves the base indicators
-    and contracting e matches the e-flipped ones, for every smaller element;
-    case ii swaps the roles of deletion and contraction.  A valid
-    perspective always satisfies at least one case.  The indicators are read off
-    sweeps: p's at A = {} and {e}, and its two minors' (one, if they are equal) at A = {}.
+
+def _dichotomy_sets(p: Perspective) -> tuple[bool, int, int]:
+    """Whether e's own sets are right, and the A in E minus e at which case i, resp. ii holds.
+
+    e must be active at every A if a loop of M, dual-active at every A if an isthmus of M', else
+    neither.  Below e, p's sets at A and A+e, the halves of its per-element sets, must be p minus
+    e's and p/e's at A (case i) or p/e's and p minus e's (case ii).
     """
-    ground = p.ground
-    if not ground:
+    report, isthmus, loop, deleted, contracted = _sweeps(p)
+    top = len(p.ground) - 1
+    low, full = (1 << (1 << top)) - 1, (1 << (2 << top)) - 1
+    off_i = off_ii = 0  # the A at which a set below e breaks case i, resp. case ii
+    for s, d, c in zip(*(r.active_sets[:top] + r.dual_sets[:top]
+                         for r in (report, deleted, contracted))):
+        at_a, at_a_plus_e = s & low, s >> (1 << top)
+        off_i |= (at_a ^ d) | (at_a_plus_e ^ c)
+        off_ii |= (at_a ^ c) | (at_a_plus_e ^ d)
+    own = report.active_sets[top] == full * loop and report.dual_sets[top] == full * isthmus
+    return own, low ^ off_i, low ^ off_ii
+
+
+def dichotomy_case(p: Perspective) -> DichotomyCase:
+    """Which indicator-transfer case holds at the greatest element e, at A = {}.
+
+    Case i: deleting e preserves the base indicators and contracting e matches the e-flipped
+    ones, for every smaller element; case ii swaps the two.  This raises unless one holds at
+    every A in E minus e and e's own sets are right, as a valid perspective's are.
+    """
+    if not p.ground:
         raise MatroidError("the dichotomy needs at least one ground element")
-    e, top = ground[-1], len(ground) - 1  # the minors drop only e, the top index
-
-    def masks(q: Perspective, a: int = 0) -> tuple[int, int]:
-        """Masks below e: the active and dual-active sets of the reorientation of q on A = a."""
-        report = expansion_sum(q)
-        return tuple(sum((s >> a & 1) << i for i, s in enumerate(sets[:top]))
-                     for sets in (report.active_sets, report.dual_sets))
-
-    base, flipped = masks(p), masks(p, 1 << top)
-    deleted = masks(p.minor_delete(e))
-    contracted = deleted if p.mprime.is_isthmus(e) or p.m.is_loop(e) else masks(p.minor_contract(e))
-    case_i = base == deleted and flipped == contracted
-    case_ii = base == contracted and flipped == deleted
-    if case_i and case_ii:
-        return DichotomyCase.BOTH
-    if case_i:
-        return DichotomyCase.CASE_I
-    if case_ii:
-        return DichotomyCase.CASE_II
-    labels = partial(_labels, ground)
+    own, case_i, case_ii = _dichotomy_sets(p)
+    ground, top = p.ground, len(p.ground) - 1
+    failing = ((1 << (1 << top)) - 1) ^ (case_i | case_ii)
+    if own and not failing:
+        return (DichotomyCase.BOTH if case_i & case_ii & 1 else
+                DichotomyCase.CASE_I if case_i & 1 else DichotomyCase.CASE_II)
+    report, _, _, deleted, contracted = _sweeps(p)
+    if not failing:  # e's own sets are wrong
+        act, dual = (sets[top].bit_count() for sets in (report.active_sets, report.dual_sets))
+        raise DichotomyError(
+            f"neither dichotomy case holds at greatest element {ground[-1]}: its own sets are "
+            f"wrong, active in {act} and dual-active in {dual} of {2 << top} reorientations")
+    a = (failing & -failing).bit_length() - 1  # the first failing A: its eight sets below e
+    base, flipped, deleted, contracted = (
+        tuple(_labels(ground, sum((s >> bit & 1) << i for i, s in enumerate(sets[:top])))
+              for sets in (q.active_sets, q.dual_sets))
+        for q, bit in zip((report, report, deleted, contracted), (a, a | 1 << top, a, a)))
+    where = f" in the reorientation on A={_labels(ground, a)}" if a else ""
     raise DichotomyError(
-        f"neither dichotomy case holds at greatest element {e}: "
-        f"active(M)={labels(base[0])}, active(M\\e)={labels(deleted[0])}, "
-        f"active(M/e)={labels(contracted[0])}, active(-eM)={labels(flipped[0])}; "
-        f"dual(M')={labels(base[1])}, dual(M'\\e)={labels(deleted[1])}, "
-        f"dual(M'/e)={labels(contracted[1])}, dual(-eM')={labels(flipped[1])}")
+        f"neither dichotomy case holds at greatest element {ground[-1]}{where}: "
+        f"active(M)={base[0]}, active(M\\e)={deleted[0]}, active(M/e)={contracted[0]}, "
+        f"active(-eM)={flipped[0]}; dual(M')={base[1]}, dual(M'\\e)={deleted[1]}, "
+        f"dual(M'/e)={contracted[1]}, dual(-eM')={flipped[1]}")
 
 
 def deletion_contraction_check(p: Perspective) -> bool:
@@ -364,14 +388,9 @@ def deletion_contraction_check(p: Perspective) -> bool:
     (x+u); a loop of M: by (y+v); otherwise the deleted and contracted
     minors' sums add up.  The empty perspective sums to 1.
     """
-    full = expansion_sum(p).total
     if not p.ground:
-        return full == ONE
-    e = p.ground[-1]
-    deleted = expansion_sum(p.minor_delete(e)).total
-    if p.mprime.is_isthmus(e):
-        return full == (X + U) * deleted
-    if p.m.is_loop(e):
-        return full == (Y + V) * deleted
-    contracted = expansion_sum(p.minor_contract(e)).total
-    return full == deleted + contracted
+        return expansion_sum(p).total == ONE
+    report, isthmus, loop, deleted, contracted = _sweeps(p)
+    if isthmus or loop:
+        return report.total == (X + U if isthmus else Y + V) * deleted.total
+    return report.total == deleted.total + contracted.total

@@ -196,10 +196,6 @@ def test_tutte_closed_isthmus_and_loop():
     assert tutte_closed(from_digraph(gallery.single_loop())) == Y
 
 
-def test_tutte_closed_doubled_triangle():
-    assert tutte_closed(from_digraph(gallery.doubled_triangle())) == BASE
-
-
 def test_bases_triangle():
     assert bases(triangle()) == [frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})]
 

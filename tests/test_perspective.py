@@ -249,12 +249,6 @@ def test_tutte3_identity_has_no_z():
     assert t3 == tutte_closed(m)
 
 
-def test_tutte3_two_graph_example():
-    major, c = gallery.bridged_triangle_major()
-    p = from_major(from_digraph(major), c)
-    assert tutte3_closed(p).substitute({"z": 1}) == Polynomial.parse("x^2 + 5*x + 4*y + 10")
-
-
 def test_tutte3_z1_matches_direct_recomputation():
     rng = random.Random(29)
     for _ in range(6):
